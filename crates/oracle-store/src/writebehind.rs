@@ -2,8 +2,9 @@
 //!
 //! The serve path must not pay segment-write latency on a cache miss, so
 //! freshly embedded rings are handed to a single background thread over a
-//! channel; the thread batches them (up to [`BATCH_MAX`] records or
-//! [`BATCH_LINGER`], whichever first) and appends one segment per batch.
+//! channel; the thread batches them (up to [`BATCH_MAX`] records,
+//! [`BATCH_MAX_VERTICES`] vertices or [`BATCH_LINGER`], whichever first)
+//! and appends one segment per batch.
 //! Dropping the handle (server drain) flushes everything still queued and
 //! joins the thread, so a graceful shutdown never loses accepted work —
 //! only a crash does, and then only rings that were still queued.
@@ -22,6 +23,12 @@ use crate::store::{pack_ring, Store};
 pub const BATCH_MAX: usize = 16;
 /// Longest a queued record waits before a time-based flush.
 pub const BATCH_LINGER: Duration = Duration::from_millis(200);
+/// Queued vertices before an early flush. At its peak a flush holds each
+/// queued vertex unpacked (13 B), packed, copied and serialized (8 B
+/// each), about 37 B per vertex. An `n = 9` ring (362,868 vertices)
+/// passes this bound, so it is written on arrival instead of waiting
+/// for the linger while later rings are embedded.
+pub const BATCH_MAX_VERTICES: usize = 1 << 18;
 
 /// Handle to the write-behind worker. Dropping it flushes and joins.
 pub struct WriteBehind {
@@ -37,6 +44,7 @@ impl WriteBehind {
             .name("oracle-writebehind".into())
             .spawn(move || {
                 let mut pending: Vec<(OracleKey, Arc<Vec<Perm>>)> = Vec::new();
+                let mut pending_vertices = 0usize;
                 let mut oldest: Option<Instant> = None;
                 loop {
                     let timeout = match oldest {
@@ -48,16 +56,19 @@ impl WriteBehind {
                             if pending.is_empty() {
                                 oldest = Some(Instant::now());
                             }
+                            pending_vertices += item.1.len();
                             pending.push(item);
                             star_obs::incr("oracle.store.write_behind_enqueued", 1);
-                            if pending.len() >= BATCH_MAX {
+                            if batch_full(pending.len(), pending_vertices) {
                                 flush(&store, &mut pending);
+                                pending_vertices = 0;
                                 oldest = None;
                             }
                         }
                         Err(RecvTimeoutError::Timeout) => {
                             if !pending.is_empty() {
                                 flush(&store, &mut pending);
+                                pending_vertices = 0;
                                 oldest = None;
                             }
                         }
@@ -102,6 +113,12 @@ impl Drop for WriteBehind {
     }
 }
 
+/// Whether a batch of `records` rings totalling `vertices` vertices is
+/// written now rather than at the linger deadline.
+fn batch_full(records: usize, vertices: usize) -> bool {
+    records >= BATCH_MAX || vertices >= BATCH_MAX_VERTICES
+}
+
 fn flush(store: &Store, pending: &mut Vec<(OracleKey, Arc<Vec<Perm>>)>) {
     if pending.is_empty() {
         return;
@@ -129,6 +146,18 @@ fn flush(store: &Store, pending: &mut Vec<(OracleKey, Arc<Vec<Perm>>)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn large_rings_flush_on_arrival_and_small_ones_batch() {
+        let n9_ring = 362_868;
+        assert!(batch_full(1, n9_ring), "an n = 9 ring is written at once");
+        assert!(!batch_full(1, 40_310), "an n = 8 ring waits for company");
+        assert!(
+            batch_full(BATCH_MAX, 16 * 118),
+            "count still caps small rings"
+        );
+        assert!(!batch_full(BATCH_MAX - 1, BATCH_MAX_VERTICES - 1));
+    }
 
     #[test]
     fn shutdown_flushes_queued_records() {

@@ -88,6 +88,24 @@ impl Aut {
         Perm::from_slice_trusted(&symbols[..n])
     }
 
+    /// The rank of `h ∈ Stab_1` in [`Aut::stab_unrank`]'s order, its
+    /// inverse: `stab_unrank(n, stab_rank(h)) == h`.
+    ///
+    /// # Panics
+    /// Panics if `h` has fewer than 2 symbols or does not fix symbol 1.
+    pub fn stab_rank(h: &Perm) -> u64 {
+        let n = h.n();
+        assert!(
+            n >= 2 && h.get(0) == 1,
+            "stab_rank: {h} does not fix symbol 1"
+        );
+        let mut sub = [0u8; MAX_N];
+        for i in 1..n {
+            sub[i - 1] = h.get(i) - 1;
+        }
+        u64::from(Perm::from_slice_trusted(&sub[..n - 1]).rank())
+    }
+
     /// Builds the automorphism indexed by `(g_rank, h_rank)` with
     /// `g_rank < n!` and `h_rank < (n-1)!`; ranks are reduced modulo those
     /// bounds, so any `u64` pair (e.g. from an RNG) selects a uniform
@@ -248,6 +266,24 @@ mod tests {
             assert!(seen.insert(h), "duplicate stab element at rank {r}");
         }
         assert_eq!(seen.len() as u64, factorial(n - 1));
+    }
+
+    #[test]
+    fn stab_rank_inverts_stab_unrank() {
+        for n in 2..=7 {
+            for r in 0..Aut::stab_count(n) {
+                let h = Aut::stab_unrank(n, r);
+                assert_eq!(Aut::stab_rank(&h), r, "n={n} h={h}");
+            }
+        }
+        let h = Aut::stab_unrank(12, 39_916_799);
+        assert_eq!(Aut::stab_rank(&h), 39_916_799, "last rank at MAX_N");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fix symbol 1")]
+    fn stab_rank_rejects_h_moving_one() {
+        Aut::stab_rank(&Perm::from_digits(4, 2134));
     }
 
     #[test]

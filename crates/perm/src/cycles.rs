@@ -14,6 +14,12 @@
 //!
 //! (a cycle through the pivot is entered and exited for free). The formula
 //! is cross-validated against BFS for small `n` in `star-graph`'s tests.
+//!
+//! The same decomposition, with the cycle through position 0 marked and
+//! walked in order, is what classifies a permutation under conjugation by
+//! the stabilizer of symbol 1: `star-oracle`'s canonical search reads the
+//! marked cycle type off [`CycleStructure`] and builds its conjugators
+//! from the recorded cycles.
 
 use crate::{Perm, MAX_N};
 
@@ -26,8 +32,16 @@ pub struct CycleStructure {
     pub nontrivial_cycles: usize,
     /// Whether position 0 lies on a cycle of length >= 2.
     pub zero_on_nontrivial_cycle: bool,
-    /// Lengths of all nontrivial cycles (unordered).
+    /// Lengths of all nontrivial cycles, in order of their smallest
+    /// position.
     pub cycle_lengths: Vec<usize>,
+    /// Smallest position on each nontrivial cycle, parallel to
+    /// `cycle_lengths` (so ascending).
+    pub cycle_starts: Vec<usize>,
+    /// The cycle through position 0, walked from 0: `zero_cycle[t]` is
+    /// where `t` steps of `position -> symbol - 1` take position 0. Just
+    /// `[0]` when position 0 is a fixed point.
+    pub zero_cycle: Vec<usize>,
 }
 
 impl CycleStructure {
@@ -38,19 +52,21 @@ impl CycleStructure {
         let mut seen = [false; MAX_N];
         let mut displaced = 0usize;
         let mut nontrivial = 0usize;
-        let mut zero_on = false;
         let mut lengths = Vec::new();
+        let mut starts = Vec::new();
+        let mut zero_cycle = Vec::new();
         for start in 0..n {
             if seen[start] {
                 continue;
             }
             let mut len = 0usize;
-            let mut contains_zero = false;
             let mut i = start;
             while !seen[i] {
                 seen[i] = true;
-                if i == 0 {
-                    contains_zero = true;
+                if start == 0 {
+                    // Position 0 is the smallest position, so its cycle is
+                    // the first one walked, and walked from 0.
+                    zero_cycle.push(i);
                 }
                 i = (p.get(i) - 1) as usize;
                 len += 1;
@@ -59,17 +75,27 @@ impl CycleStructure {
                 nontrivial += 1;
                 displaced += len;
                 lengths.push(len);
-                if contains_zero {
-                    zero_on = true;
-                }
+                starts.push(start);
             }
         }
         CycleStructure {
             displaced,
             nontrivial_cycles: nontrivial,
-            zero_on_nontrivial_cycle: zero_on,
+            zero_on_nontrivial_cycle: zero_cycle.len() >= 2,
             cycle_lengths: lengths,
+            cycle_starts: starts,
+            zero_cycle,
         }
+    }
+
+    /// The nontrivial cycles that avoid position 0, as
+    /// `(smallest position, length)`.
+    pub fn cycles_avoiding_zero(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.cycle_starts
+            .iter()
+            .zip(&self.cycle_lengths)
+            .filter(|&(&start, _)| start != 0)
+            .map(|(&start, &len)| (start, len))
     }
 
     /// Exact star-graph distance from the permutation to the identity
@@ -101,6 +127,7 @@ mod tests {
         assert_eq!(c.displaced, 0);
         assert_eq!(c.nontrivial_cycles, 0);
         assert!(!c.zero_on_nontrivial_cycle);
+        assert_eq!(c.zero_cycle, vec![0]);
         assert_eq!(c.star_distance_to_identity(), 0);
     }
 
@@ -145,5 +172,36 @@ mod tests {
         assert_eq!(ls, vec![2, 2]);
         // One through 0 (free entry), one not: d = 4 + 2 - 2 = 4.
         assert_eq!(c.star_distance_to_identity(), 4);
+    }
+
+    #[test]
+    fn cycles_are_recorded_with_their_members() {
+        // 3516247 is (0 2)(1 4)(3 5) on positions, with position 6 fixed.
+        let p = Perm::from_digits(7, 3516247);
+        let c = CycleStructure::of(&p);
+        assert_eq!(c.cycle_lengths, vec![2, 2, 2]);
+        assert_eq!(c.cycle_starts, vec![0, 1, 3]);
+        assert_eq!(c.zero_cycle, vec![0, 2]);
+        // A 4-cycle through 0, walked in order: 0 -> 3 -> 1 -> 2 -> 0.
+        let p = Perm::from_digits(5, 43125);
+        let c = CycleStructure::of(&p);
+        assert_eq!(c.zero_cycle, vec![0, 3, 1, 2]);
+        assert_eq!(c.cycle_lengths, vec![4]);
+        assert_eq!(c.cycle_starts, vec![0]);
+        // Position 0 fixed: its cycle is just [0], and the other cycles
+        // keep their smallest positions as starts.
+        let c = CycleStructure::of(&Perm::from_digits(5, 13254));
+        assert_eq!(c.zero_cycle, vec![0]);
+        assert_eq!(c.cycle_starts, vec![1, 3]);
+        assert_eq!(
+            c.cycles_avoiding_zero().collect::<Vec<_>>(),
+            [(1, 2), (3, 2)]
+        );
+        // With position 0 on a cycle, that cycle is the one left out.
+        let c = CycleStructure::of(&Perm::from_digits(7, 3516247));
+        assert_eq!(
+            c.cycles_avoiding_zero().collect::<Vec<_>>(),
+            [(1, 2), (3, 2)]
+        );
     }
 }

@@ -255,6 +255,9 @@ struct ServeObs {
     oracle_canonical_hit: star_obs::Counter,
     oracle_miss: star_obs::Counter,
     oracle_store_hit: star_obs::Counter,
+    // Checksum-valid store records that are not rings (they fail the
+    // delta encode); each read as a miss and re-embedded.
+    oracle_store_bad_record: star_obs::Counter,
     queue_depth: star_obs::Hist,
     lat_embed: star_obs::Hist,
     lat_batch: star_obs::Hist,
@@ -287,6 +290,7 @@ fn obs() -> &'static ServeObs {
         oracle_canonical_hit: star_obs::counter("serve.oracle.canonical_hit"),
         oracle_miss: star_obs::counter("serve.oracle.miss"),
         oracle_store_hit: star_obs::counter("serve.oracle.store_hit"),
+        oracle_store_bad_record: star_obs::counter("serve.oracle.store_bad_record"),
         queue_depth: star_obs::histogram("serve.queue.depth"),
         lat_embed: star_obs::histogram("serve.latency.embed"),
         lat_batch: star_obs::histogram("serve.latency.embed_batch"),
@@ -678,6 +682,10 @@ fn stats_response(ctx: &Ctx, id: Option<&str>) -> Json {
                 ("hits".to_string(), Json::from(st.hits)),
                 ("misses".to_string(), Json::from(st.misses)),
                 ("corrupt".to_string(), Json::from(st.corrupt)),
+                (
+                    "bad_records".to_string(),
+                    Json::from(ctx.obs.oracle_store_bad_record.get()),
+                ),
             ]),
         ));
     }
@@ -986,6 +994,28 @@ fn persist_behind(ctx: &Ctx, key: &CacheKey, delta_c: &RingDelta) {
     }
 }
 
+/// Reads the canonical-frame ring stored for `key` (when the server has
+/// a store) and caches it. The store checks checksums and vertices, not
+/// adjacency, so a checksum-valid record that is not a ring fails the
+/// delta encode here: it is counted in `serve.oracle.store_bad_record`
+/// and read as a miss, and the caller re-embeds.
+fn store_lookup(ctx: &Ctx, key: &CacheKey) -> Option<Arc<RingDelta>> {
+    let ring_vec = ctx.store.as_ref()?.get(key)?;
+    match RingDelta::encode(&ring_vec) {
+        Ok(delta) => {
+            let delta_c = Arc::new(delta);
+            ctx.cache.insert(key.clone(), Arc::clone(&delta_c));
+            ctx.obs.oracle_store_hit.incr(1);
+            Some(delta_c)
+        }
+        Err(e) => {
+            ctx.obs.oracle_store_bad_record.incr(1);
+            star_obs::flightrec::record("serve.oracle.store_bad_record", e.to_string(), &[]);
+            None
+        }
+    }
+}
+
 /// Embeds one scenario through the canonical oracle: LRU first, then the
 /// disk store, then a fresh embed (cached and written behind in the
 /// canonical frame). Returns `(caller-frame delta, cached)` or the
@@ -1004,17 +1034,9 @@ fn embed_cached(
         classify_hit(ctx, literal_repeat);
         return Ok((map_back(delta_c, &canon), true));
     }
-    if let Some(store) = &ctx.store {
-        if let Some(ring_vec) = store.get(&key) {
-            let delta_c = Arc::new(
-                RingDelta::encode(&ring_vec)
-                    .map_err(|e| format!("stored ring does not delta-encode: {e}"))?,
-            );
-            ctx.cache.insert(key.clone(), Arc::clone(&delta_c));
-            ctx.obs.oracle_store_hit.incr(1);
-            classify_hit(ctx, literal_repeat);
-            return Ok((map_back(delta_c, &canon), true));
-        }
+    if let Some(delta_c) = store_lookup(ctx, &key) {
+        classify_hit(ctx, literal_repeat);
+        return Ok((map_back(delta_c, &canon), true));
     }
     ctx.obs.oracle_miss.incr(1);
     let vertices = embed_with_options(n, faults, options)
@@ -1189,16 +1211,9 @@ fn serve_batch(
                     classify_hit(ctx, literal_repeat);
                     return Slot::Ready(map_back(delta_c, &canon), true);
                 }
-                if let Some(store) = &ctx.store {
-                    if let Some(ring_vec) = store.get(&key) {
-                        if let Ok(delta) = RingDelta::encode(&ring_vec) {
-                            let delta_c = Arc::new(delta);
-                            ctx.cache.insert(key, Arc::clone(&delta_c));
-                            ctx.obs.oracle_store_hit.incr(1);
-                            classify_hit(ctx, literal_repeat);
-                            return Slot::Ready(map_back(delta_c, &canon), true);
-                        }
-                    }
+                if let Some(delta_c) = store_lookup(ctx, &key) {
+                    classify_hit(ctx, literal_repeat);
+                    return Slot::Ready(map_back(delta_c, &canon), true);
                 }
                 ctx.obs.oracle_miss.incr(1);
                 misses.push(faults.clone());

@@ -10,7 +10,10 @@ use std::time::Duration;
 
 use star_rings::bench::jsonv::Json;
 use star_rings::fault::FaultSet;
+use star_rings::oracle::{canonicalize, pack_ring, Store};
 use star_rings::perm::{Aut, Perm};
+use star_rings::ring::{embed_longest_ring, EmbedOptions};
+use star_rings::serve::cache::key_for;
 use star_rings::serve::client::{embed_request, plain_request};
 use star_rings::serve::Client;
 use star_rings::verify::check_ring;
@@ -219,6 +222,79 @@ fn warmed_store_serves_canonical_hits_across_restart() {
     let store = oracle.get("store").expect("store stats block");
     assert!(get_u64(store, "records") >= 1, "{stats}");
     assert!(get_u64(store, "hits") >= 1, "{stats}");
+}
+
+/// A checksum-valid store record that is not a ring (a real ring's
+/// vertices, sorted by rank) must read as a miss on both the single and
+/// the batch path: counted, re-embedded, and never an `embed_failed`.
+#[test]
+fn a_stored_record_that_is_not_a_ring_degrades_to_a_fresh_embed() {
+    let dir = scratch_dir("bad-record");
+    let path = dir.to_str().unwrap().to_string();
+    let n = 6usize;
+    let faults = vec!["213456".to_string(), "321456".to_string()];
+    {
+        let ranks: Vec<u32> = faults
+            .iter()
+            .map(|f| f.parse::<Perm>().unwrap().rank())
+            .collect();
+        let canon = canonicalize(n, &ranks);
+        let canon_faults = FaultSet::from_vertices(
+            n,
+            canon
+                .ranks()
+                .iter()
+                .map(|&r| Perm::unrank(n, r).unwrap())
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let mut shuffled = embed_longest_ring(n, &canon_faults)
+            .unwrap()
+            .into_vertices();
+        shuffled.sort_unstable_by_key(Perm::rank);
+        let store = Store::open(&dir).unwrap();
+        let key = key_for(&canon, &EmbedOptions::default());
+        assert_eq!(
+            store.append_batch(&[(key, pack_ring(&shuffled))]).unwrap(),
+            1
+        );
+    }
+    let bad_records = |client: &mut Client| {
+        let stats = client.call(&plain_request("s", "stats")).unwrap();
+        let store = stats
+            .get("oracle")
+            .and_then(|o| o.get("store"))
+            .expect("store stats block");
+        get_u64(store, "bad_records")
+    };
+
+    let server = Server::start(&["--oracle-path", &path]);
+    let mut client = server.connect();
+    let r = client.call(&embed_with_ring("bad", n, &faults)).unwrap();
+    assert!(
+        is_ok(&r),
+        "a bad stored record must degrade to an embed: {r}"
+    );
+    assert_eq!(r.get("cached"), Some(&Json::Bool(false)), "{r}");
+    assert_ring_valid(n, &r, &faults);
+    assert_eq!(bad_records(&mut client), 1);
+    drop(server);
+
+    // A fresh process (empty LRU) reads the same record on the batch path.
+    let server = Server::start(&["--oracle-path", &path]);
+    let mut client = server.connect();
+    let batch = Json::parse(
+        r#"{"kind":"embed_batch","id":"b","n":6,"return_ring":true,
+            "scenarios":[["213456","321456"]]}"#,
+    )
+    .unwrap();
+    let r = client.call(&batch).unwrap();
+    assert!(is_ok(&r), "{r}");
+    let item = &r.get("items").and_then(Json::as_arr).expect("items")[0];
+    assert!(is_ok(item), "{r}");
+    assert_eq!(item.get("cached"), Some(&Json::Bool(false)), "{r}");
+    assert_ring_valid(n, item, &faults);
+    assert_eq!(bad_records(&mut client), 1);
 }
 
 #[test]
