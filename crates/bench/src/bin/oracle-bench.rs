@@ -6,19 +6,22 @@
 //!
 //! Times the three serve-path outcomes the oracle distinguishes, plus
 //! raw store reads, and writes the committed `BENCH_*.json` schema so
-//! `bench-diff` can track them:
+//! `bench-diff` can track them. Rings are `RingDelta`s throughout, as in
+//! the server:
 //!
 //! - `oracle/literal_hit/nN` — the repeat-request fast path: memoized
 //!   canonicalization of a literal fault list already seen, plus the
-//!   witness map-back of the cached canonical ring.
+//!   witness map-back (`RingDelta::map_through`) of the cached
+//!   canonical ring.
 //! - `oracle/canonical_hit/nN` — a *fresh* orbit-mate of a stored
-//!   scenario: full `Aut(S_n)` canonical search, a checksummed store
-//!   read, and the witness map-back. This is the latency a literal-key
-//!   cache would have paid a full embed for.
+//!   scenario: full `Aut(S_n)` canonical search, a validated delta read
+//!   from the store, and the witness map-back. This is the latency a
+//!   literal-key cache would have paid a full embed for.
 //! - `oracle/cold_miss/nN` — canonical search plus the embed itself
 //!   (the price when no orbit representative is stored).
-//! - `oracle/store_read/nN` — one checksummed, decoded store read in
-//!   isolation; the achieved MiB/s is printed to stderr.
+//! - `oracle/store_read/nN` — one store read in isolation: positional
+//!   read, checksum, key check and delta validation
+//!   (`Store::get_delta`); the achieved MiB/s is printed to stderr.
 //!
 //! Every sample uses a distinct orbit-mate (seeded automorphism ranks),
 //! so the canonical-search cost is measured cold, as the server pays it.
@@ -29,10 +32,9 @@ use std::time::Instant;
 
 use star_bench::baseline::{Baseline, BaselineCase};
 use star_fault::{gen, FaultSet};
-use star_oracle::{canonicalize, Canonicalizer, OracleKey, Store};
-use star_perm::{Aut, Perm};
+use star_oracle::{canonicalize, Canon, Canonicalizer, OracleKey, Store};
+use star_perm::{delta::RingDelta, Aut, Perm};
 use star_ring::embed_longest_ring;
-use star_ring::remap::map_ring;
 
 fn main() -> ExitCode {
     let mut samples = 25usize;
@@ -120,6 +122,16 @@ fn case(name: String, n: usize, mode: &str, mut wall_ns: Vec<u64>) -> BaselineCa
     }
 }
 
+/// The server's map-back: a canonical-frame delta into the caller's
+/// frame through the witness inverse (free for the identity witness).
+fn map_back(delta_c: &Arc<RingDelta>, canon: &Canon) -> Arc<RingDelta> {
+    if canon.witness().is_identity() {
+        Arc::clone(delta_c)
+    } else {
+        Arc::new(delta_c.map_through(&canon.witness().inverse()))
+    }
+}
+
 /// Seeded orbit-mate of `base`: one automorphism applied to every fault.
 fn orbit_mate(n: usize, base: &[Perm], seed: u64) -> Vec<u32> {
     let g = seed
@@ -154,26 +166,26 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
             .collect::<Vec<_>>(),
     )
     .map_err(|e| e.to_string())?;
-    let ring_c: Arc<Vec<Perm>> = Arc::new(
+    let ring_c: Arc<RingDelta> = Arc::new(RingDelta::encode(
         embed_longest_ring(n, &canon_faults)
             .map_err(|e| e.to_string())?
-            .into_vertices(),
-    );
+            .vertices(),
+    )?);
     store
-        .append_batch(&[(key.clone(), star_oracle::pack_ring(&ring_c))])
+        .append_batch(&[(key.clone(), Arc::clone(&ring_c))])
         .map_err(|e| e.to_string())?;
 
     let mut cases = Vec::new();
 
     // literal_hit: memoized canonicalization + witness map-back of the
-    // in-memory canonical ring (the LRU-hit path; no disk).
+    // in-memory canonical delta (the LRU-hit path; no disk).
     let memo = Canonicalizer::default();
     memo.canonicalize(n, &base_ranks); // prime the memo
     let wall: Vec<u64> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
             let (c, _) = memo.canonicalize(n, &base_ranks);
-            let ring = map_ring(&ring_c, &c.witness().inverse());
+            let ring = map_back(&ring_c, &c);
             let ns = t0.elapsed().as_nanos() as u64;
             assert_eq!(ring.len(), ring_c.len());
             ns
@@ -182,15 +194,18 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
     cases.push(case(format!("oracle/literal_hit/n{n}"), n, "hit", wall));
 
     // canonical_hit: fresh orbit-mate each sample — cold canonical
-    // search + checksummed store read + witness map-back.
+    // search + validated delta read from the store + witness map-back.
     let wall: Vec<u64> = (0..samples)
         .map(|s| {
             let mate = orbit_mate(n, &base_perms, s as u64 + 1);
             let t0 = Instant::now();
             let c = canonicalize(n, &mate);
             let k = OracleKey::new(&c, 0, 0);
-            let stored = store.get(&k).expect("orbit-mate must hit the store");
-            let ring = map_ring(&stored, &c.witness().inverse());
+            let stored = store
+                .get_delta(&k)
+                .expect("orbit-mate must hit the store")
+                .expect("stored record is a valid delta");
+            let ring = map_back(&Arc::new(stored), &c);
             let ns = t0.elapsed().as_nanos() as u64;
             assert_eq!(ring.len(), ring_c.len());
             ns
@@ -220,12 +235,16 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
         .collect();
     cases.push(case(format!("oracle/cold_miss/n{n}"), n, "miss", wall));
 
-    // store_read: the disk layer alone — lookup, checksum, decode.
+    // store_read: the disk layer alone — lookup, checksum, key and
+    // delta validation.
     let record_bytes = store.stats().bytes.max(1);
     let wall: Vec<u64> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
-            let stored = store.get(&key).expect("warmed key must read back");
+            let stored = store
+                .get_delta(&key)
+                .expect("warmed key must read back")
+                .expect("stored record is a valid delta");
             let ns = t0.elapsed().as_nanos() as u64;
             assert_eq!(stored.len(), ring_c.len());
             ns

@@ -48,7 +48,6 @@ pub mod mixed;
 pub mod oracle;
 pub mod paths;
 pub mod positions;
-pub mod remap;
 pub mod repair;
 pub mod report;
 pub mod small_n;

@@ -19,9 +19,10 @@
 //! - [`OracleKey`] — the one key type shared by the in-memory LRU and the
 //!   disk store (canonical ranks + seam salt + spare index), so the two
 //!   layers can never disagree.
-//! - [`Store`] — append-only checksummed segments plus a rebuildable
-//!   index, written tempfile-then-rename; survives `kill -9` mid-write
-//!   and ships warm between hosts with a plain recursive copy.
+//! - [`Store`] — append-only checksummed segments of ring deltas
+//!   (`star_perm::delta::RingDelta`, ½ byte per vertex) plus a
+//!   rebuildable index, written tempfile-then-rename; survives `kill -9`
+//!   mid-write and ships warm between hosts with a plain recursive copy.
 //! - [`WriteBehind`] — background batch population so the serve path
 //!   never waits on segment I/O.
 //!

@@ -11,12 +11,12 @@
 //!   seg-000001.sos
 //! ```
 //!
-//! Segment record:
+//! Segment record, a ring as a [`RingDelta`] (½ byte per vertex):
 //!
 //! ```text
-//! "SOSR" | n u8 | k u8 | spare u8 | flags u8 | salt u32 | ring_len u32
+//! "SOSD" | n u8 | k u8 | spare u8 | flags u8 | salt u32 | ring_len u32
 //!        | reserved u32 | ranks k×u32
-//!        | ring ring_len×u64 (PackedPerm bits) | fnv1a-64
+//!        | start_bits u64 | dims ⌈(ring_len−1)/2⌉ bytes | fnv1a-64
 //! ```
 //!
 //! Index file:
@@ -41,8 +41,15 @@
 //! recomputation, never a wrong ring. Shipping a warm store to another
 //! host is `scp -r` of the directory; at worst the receiver pays one
 //! index rebuild.
+//!
+//! Stores written with 8-byte vertex-word records (magic `"SOSR"`, index
+//! version 1) have no decoder: their index is rejected, their segments
+//! are rescanned, and each such segment is dropped at open as corrupt,
+//! so its rings read as misses, are re-embedded, and are appended again
+//! as deltas.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -50,18 +57,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use star_fault::FaultSet;
-use star_perm::{factorial, packed::PackedPerm, Perm};
+use star_perm::{delta::RingDelta, factorial, Perm};
 
 use crate::key::OracleKey;
 
-const REC_MAGIC: &[u8; 4] = b"SOSR";
+const REC_MAGIC: &[u8; 4] = b"SOSD";
 const IDX_MAGIC: &[u8; 4] = b"SOSI";
-const IDX_VERSION: u32 = 1;
+const IDX_VERSION: u32 = 2;
 /// Fixed-size record header bytes before the per-key ranks.
-const REC_HEADER: usize = 16;
+const REC_HEADER: usize = 20;
+const START_LEN: usize = 8;
 const CHECKSUM_LEN: usize = 8;
 /// Upper bound accepted for `ring_len` when parsing (12! vertices).
-const MAX_RING_LEN: u64 = 479_001_600;
+const MAX_RING_LEN: u32 = 479_001_600;
 
 /// FNV-1a 64-bit, the workspace-standard content checksum here.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -101,14 +109,17 @@ pub struct StoreStats {
     pub hits: u64,
     /// Lookups that found no record.
     pub misses: u64,
-    /// Records dropped or refused for failing validation.
+    /// Records dropped at open or refused on read for failing their
+    /// checksum, magic, bounds or key check. An intact record that is
+    /// not a valid delta is not counted here; [`Store::get_delta`]
+    /// hands it to the caller.
     pub corrupt: u64,
 }
 
 /// Outcome of [`Store::verify`].
 #[derive(Clone, Debug, Default)]
 pub struct VerifyReport {
-    /// Records examined.
+    /// Records examined, including those dropped at open.
     pub checked: u64,
     /// Records that decoded and passed `check_ring` at `n! - 2|F_v|`.
     pub ok: u64,
@@ -132,6 +143,9 @@ pub struct Store {
     /// Serializes index rewrites (segment writes race safely; the index
     /// must not be written interleaved).
     index_lock: Mutex<()>,
+    /// What [`Store::open`] could not index (torn or unparsable records,
+    /// entries into vanished segments); [`Store::verify`] reports them.
+    dropped: Vec<String>,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
@@ -139,9 +153,10 @@ pub struct Store {
 
 impl Store {
     /// Opens (or creates) the store at `dir`, recovering from crashes:
-    /// leftover `.tmp` files are removed, a missing or corrupt index is
-    /// rebuilt by scanning every segment, and orphan segments (written
-    /// but not yet indexed) are scanned and re-indexed.
+    /// leftover `.tmp` files are removed, a missing, corrupt or
+    /// older-version index is rebuilt by scanning every segment, and
+    /// orphan segments (written but not yet indexed) are scanned and
+    /// re-indexed.
     pub fn open(dir: &Path) -> io::Result<Store> {
         fs::create_dir_all(dir)?;
         let mut segs_on_disk: HashMap<u32, PathBuf> = HashMap::new();
@@ -163,7 +178,7 @@ impl Store {
             }
         }
 
-        let mut corrupt = 0u64;
+        let mut dropped = Vec::new();
         let mut map: HashMap<OracleKey, Loc> = HashMap::new();
         let mut next_seg = 0u32;
         let mut dirty = false;
@@ -176,14 +191,17 @@ impl Store {
                     } else {
                         // Index points into a segment that vanished
                         // (partial ship): drop the entry.
-                        corrupt += 1;
+                        dropped.push(format!(
+                            "{key:?}: its segment {} is gone",
+                            seg_name(loc.seg)
+                        ));
                         dirty = true;
                     }
                 }
             }
             None => dirty = true,
         }
-        let covered: std::collections::HashSet<u32> = map.values().map(|l| l.seg).collect();
+        let covered: HashSet<u32> = map.values().map(|l| l.seg).collect();
         for (&id, path) in &segs_on_disk {
             if id >= next_seg {
                 next_seg = id + 1;
@@ -192,9 +210,12 @@ impl Store {
                 continue;
             }
             // Orphan (or index was rebuilt from scratch): scan it.
-            let (records, bad) = scan_segment(path, id);
-            corrupt += bad;
-            if bad > 0 || !records.is_empty() {
+            let (records, torn) = scan_segment(path, id);
+            if !records.is_empty() {
+                dirty = true;
+            }
+            if let Some(why) = torn {
+                dropped.push(why);
                 dirty = true;
             }
             for (key, loc) in records {
@@ -207,6 +228,7 @@ impl Store {
             .map(|m| m.len())
             .sum();
 
+        let corrupt = dropped.len() as u64;
         let store = Store {
             dir: dir.to_path_buf(),
             inner: Mutex::new(Inner {
@@ -216,6 +238,7 @@ impl Store {
             }),
             files: Mutex::new(HashMap::new()),
             index_lock: Mutex::new(()),
+            dropped,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(corrupt),
@@ -253,10 +276,18 @@ impl Store {
         self.len() == 0
     }
 
-    /// Reads the ring stored for `key`, verifying the record checksum and
-    /// key fields. Returns `None` on absence **or any corruption** — the
-    /// caller falls through to recomputation, never a wrong ring.
-    pub fn get(&self, key: &OracleKey) -> Option<Vec<Perm>> {
+    /// Reads the ring stored for `key` as a validated delta: one
+    /// positional read, the record checksum, the key fields, then
+    /// [`RingDelta::from_parts`] (start permutation, every step
+    /// dimension in `1..n`, zero padding).
+    ///
+    /// - `None`: no record, or one that fails its checksum, magic,
+    ///   bounds or key check (counted in `oracle.store.corrupt`). The
+    ///   caller recomputes; it never gets a wrong ring.
+    /// - `Some(Err(why))`: an intact record that is not a valid delta.
+    ///   The store does not count it; the caller does, and recomputes.
+    /// - `Some(Ok(delta))`: a hit.
+    pub fn get_delta(&self, key: &OracleKey) -> Option<Result<RingDelta, String>> {
         let loc = {
             let inner = self.inner.lock().expect("store poisoned");
             match inner.map.get(key) {
@@ -270,12 +301,13 @@ impl Store {
             }
         };
         match self.read_record(key, loc) {
-            Some(ring) => {
+            Some(Ok(delta)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 star_obs::incr("oracle.store.hit", 1);
                 star_obs::incr("oracle.store.read_bytes", loc.len as u64);
-                Some(ring)
+                Some(Ok(delta))
             }
+            Some(Err(why)) => Some(Err(why)),
             None => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 star_obs::incr("oracle.store.corrupt", 1);
@@ -284,15 +316,27 @@ impl Store {
         }
     }
 
-    fn read_record(&self, key: &OracleKey, loc: Loc) -> Option<Vec<Perm>> {
+    /// [`Store::get_delta`] expanded to vertices, for offline callers
+    /// that need them. A record that is not a valid delta reads as
+    /// `None` here.
+    pub fn get(&self, key: &OracleKey) -> Option<Vec<Perm>> {
+        self.get_delta(key)?.ok().map(|delta| delta.decode())
+    }
+
+    fn read_record(&self, key: &OracleKey, loc: Loc) -> Option<Result<RingDelta, String>> {
         let file = self.segment_file(loc.seg).ok()?;
         let mut buf = vec![0u8; loc.len as usize];
         read_exact_at(&file, &mut buf, loc.offset).ok()?;
-        let (parsed, rec_len) = parse_record(&buf, 0)?;
-        if rec_len != buf.len() || &parsed != key {
+        let rec = parse_record(&buf)?;
+        if rec.len != buf.len() || rec.key != *key {
             return None;
         }
-        decode_ring(&buf, key)
+        Some(RingDelta::from_parts(
+            key.n as usize,
+            rec.ring_len,
+            rec.start_bits,
+            rec.dims.to_vec(),
+        ))
     }
 
     fn segment_file(&self, seg: u32) -> io::Result<Arc<File>> {
@@ -305,35 +349,38 @@ impl Store {
         Ok(f)
     }
 
-    /// Appends a batch of `(key, packed ring)` records as one new segment
+    /// Appends a batch of `(key, ring)` records as one new segment
     /// (tempfile + rename), then rewrites the index. Keys already present
     /// (first-wins) or duplicated within the batch are skipped. Returns
     /// the number of records written.
-    pub fn append_batch(&self, batch: &[(OracleKey, Vec<u64>)]) -> io::Result<usize> {
+    pub fn append_batch<R: Borrow<RingDelta>>(
+        &self,
+        batch: &[(OracleKey, R)],
+    ) -> io::Result<usize> {
         let (seg, fresh) = {
             let mut inner = self.inner.lock().expect("store poisoned");
-            let mut fresh: Vec<&(OracleKey, Vec<u64>)> = Vec::new();
-            let mut seen: std::collections::HashSet<&OracleKey> = std::collections::HashSet::new();
-            for item in batch {
-                if !inner.map.contains_key(&item.0) && seen.insert(&item.0) {
-                    fresh.push(item);
-                }
-            }
+            let mut seen: HashSet<&OracleKey> = HashSet::new();
+            let fresh: Vec<&(OracleKey, R)> = batch
+                .iter()
+                .filter(|(key, _)| !inner.map.contains_key(key) && seen.insert(key))
+                .collect();
             if fresh.is_empty() {
                 return Ok(0);
             }
             let seg = inner.next_seg;
             inner.next_seg += 1;
-            // Clone out so the lock is not held across disk I/O.
-            let fresh: Vec<(OracleKey, Vec<u64>)> = fresh.into_iter().cloned().collect();
             (seg, fresh)
         };
 
-        let mut bytes: Vec<u8> = Vec::new();
+        let size = fresh
+            .iter()
+            .map(|(key, ring)| record_len(key.ranks.len(), ring.borrow().dims().len()))
+            .sum();
+        let mut bytes: Vec<u8> = Vec::with_capacity(size);
         let mut locs: Vec<(OracleKey, Loc)> = Vec::with_capacity(fresh.len());
         for (key, ring) in &fresh {
             let offset = bytes.len() as u64;
-            encode_record(&mut bytes, key, ring);
+            encode_record(&mut bytes, key, ring.borrow());
             locs.push((
                 key.clone(),
                 Loc {
@@ -397,7 +444,7 @@ impl Store {
             .map
             .values()
             .map(|l| l.seg)
-            .collect::<std::collections::HashSet<_>>()
+            .collect::<HashSet<_>>()
             .len() as u64;
         StoreStats {
             records: inner.map.len() as u64,
@@ -410,9 +457,10 @@ impl Store {
     }
 
     /// Re-reads up to `limit` records (0 = all, in unspecified order),
-    /// verifying checksums, decode, and the full ring contract:
+    /// verifying checksums, the delta, and the full ring contract:
     /// `check_ring` success at length `n! - 2|F_v|` against the canonical
-    /// fault set reconstructed from the key.
+    /// fault set reconstructed from the key. Every record dropped at open
+    /// is a failure too, whatever the limit.
     pub fn verify(&self, limit: usize) -> VerifyReport {
         let keys: Vec<OracleKey> = {
             let inner = self.inner.lock().expect("store poisoned");
@@ -423,14 +471,31 @@ impl Store {
                 iter.take(limit).collect()
             }
         };
-        let mut report = VerifyReport::default();
+        let mut report = VerifyReport {
+            checked: self.dropped.len() as u64,
+            ok: 0,
+            failures: self
+                .dropped
+                .iter()
+                .map(|why| format!("dropped at open: {why}"))
+                .collect(),
+        };
         for key in keys {
             report.checked += 1;
-            let Some(ring) = self.get(&key) else {
-                report
-                    .failures
-                    .push(format!("{key:?}: record missing or corrupt"));
-                continue;
+            let ring = match self.get_delta(&key) {
+                Some(Ok(delta)) => delta.decode(),
+                Some(Err(why)) => {
+                    report
+                        .failures
+                        .push(format!("{key:?}: not a valid ring delta: {why}"));
+                    continue;
+                }
+                None => {
+                    report
+                        .failures
+                        .push(format!("{key:?}: record missing or corrupt"));
+                    continue;
+                }
             };
             match verify_ring_for_key(&key, &ring) {
                 Ok(()) => report.ok += 1,
@@ -498,7 +563,13 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
     f.read_exact(buf)
 }
 
-fn encode_record(out: &mut Vec<u8>, key: &OracleKey, ring: &[u64]) {
+/// Total bytes of a record with `k` ranks and `dims` step bytes.
+fn record_len(k: usize, dims: usize) -> usize {
+    REC_HEADER + 4 * k + START_LEN + dims + CHECKSUM_LEN
+}
+
+fn encode_record(out: &mut Vec<u8>, key: &OracleKey, ring: &RingDelta) {
+    debug_assert_eq!(ring.n(), key.n as usize, "a ring is stored under its own n");
     let start = out.len();
     out.extend_from_slice(REC_MAGIC);
     out.push(key.n);
@@ -506,96 +577,107 @@ fn encode_record(out: &mut Vec<u8>, key: &OracleKey, ring: &[u64]) {
     out.push(key.spare);
     out.push(0); // flags
     out.extend_from_slice(&key.salt.to_le_bytes());
-    out.extend_from_slice(&(ring.len() as u32).to_le_bytes());
+    out.extend_from_slice(&ring.len().to_le_bytes());
     out.extend_from_slice(&[0u8; 4]); // reserved / alignment
     for r in &key.ranks {
         out.extend_from_slice(&r.to_le_bytes());
     }
-    for w in ring {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
+    out.extend_from_slice(&ring.start().bits().to_le_bytes());
+    out.extend_from_slice(ring.dims());
     let sum = fnv64(&out[start..]);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
-/// Parses the record starting at `offset` in `buf`; returns the key and
-/// total record length, or `None` if truncated or checksum-invalid.
-fn parse_record(buf: &[u8], offset: usize) -> Option<(OracleKey, usize)> {
-    let rec = &buf[offset.min(buf.len())..];
+/// A checksum-valid record, borrowing its step bytes from the buffer.
+struct Record<'a> {
+    key: OracleKey,
+    ring_len: u32,
+    start_bits: u64,
+    dims: &'a [u8],
+    /// Total record bytes, checksum included.
+    len: usize,
+}
+
+/// Parses the record at the start of `rec`; `None` if the magic, `n` or
+/// `ring_len` is out of bounds, the record is truncated, or its checksum
+/// fails. The delta itself is not validated here.
+fn parse_record(rec: &[u8]) -> Option<Record<'_>> {
     if rec.len() < REC_HEADER || &rec[..4] != REC_MAGIC {
         return None;
     }
-    let n = rec[4];
-    let k = rec[5] as usize;
-    let spare = rec[6];
-    let salt = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-    let ring_len = u32::from_le_bytes(rec[12..16].try_into().unwrap()) as u64;
-    if !(1..=star_perm::MAX_N as u8).contains(&n) || ring_len > MAX_RING_LEN {
+    let le32 = |at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4 bytes"));
+    let (n, k, spare) = (rec[4], rec[5] as usize, rec[6]);
+    let salt = le32(8);
+    let ring_len = le32(12);
+    if !(1..=star_perm::MAX_N as u8).contains(&n) || !(1..=MAX_RING_LEN).contains(&ring_len) {
         return None;
     }
-    let rec_len = REC_HEADER + 4 + 4 * k + 8 * ring_len as usize + CHECKSUM_LEN;
-    if rec.len() < rec_len {
+    let dims_at = REC_HEADER + 4 * k + START_LEN;
+    let dims_len = (ring_len as usize - 1).div_ceil(2);
+    let len = record_len(k, dims_len);
+    if rec.len() < len {
         return None;
     }
-    let body = &rec[..rec_len - CHECKSUM_LEN];
-    let stored = u64::from_le_bytes(rec[rec_len - CHECKSUM_LEN..rec_len].try_into().unwrap());
-    if fnv64(body) != stored {
+    let (body, sum) = rec[..len].split_at(len - CHECKSUM_LEN);
+    if fnv64(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
         return None;
     }
-    let mut ranks = Vec::with_capacity(k);
-    for i in 0..k {
-        let at = REC_HEADER + 4 + 4 * i;
-        ranks.push(u32::from_le_bytes(rec[at..at + 4].try_into().unwrap()));
-    }
-    Some((OracleKey::from_parts(n, ranks, salt, spare), rec_len))
+    let ranks = (0..k).map(|i| le32(REC_HEADER + 4 * i)).collect();
+    let start_bits = u64::from_le_bytes(
+        rec[dims_at - START_LEN..dims_at]
+            .try_into()
+            .expect("8 bytes"),
+    );
+    Some(Record {
+        key: OracleKey::from_parts(n, ranks, salt, spare),
+        ring_len,
+        start_bits,
+        dims: &rec[dims_at..dims_at + dims_len],
+        len,
+    })
 }
 
-/// Decodes the ring payload of an already-checksum-verified record.
-fn decode_ring(rec: &[u8], key: &OracleKey) -> Option<Vec<Perm>> {
-    let n = key.n as usize;
-    let k = key.ranks.len();
-    let ring_len = u32::from_le_bytes(rec[12..16].try_into().unwrap()) as usize;
-    let base = REC_HEADER + 4 + 4 * k;
-    let mut ring = Vec::with_capacity(ring_len);
-    for i in 0..ring_len {
-        let at = base + 8 * i;
-        let bits = u64::from_le_bytes(rec[at..at + 8].try_into().unwrap());
-        let packed = PackedPerm::from_raw(n, bits).ok()?;
-        ring.push(packed.to_perm());
-    }
-    Some(ring)
-}
-
-/// Scans a whole segment file, returning the valid records and the count
-/// of corrupt/truncated tails encountered (at most 1: scanning stops at
-/// the first bad record, since a torn write has no valid successor).
-fn scan_segment(path: &Path, seg: u32) -> (Vec<(OracleKey, Loc)>, u64) {
-    let Ok(buf) = fs::read(path) else {
-        return (Vec::new(), 1);
+/// Scans a whole segment file, returning the valid records and, if it
+/// has one, a description of the corrupt or truncated tail (scanning
+/// stops at the first bad record, since a torn write has no valid
+/// successor).
+fn scan_segment(path: &Path, seg: u32) -> (Vec<(OracleKey, Loc)>, Option<String>) {
+    let buf = match fs::read(path) {
+        Ok(buf) => buf,
+        Err(e) => {
+            return (
+                Vec::new(),
+                Some(format!("{}: unreadable: {e}", seg_name(seg))),
+            )
+        }
     };
     let mut records = Vec::new();
     let mut offset = 0usize;
     while offset < buf.len() {
-        match parse_record(&buf, offset) {
-            Some((key, rec_len)) => {
-                records.push((
-                    key,
-                    Loc {
-                        seg,
-                        offset: offset as u64,
-                        len: rec_len as u32,
-                    },
-                ));
-                offset += rec_len;
-            }
-            None => return (records, 1),
-        }
+        let Some(rec) = parse_record(&buf[offset..]) else {
+            let why = format!(
+                "{} at byte {offset}: torn, corrupt or not a delta record; {} records before it kept",
+                seg_name(seg),
+                records.len()
+            );
+            return (records, Some(why));
+        };
+        records.push((
+            rec.key,
+            Loc {
+                seg,
+                offset: offset as u64,
+                len: rec.len as u32,
+            },
+        ));
+        offset += rec.len;
     }
-    (records, 0)
+    (records, None)
 }
 
-/// Loads the index file: `Some((entries, next_seg))` when present and
-/// checksum-valid, `None` otherwise (caller rebuilds by scanning).
+/// Loads the index file: `Some((entries, next_seg))` when present,
+/// checksum-valid and of this version, `None` otherwise (caller rebuilds
+/// by scanning).
 fn load_index(path: &Path) -> Option<(Vec<(OracleKey, Loc)>, u32)> {
     let buf = fs::read(path).ok()?;
     if buf.len() < 20 + CHECKSUM_LEN || &buf[..4] != IDX_MAGIC {
@@ -646,11 +728,14 @@ fn load_index(path: &Path) -> Option<(Vec<(OracleKey, Loc)>, u32)> {
     Some((entries, next_seg))
 }
 
-/// Packs a ring of [`Perm`]s into the store's `u64` word encoding.
-pub fn pack_ring(ring: &[Perm]) -> Vec<u64> {
-    ring.iter()
-        .map(|p| PackedPerm::from_perm(p).bits())
-        .collect()
+/// Delta-encodes a vertex list for [`Store::append_batch`]: exactly
+/// [`RingDelta::encode`], for callers that hold vertices.
+///
+/// # Panics
+/// Panics if `ring` is empty or two consecutive vertices are not
+/// star-adjacent.
+pub fn pack_ring(ring: &[Perm]) -> RingDelta {
+    RingDelta::encode(ring).expect("pack_ring needs a non-empty walk of adjacent vertices")
 }
 
 #[cfg(test)]
@@ -661,11 +746,16 @@ mod tests {
         OracleKey::from_parts(n, ranks.to_vec(), 0, 0)
     }
 
-    fn tiny_ring(n: usize, len: usize) -> Vec<Perm> {
-        // Not a valid ring — encode/decode tests only.
-        (0..len as u32)
-            .map(|r| Perm::unrank(n, r).unwrap())
-            .collect()
+    /// A walk of `len` vertices in `S_n` (not a closed ring — encode and
+    /// decode tests only).
+    fn tiny_delta(n: usize, len: usize) -> RingDelta {
+        let mut v = Perm::identity(n);
+        let mut walk = vec![v];
+        for i in 1..len {
+            v = v.star_move(1 + i % (n - 1));
+            walk.push(v);
+        }
+        RingDelta::encode(&walk).unwrap()
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -678,41 +768,34 @@ mod tests {
     #[test]
     fn record_round_trips() {
         let k = key(4, &[0, 5]);
-        let ring = tiny_ring(4, 7);
+        let ring = tiny_delta(4, 7);
         let mut buf = Vec::new();
-        encode_record(&mut buf, &k, &pack_ring(&ring));
-        let (parsed, rec_len) = parse_record(&buf, 0).expect("record parses");
-        assert_eq!(parsed, k);
-        assert_eq!(rec_len, buf.len());
-        assert_eq!(decode_ring(&buf, &k).expect("ring decodes"), ring);
+        encode_record(&mut buf, &k, &ring);
+        let rec = parse_record(&buf).expect("record parses");
+        assert_eq!(rec.key, k);
+        assert_eq!(rec.len, buf.len());
+        assert_eq!(rec.len, record_len(2, ring.dims().len()));
+        let back = RingDelta::from_parts(4, rec.ring_len, rec.start_bits, rec.dims.to_vec());
+        assert_eq!(back.expect("delta validates"), ring);
     }
 
     #[test]
     fn store_round_trips_and_survives_reopen() {
         let dir = tmpdir("roundtrip");
-        let ring = tiny_ring(5, 10);
+        let ring = tiny_delta(5, 10);
         let k = key(5, &[0, 3, 8]);
         {
             let store = Store::open(&dir).unwrap();
             assert!(store.is_empty());
-            assert_eq!(
-                store
-                    .append_batch(&[(k.clone(), pack_ring(&ring))])
-                    .unwrap(),
-                1
-            );
-            assert_eq!(store.get(&k).expect("hit"), ring);
+            assert_eq!(store.append_batch(&[(k.clone(), &ring)]).unwrap(), 1);
+            assert_eq!(store.get_delta(&k), Some(Ok(ring.clone())));
+            assert_eq!(store.get(&k).expect("hit"), ring.decode());
             // Duplicate append is a no-op.
-            assert_eq!(
-                store
-                    .append_batch(&[(k.clone(), pack_ring(&ring))])
-                    .unwrap(),
-                0
-            );
+            assert_eq!(store.append_batch(&[(k.clone(), &ring)]).unwrap(), 0);
         }
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
-        assert_eq!(store.get(&k).expect("hit after reopen"), ring);
+        assert_eq!(store.get_delta(&k), Some(Ok(ring)));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -720,16 +803,14 @@ mod tests {
     fn missing_index_is_rebuilt_from_segments() {
         let dir = tmpdir("reindex");
         let k = key(4, &[2]);
-        let ring = tiny_ring(4, 6);
+        let ring = tiny_delta(4, 6);
         {
             let store = Store::open(&dir).unwrap();
-            store
-                .append_batch(&[(k.clone(), pack_ring(&ring))])
-                .unwrap();
+            store.append_batch(&[(k.clone(), &ring)]).unwrap();
         }
         fs::remove_file(dir.join("index.sos")).unwrap();
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.get(&k).expect("recovered from scan"), ring);
+        assert_eq!(store.get_delta(&k), Some(Ok(ring)));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -742,8 +823,8 @@ mod tests {
             let store = Store::open(&dir).unwrap();
             store
                 .append_batch(&[
-                    (k1.clone(), pack_ring(&tiny_ring(4, 6))),
-                    (k2.clone(), pack_ring(&tiny_ring(4, 8))),
+                    (k1.clone(), tiny_delta(4, 6)),
+                    (k2.clone(), tiny_delta(4, 8)),
                 ])
                 .unwrap();
         }
@@ -756,6 +837,112 @@ mod tests {
         assert!(store.get(&k1).is_some(), "intact record survives");
         assert!(store.get(&k2).is_none(), "torn record is a miss");
         assert!(store.stats().corrupt > 0);
+        let report = store.verify(0);
+        assert!(!report.all_ok(), "the torn record must fail verify");
+        assert_eq!(report.checked, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_segment_torn_at_any_byte_reads_as_a_miss_and_fails_verify() {
+        let dir = tmpdir("torn-every");
+        let k = key(5, &[3, 7]);
+        {
+            let store = Store::open(&dir).unwrap();
+            store
+                .append_batch(&[(k.clone(), tiny_delta(5, 31))])
+                .unwrap();
+        }
+        let seg = dir.join(seg_name(0));
+        let whole = fs::read(&seg).unwrap();
+        for cut in 0..whole.len() {
+            fs::write(&seg, &whole[..cut]).unwrap();
+            let _ = fs::remove_file(dir.join("index.sos"));
+            let store = Store::open(&dir).unwrap();
+            assert_eq!(store.get_delta(&k), None, "cut at {cut} must miss");
+            assert_eq!(store.stats().corrupt, u64::from(cut > 0), "cut at {cut}");
+            assert_eq!(store.verify(0).all_ok(), cut == 0, "cut at {cut}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_vertex_word_store_is_dropped_at_open_and_superseded() {
+        // The 8 B/vertex record and version-1 index that stores held
+        // before records became deltas, built by hand.
+        let dir = tmpdir("vertex-words");
+        fs::create_dir_all(&dir).unwrap();
+        let k = key(4, &[5]);
+        let walk = tiny_delta(4, 6);
+        let mut rec = Vec::new();
+        rec.extend_from_slice(b"SOSR");
+        rec.extend_from_slice(&[4, 1, 0, 0]);
+        rec.extend_from_slice(&0u32.to_le_bytes());
+        rec.extend_from_slice(&6u32.to_le_bytes());
+        rec.extend_from_slice(&[0; 4]);
+        rec.extend_from_slice(&5u32.to_le_bytes());
+        for v in walk.walk() {
+            rec.extend_from_slice(&v.bits().to_le_bytes());
+        }
+        let sum = fnv64(&rec);
+        rec.extend_from_slice(&sum.to_le_bytes());
+        fs::write(dir.join(seg_name(0)), &rec).unwrap();
+        let mut idx = Vec::new();
+        idx.extend_from_slice(IDX_MAGIC);
+        idx.extend_from_slice(&1u32.to_le_bytes());
+        idx.extend_from_slice(&1u32.to_le_bytes());
+        idx.extend_from_slice(&1u64.to_le_bytes());
+        idx.extend_from_slice(&[4, 1, 0, 0]);
+        idx.extend_from_slice(&0u32.to_le_bytes()); // salt
+        idx.extend_from_slice(&0u32.to_le_bytes()); // seg
+        idx.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+        idx.extend_from_slice(&0u64.to_le_bytes()); // offset
+        idx.extend_from_slice(&5u32.to_le_bytes());
+        let sum = fnv64(&idx);
+        idx.extend_from_slice(&sum.to_le_bytes());
+        fs::write(dir.join("index.sos"), &idx).unwrap();
+
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(
+            store.stats().corrupt,
+            1,
+            "the old segment is dropped at open"
+        );
+        assert_eq!(store.get_delta(&k), None);
+        assert!(!store.verify(0).all_ok());
+        assert_eq!(store.append_batch(&[(k.clone(), &walk)]).unwrap(), 1);
+        assert_eq!(store.get_delta(&k), Some(Ok(walk.clone())));
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.get_delta(&k), Some(Ok(walk)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_intact_record_that_is_not_a_delta_is_handed_to_the_caller() {
+        let dir = tmpdir("bad-delta");
+        let k = key(4, &[9]);
+        {
+            let store = Store::open(&dir).unwrap();
+            store
+                .append_batch(&[(k.clone(), tiny_delta(4, 6))])
+                .unwrap();
+        }
+        // Step 0 becomes dimension 0; re-seal the checksum.
+        let seg = dir.join(seg_name(0));
+        let mut bytes = fs::read(&seg).unwrap();
+        let dims_at = REC_HEADER + 4 + START_LEN;
+        bytes[dims_at] &= 0xF0;
+        let body = bytes.len() - CHECKSUM_LEN;
+        let sum = fnv64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&seg, &bytes).unwrap();
+        let store = Store::open(&dir).unwrap();
+        assert!(matches!(store.get_delta(&k), Some(Err(_))));
+        assert!(store.get(&k).is_none());
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.corrupt), (0, 0));
+        assert!(!store.verify(0).all_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -766,7 +953,7 @@ mod tests {
         {
             let store = Store::open(&dir).unwrap();
             store
-                .append_batch(&[(k.clone(), pack_ring(&tiny_ring(5, 12)))])
+                .append_batch(&[(k.clone(), tiny_delta(5, 12))])
                 .unwrap();
         }
         let seg = dir.join(seg_name(0));
@@ -777,7 +964,10 @@ mod tests {
         // Index still points at the record; the read-path checksum is the
         // last line of defense.
         let store = Store::open(&dir).unwrap();
-        assert!(store.get(&k).is_none(), "bit flip must read as a miss");
+        assert!(
+            store.get_delta(&k).is_none(),
+            "bit flip must read as a miss"
+        );
         assert!(store.stats().corrupt > 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -786,12 +976,10 @@ mod tests {
     fn corrupt_index_is_ignored_and_rebuilt() {
         let dir = tmpdir("badindex");
         let k = key(4, &[3]);
-        let ring = tiny_ring(4, 5);
+        let ring = tiny_delta(4, 5);
         {
             let store = Store::open(&dir).unwrap();
-            store
-                .append_batch(&[(k.clone(), pack_ring(&ring))])
-                .unwrap();
+            store.append_batch(&[(k.clone(), &ring)]).unwrap();
         }
         let idx = dir.join("index.sos");
         let mut bytes = fs::read(&idx).unwrap();
@@ -799,7 +987,36 @@ mod tests {
         bytes[at] ^= 0x55;
         fs::write(&idx, &bytes).unwrap();
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.get(&k).expect("rebuilt from segments"), ring);
+        assert_eq!(store.get_delta(&k), Some(Ok(ring)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn real_embeds_round_trip_byte_identically() {
+        let dir = tmpdir("real");
+        let mut written = Vec::new();
+        {
+            let store = Store::open(&dir).unwrap();
+            for n in 4..=9usize {
+                let faults = star_fault::gen::random_vertex_faults(n, n - 3, n as u64).unwrap();
+                let ring = star_ring::embed_longest_ring(n, &faults).unwrap();
+                let ranks: Vec<u32> = faults.vertices().iter().map(Perm::rank).collect();
+                let k = OracleKey::from_parts(n as u8, ranks, 0, 0);
+                let delta = RingDelta::encode(ring.vertices()).unwrap();
+                assert_eq!(store.append_batch(&[(k.clone(), &delta)]).unwrap(), 1);
+                written.push((k, delta, ring.into_vertices()));
+            }
+        }
+        let store = Store::open(&dir).unwrap();
+        for (k, delta, vertices) in &written {
+            let back = store.get_delta(k).expect("hit").expect("valid delta");
+            assert_eq!(&back, delta, "n = {}", k.n);
+            assert_eq!(back.dims(), delta.dims());
+            assert_eq!(&back.decode(), vertices, "n = {}", k.n);
+        }
+        let report = store.verify(0);
+        assert!(report.all_ok(), "{:?}", report.failures);
+        assert_eq!(report.ok, written.len() as u64);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -22,6 +22,9 @@
 //!   rank order.
 //! - [`packed::PackedPerm`] — the same permutation nibble-packed into one
 //!   `u64`, for register-resident hot loops (flat-arena ring expansion).
+//! - [`delta::RingDelta`] — a whole ring as a start vertex plus one star
+//!   dimension per step (~½ byte/vertex), the representation the oracle
+//!   store, the serve cache and the v2 wire share.
 //!
 //! Positions are **0-based** throughout the workspace; the paper uses
 //! 1-based positions, so the paper's "dimension `i`" edge (`2 <= i <= n`)
@@ -34,6 +37,7 @@ mod perm;
 
 pub mod aut;
 pub mod cycles;
+pub mod delta;
 pub mod iter;
 pub mod packed;
 

@@ -255,8 +255,8 @@ struct ServeObs {
     oracle_canonical_hit: star_obs::Counter,
     oracle_miss: star_obs::Counter,
     oracle_store_hit: star_obs::Counter,
-    // Checksum-valid store records that are not rings (they fail the
-    // delta encode); each read as a miss and re-embedded.
+    // Checksum-valid store records that are not valid ring deltas; each
+    // read as a miss and re-embedded.
     oracle_store_bad_record: star_obs::Counter,
     queue_depth: star_obs::Hist,
     lat_embed: star_obs::Hist,
@@ -980,28 +980,27 @@ fn classify_hit(ctx: &Ctx, literal_repeat: bool) {
 }
 
 /// Hands a freshly embedded canonical-frame ring to the write-behind
-/// worker (no-op without `--oracle-path`). The store's record format is
-/// vertex-based, so the delta is expanded transiently here — on a
-/// worker thread, after the response is already assembled.
-fn persist_behind(ctx: &Ctx, key: &CacheKey, delta_c: &RingDelta) {
+/// worker (no-op without `--oracle-path`). The store keeps rings as
+/// deltas, so the worker gets a clone of the `Arc` the LRU holds: no
+/// copy and no decode on the request thread.
+fn persist_behind(ctx: &Ctx, key: &CacheKey, delta_c: &Arc<RingDelta>) {
     if ctx.store.is_none() {
         return;
     }
-    let ring = Arc::new(delta_c.decode());
     let wb = ctx.write_behind.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(wb) = wb.as_ref() {
-        wb.submit(key.clone(), ring);
+        wb.submit(key.clone(), Arc::clone(delta_c));
     }
 }
 
 /// Reads the canonical-frame ring stored for `key` (when the server has
-/// a store) and caches it. The store checks checksums and vertices, not
-/// adjacency, so a checksum-valid record that is not a ring fails the
-/// delta encode here: it is counted in `serve.oracle.store_bad_record`
-/// and read as a miss, and the caller re-embeds.
+/// a store) and caches it. The store has checked the record checksum,
+/// the key and the delta itself. A torn or corrupt record is a plain
+/// miss; an intact record that is not a valid delta is counted in
+/// `serve.oracle.store_bad_record` and read as a miss. Either way the
+/// caller re-embeds.
 fn store_lookup(ctx: &Ctx, key: &CacheKey) -> Option<Arc<RingDelta>> {
-    let ring_vec = ctx.store.as_ref()?.get(key)?;
-    match RingDelta::encode(&ring_vec) {
+    match ctx.store.as_ref()?.get_delta(key)? {
         Ok(delta) => {
             let delta_c = Arc::new(delta);
             ctx.cache.insert(key.clone(), Arc::clone(&delta_c));
@@ -1010,7 +1009,7 @@ fn store_lookup(ctx: &Ctx, key: &CacheKey) -> Option<Arc<RingDelta>> {
         }
         Err(e) => {
             ctx.obs.oracle_store_bad_record.incr(1);
-            star_obs::flightrec::record("serve.oracle.store_bad_record", e.to_string(), &[]);
+            star_obs::flightrec::record("serve.oracle.store_bad_record", e, &[]);
             None
         }
     }

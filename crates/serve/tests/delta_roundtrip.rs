@@ -1,13 +1,15 @@
 //! Property tests: the v2 generator-delta codec is lossless against the
 //! embedder's real output.
 //!
-//! `RingDelta` is the wire, cache, and (transitively) oracle-store
-//! representation of a ring, so `decode(encode(ring))` must reproduce
-//! the embedded ring byte-identically — for every dimension, every
-//! fault budget, and every chunking of the stream.
+//! `RingDelta` is the wire, cache, and oracle-store representation of a
+//! ring, so `decode(encode(ring))` must reproduce the embedded ring
+//! byte-identically — for every dimension, every fault budget, and every
+//! chunking of the stream — and mapping it through an automorphism must
+//! give a valid ring for the mapped faults.
 
 use proptest::prelude::*;
-use star_fault::gen;
+use star_fault::{gen, FaultSet};
+use star_perm::Aut;
 use star_ring::embed_longest_ring;
 use star_serve::proto::{chunk_stream, RingDelta};
 
@@ -55,5 +57,27 @@ proptest! {
             rebuilt.extend(chunk.segment.decode());
         }
         prop_assert_eq!(rebuilt, ring);
+    }
+
+    /// A canonical-frame ring mapped back through an automorphism is a
+    /// valid ring for the mapped faults, of the same length, and maps
+    /// back to itself byte for byte.
+    #[test]
+    fn mapped_delta_is_a_valid_ring_for_the_mapped_faults((n, k, seed) in arb_scenario(),
+                                                          g in 0u64..=u64::MAX,
+                                                          h in 0u64..=u64::MAX) {
+        let faults = gen::random_vertex_faults(n, k, seed).expect("budget is valid");
+        let ring = embed_longest_ring(n, &faults)
+            .expect("embed succeeds within budget")
+            .into_vertices();
+        let delta = RingDelta::encode(&ring).expect("rings delta-encode");
+        let aut = Aut::from_ranks(n, g, h);
+        let mapped = delta.map_through(&aut);
+        let mapped_faults = FaultSet::from_vertices(n, faults.vertices().iter().map(|f| aut.apply(f)))
+            .expect("automorphisms keep faults distinct");
+        prop_assert_eq!(mapped.len(), delta.len());
+        let walked = mapped.decode();
+        prop_assert!(star_verify::check_ring(n, &walked, &mapped_faults).is_ok());
+        prop_assert_eq!(mapped.map_through(&aut.inverse()), delta);
     }
 }

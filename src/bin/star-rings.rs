@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use star_rings::fault::{gen, FaultSet};
 use star_rings::graph::{diameter, StarGraph};
-use star_rings::perm::{factorial, Parity, Perm};
+use star_rings::perm::{delta::RingDelta, factorial, Parity, Perm};
 use star_rings::ring::embed_longest_ring;
 use star_rings::sim::resilience::degrade;
 use star_rings::verify::{bounds, check_ring};
@@ -1142,7 +1142,7 @@ fn cmd_oracle_warm(args: &[String]) -> Result<(), String> {
     let mut skipped = 0usize;
     for n in 4..=max_n {
         let budget = n.saturating_sub(3);
-        let mut batch: Vec<(star_rings::oracle::OracleKey, Vec<u64>)> = Vec::new();
+        let mut batch: Vec<(star_rings::oracle::OracleKey, RingDelta)> = Vec::new();
         for i in 0..count {
             // Cycle the fault budget so the store covers every |F_v|;
             // each scenario gets its own derived seed.
@@ -1169,7 +1169,7 @@ fn cmd_oracle_warm(args: &[String]) -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             let ring = embed_longest_ring(n, &canon_faults).map_err(|e| e.to_string())?;
-            batch.push((key, star_rings::oracle::pack_ring(&ring.into_vertices())));
+            batch.push((key, RingDelta::encode(ring.vertices())?));
         }
         written += store
             .append_batch(&batch)

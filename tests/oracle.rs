@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use star_rings::bench::jsonv::Json;
 use star_rings::fault::FaultSet;
-use star_rings::oracle::{canonicalize, pack_ring, Store};
-use star_rings::perm::{Aut, Perm};
+use star_rings::oracle::{canonicalize, Store};
+use star_rings::perm::{delta::RingDelta, Aut, Perm};
 use star_rings::ring::{embed_longest_ring, EmbedOptions};
 use star_rings::serve::cache::key_for;
 use star_rings::serve::client::{embed_request, plain_request};
@@ -224,8 +224,8 @@ fn warmed_store_serves_canonical_hits_across_restart() {
     assert!(get_u64(store, "hits") >= 1, "{stats}");
 }
 
-/// A checksum-valid store record that is not a ring (a real ring's
-/// vertices, sorted by rank) must read as a miss on both the single and
+/// A checksum-valid store record that is not a valid ring delta (one
+/// step names dimension 0) must read as a miss on both the single and
 /// the batch path: counted, re-embedded, and never an `embed_failed`.
 #[test]
 fn a_stored_record_that_is_not_a_ring_degrades_to_a_fresh_embed() {
@@ -233,12 +233,13 @@ fn a_stored_record_that_is_not_a_ring_degrades_to_a_fresh_embed() {
     let path = dir.to_str().unwrap().to_string();
     let n = 6usize;
     let faults = vec!["213456".to_string(), "321456".to_string()];
+    let ranks: Vec<u32> = faults
+        .iter()
+        .map(|f| f.parse::<Perm>().unwrap().rank())
+        .collect();
+    let canon = canonicalize(n, &ranks);
+    let key = key_for(&canon, &EmbedOptions::default());
     {
-        let ranks: Vec<u32> = faults
-            .iter()
-            .map(|f| f.parse::<Perm>().unwrap().rank())
-            .collect();
-        let canon = canonicalize(n, &ranks);
         let canon_faults = FaultSet::from_vertices(
             n,
             canon
@@ -248,17 +249,33 @@ fn a_stored_record_that_is_not_a_ring_degrades_to_a_fresh_embed() {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        let mut shuffled = embed_longest_ring(n, &canon_faults)
-            .unwrap()
-            .into_vertices();
-        shuffled.sort_unstable_by_key(Perm::rank);
+        let ring = embed_longest_ring(n, &canon_faults).unwrap();
+        let delta = RingDelta::encode(ring.vertices()).unwrap();
         let store = Store::open(&dir).unwrap();
-        let key = key_for(&canon, &EmbedOptions::default());
-        assert_eq!(
-            store.append_batch(&[(key, pack_ring(&shuffled))]).unwrap(),
-            1
-        );
+        assert_eq!(store.append_batch(&[(key.clone(), delta)]).unwrap(), 1);
     }
+    // Forge the record: zero the first step's dimension (the low nibble
+    // of the first dims byte, which follows the 20-byte header, the two
+    // fault ranks and the 8-byte start vertex), then re-seal the FNV-1a
+    // trailer so that only the delta check can catch it.
+    let seg = dir.join("seg-000000.sos");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let dims_at = 20 + 4 * faults.len() + 8;
+    assert_ne!(bytes[dims_at] & 0x0F, 0);
+    bytes[dims_at] &= 0xF0;
+    let body = bytes.len() - 8;
+    let sum = bytes[..body]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&seg, &bytes).unwrap();
+    assert!(matches!(
+        Store::open(&dir).unwrap().get_delta(&key),
+        Some(Err(_))
+    ));
+
     let bad_records = |client: &mut Client| {
         let stats = client.call(&plain_request("s", "stats")).unwrap();
         let store = stats
