@@ -1,6 +1,6 @@
 //! Public entry points: Theorem 1.
 
-use star_fault::FaultSet;
+use star_fault::{FaultSet, RingCheck, RingError};
 use star_perm::factorial;
 use star_perm::packed::PackedPerm;
 
@@ -146,53 +146,16 @@ pub fn embed_with_options(
     result
 }
 
-/// Internal verification: simple + healthy + cyclically adjacent. (The
-/// standalone `star-verify` crate provides the same check for external
-/// artifacts; this copy keeps the core crate dependency-light.)
-///
-/// The hot loop runs on nibble-packed `u64` words: each vertex is packed
-/// once, adjacency is a packed XOR test, and fault membership is a linear
-/// compare against the (≤ n-3 word) packed fault list — avoiding both the
-/// per-vertex `O(n²)` Lehmer rank the hash-set fault lookup paid and the
-/// byte-array adjacency walk. Distinctness keeps the rank-indexed bitmap
-/// (rank is computed once per vertex, for that purpose only).
+/// Internal verification: one [`RingCheck`] fold over the ring (simple,
+/// healthy, cyclically adjacent). A defect is reported as
+/// `ExpansionFailed` at the ring position the check found it.
 pub(crate) fn verify_ring(ring: &EmbeddedRing, faults: &FaultSet) -> Result<(), EmbedError> {
-    let vs = ring.vertices();
-    let len = vs.len();
-    if len == 0 {
-        return Ok(());
-    }
-    let n = ring.n();
-    let fault_bits: Vec<u64> = faults
-        .vertices()
-        .iter()
-        .map(|f| PackedPerm::from(*f).bits())
-        .collect();
-    let check_edges = faults.edge_fault_count() > 0;
-    let mut seen = vec![false; factorial(n) as usize];
-    let first = PackedPerm::from(vs[0]);
-    let mut cur = first;
-    for (i, v) in vs.iter().enumerate() {
-        if v.n() != n
-            || fault_bits.contains(&cur.bits())
-            || std::mem::replace(&mut seen[v.rank() as usize], true)
-        {
-            return Err(EmbedError::ExpansionFailed { block: i });
-        }
-        let next = if i + 1 == len {
-            first
-        } else {
-            PackedPerm::from(vs[i + 1])
-        };
-        if !cur.is_adjacent(&next) {
-            return Err(EmbedError::ExpansionFailed { block: i });
-        }
-        if check_edges && faults.is_edge_faulty(v, &vs[(i + 1) % len]) {
-            return Err(EmbedError::ExpansionFailed { block: i });
-        }
-        cur = next;
-    }
-    Ok(())
+    let fail = |e: RingError| EmbedError::ExpansionFailed { block: e.index() };
+    let mut check = RingCheck::new(ring.n(), faults).map_err(fail)?;
+    check
+        .push_all(ring.vertices().iter().map(PackedPerm::from_perm))
+        .map_err(fail)?;
+    check.finish().map(drop).map_err(fail)
 }
 
 #[cfg(test)]
@@ -280,5 +243,43 @@ mod tests {
             let ring = embed_with_options(6, &faults, &opts).unwrap();
             assert_eq!(ring.len(), 714);
         }
+    }
+
+    /// The tamper matrix, for the embedder's self-verify: every defect
+    /// is `ExpansionFailed` at the ring position where it sits (the first
+    /// vertex of a bad step). `EmbeddedRing::new` already refuses a
+    /// vertex of another dimension, so the wrong `n` here is the fault
+    /// set's.
+    #[test]
+    fn verify_ring_rejects_every_tampered_ring_at_its_position() {
+        let n = 5;
+        let faults = gen::random_vertex_faults(n, 1, 3).unwrap();
+        let ring = embed_longest_ring(n, &faults).unwrap().into_vertices();
+        let len = ring.len();
+        let verify = |vertices: Vec<Perm>, faults: &FaultSet| {
+            verify_ring(&EmbeddedRing::new(n, vertices), faults)
+        };
+        let at = |block: usize| Err(EmbedError::ExpansionFailed { block });
+        let with_edge = |a: Perm, b: Perm| {
+            let mut f = faults.clone();
+            f.add_edge(star_graph::Edge::new(a, b).unwrap()).unwrap();
+            f
+        };
+        assert_eq!(verify(ring.clone(), &faults), Ok(()));
+        for p in [2usize, 7, 60] {
+            let repeat = [&ring[..p], &ring[p - 2..len - 2]].concat();
+            assert_eq!(verify(repeat, &faults), at(p), "repeat at {p}");
+            let faulty = FaultSet::from_vertices(n, [ring[p]]).unwrap();
+            assert_eq!(verify(ring.clone(), &faulty), at(p), "fault at {p}");
+            let dead_link = with_edge(ring[p - 1], ring[p]);
+            assert_eq!(verify(ring.clone(), &dead_link), at(p - 1), "edge into {p}");
+            let skip = [&ring[..p], &ring[p + 1..]].concat();
+            assert_eq!(verify(skip, &faults), at(p - 1), "skip {p}");
+        }
+        assert_eq!(verify(ring.clone(), &FaultSet::empty(n + 1)), at(0));
+        assert_eq!(verify(ring[..len - 1].to_vec(), &faults), at(len - 2));
+        let dead_closing = with_edge(ring[len - 1], ring[0]);
+        assert_eq!(verify(ring.clone(), &dead_closing), at(len - 1));
+        assert_eq!(verify(ring[..2].to_vec(), &faults), at(2));
     }
 }

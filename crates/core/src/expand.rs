@@ -784,11 +784,7 @@ mod tests {
         let faults = FaultSet::empty(5);
         let ring = expand(&r4, &faults, 1).unwrap();
         assert_eq!(ring.len(), 120);
-        // Structural spot-checks (full validation in star-verify tests).
-        for w in ring.windows(2) {
-            assert!(w[0].is_adjacent(&w[1]));
-        }
-        assert!(ring[ring.len() - 1].is_adjacent(&ring[0]));
+        crate::embed_impl::verify_ring(&crate::EmbeddedRing::new(5, ring), &faults).unwrap();
     }
 
     #[test]
@@ -799,11 +795,7 @@ mod tests {
         let r4 = k5_r4(&[5, 1, 2, 3, 4]);
         let ring = expand(&r4, &faults, 1).unwrap();
         assert_eq!(ring.len(), 118);
-        assert!(!ring.contains(&f));
-        for w in ring.windows(2) {
-            assert!(w[0].is_adjacent(&w[1]));
-        }
-        assert!(ring[ring.len() - 1].is_adjacent(&ring[0]));
+        crate::embed_impl::verify_ring(&crate::EmbeddedRing::new(5, ring), &faults).unwrap();
     }
 
     #[test]

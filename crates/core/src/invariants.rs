@@ -6,12 +6,16 @@
 //! audit CI job run in) they catch a corrupted ring at the point of
 //! production instead of at the next consumer.
 //!
-//! The checks mirror what `star-verify` proves externally — simplicity,
-//! adjacency, health, and the bipartite parity alternation — but live in
-//! the core crate so they guard *internal* paths (per-block repairs,
-//! salt-retry sweeps) that never cross the public verify API.
+//! The check is the same [`star_fault::RingCheck`] fold `star-verify`
+//! runs externally — simplicity, adjacency, health — called here so it
+//! guards *internal* paths (per-block repairs, salt-retry sweeps) that
+//! never cross the public verify API.
 
 use star_fault::FaultSet;
+#[cfg(debug_assertions)]
+use star_fault::RingCheck;
+#[cfg(debug_assertions)]
+use star_perm::packed::PackedPerm;
 use star_perm::Perm;
 
 use crate::expand::BlockSegment;
@@ -67,39 +71,17 @@ pub fn debug_assert_segments(
     }
 }
 
+/// Panics unless `ring` passes [`RingCheck`]. Star moves are
+/// transpositions, so adjacency alone makes the parity alternate around
+/// the cycle and the length even (the bipartite structure the length
+/// bound rests on).
 #[cfg(debug_assertions)]
 fn check_ring_impl(n: usize, faults: &FaultSet, ring: &[Perm], context: &str) {
-    debug_assert!(!ring.is_empty(), "invariant [{context}]: empty ring");
-    debug_assert!(
-        ring.len().is_multiple_of(2),
-        "invariant [{context}]: odd ring length {} in a bipartite graph",
-        ring.len()
-    );
-    let mut seen = vec![false; star_perm::factorial(n) as usize];
-    for (i, v) in ring.iter().enumerate() {
-        debug_assert_eq!(v.n(), n, "invariant [{context}]: dimension mismatch at {i}");
-        debug_assert!(
-            faults.is_vertex_healthy(v),
-            "invariant [{context}]: faulty vertex {v} on ring at {i}"
-        );
-        let rank = v.rank() as usize;
-        debug_assert!(
-            !seen[rank],
-            "invariant [{context}]: repeat vertex {v} at {i}"
-        );
-        seen[rank] = true;
-        let next = &ring[(i + 1) % ring.len()];
-        debug_assert!(
-            v.is_adjacent(next),
-            "invariant [{context}]: non-adjacent step {v} -> {next} at {i}"
-        );
-        // Star moves are transpositions with position 0, so parity must
-        // alternate around the cycle (the bipartite structure the length
-        // bound rests on).
-        debug_assert_ne!(
-            v.parity().is_even(),
-            next.parity().is_even(),
-            "invariant [{context}]: parity does not alternate at {i}"
-        );
+    let checked = RingCheck::new(n, faults).and_then(|mut check| {
+        check.push_all(ring.iter().map(PackedPerm::from_perm))?;
+        check.finish()
+    });
+    if let Err(e) = checked {
+        panic!("invariant [{context}]: {e}");
     }
 }

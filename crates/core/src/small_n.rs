@@ -129,15 +129,15 @@ pub fn embed_n5_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embed_impl::verify_ring;
+    use crate::EmbeddedRing;
     use star_fault::gen;
 
     #[test]
     fn n3_six_ring() {
         let ring = embed_n3(&FaultSet::empty(3)).unwrap();
         assert_eq!(ring.len(), 6);
-        for i in 0..6 {
-            assert!(ring[i].is_adjacent(&ring[(i + 1) % 6]));
-        }
+        verify_ring(&EmbeddedRing::new(3, ring), &FaultSet::empty(3)).unwrap();
     }
 
     #[test]
@@ -163,15 +163,7 @@ mod tests {
             let faults = gen::random_vertex_faults(5, 2, seed).unwrap();
             let ring = embed_n5(&faults).unwrap();
             assert_eq!(ring.len(), 116, "seed {seed}");
-            for f in faults.vertices() {
-                assert!(!ring.contains(f));
-            }
-            for i in 0..ring.len() {
-                assert!(
-                    ring[i].is_adjacent(&ring[(i + 1) % ring.len()]),
-                    "seed {seed}"
-                );
-            }
+            verify_ring(&EmbeddedRing::new(5, ring), &faults).unwrap();
         }
     }
 

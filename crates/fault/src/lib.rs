@@ -16,12 +16,16 @@
 //!   edge faults.
 //! - [`schedule`] — *ordered* failure timelines (random, partite attack,
 //!   neighborhood attack, spreading damage) for degradation studies.
+//! - [`RingCheck`] — the one incremental ring validator: every ring the
+//!   workspace accepts is folded through it, one packed vertex per push.
 
 mod error;
+mod ring_check;
 mod set;
 
 pub mod gen;
 pub mod schedule;
 
 pub use error::FaultError;
+pub use ring_check::{fold_checksum, RingCheck, RingError, RingSummary, CHECKSUM_BASIS};
 pub use set::FaultSet;

@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use star_fault::FaultSet;
+use star_fault::{FaultSet, RingCheck};
 use star_perm::{delta::RingDelta, factorial, Perm};
 
 use crate::key::OracleKey;
@@ -121,7 +121,7 @@ pub struct StoreStats {
 pub struct VerifyReport {
     /// Records examined, including those dropped at open.
     pub checked: u64,
-    /// Records that decoded and passed `check_ring` at `n! - 2|F_v|`.
+    /// Records whose delta passed [`RingCheck`] at `n! - 2|F_v|`.
     pub ok: u64,
     /// Human-readable descriptions of every failure.
     pub failures: Vec<String>,
@@ -457,8 +457,8 @@ impl Store {
     }
 
     /// Re-reads up to `limit` records (0 = all, in unspecified order),
-    /// verifying checksums, the delta, and the full ring contract:
-    /// `check_ring` success at length `n! - 2|F_v|` against the canonical
+    /// verifying checksums, the delta, and the full ring contract: a
+    /// [`RingCheck`] pass at length `n! - 2|F_v|` against the canonical
     /// fault set reconstructed from the key. Every record dropped at open
     /// is a failure too, whatever the limit.
     pub fn verify(&self, limit: usize) -> VerifyReport {
@@ -483,7 +483,7 @@ impl Store {
         for key in keys {
             report.checked += 1;
             let ring = match self.get_delta(&key) {
-                Some(Ok(delta)) => delta.decode(),
+                Some(Ok(delta)) => delta,
                 Some(Err(why)) => {
                     report
                         .failures
@@ -506,25 +506,31 @@ impl Store {
     }
 }
 
-/// Checks one decoded ring against its key's contract.
-fn verify_ring_for_key(key: &OracleKey, ring: &[Perm]) -> Result<(), String> {
+/// Checks one stored ring against its key's contract: length
+/// `n! - 2|F_v|`, then one [`RingCheck`] walk of the delta against the
+/// fault set the key's ranks name. A key that names no fault set (a rank
+/// out of range, more faults than `S_n` can lose) is a failure.
+fn verify_ring_for_key(key: &OracleKey, ring: &RingDelta) -> Result<(), String> {
     let n = key.n as usize;
     let k = key.ranks.len();
-    let expected = factorial(n) - 2 * k as u64;
+    let expected = factorial(n)
+        .checked_sub(2 * k as u64)
+        .ok_or_else(|| format!("{k} faults leave no n!-2|Fv| ring in S_{n}"))?;
     if ring.len() as u64 != expected {
         return Err(format!(
             "ring length {} != n!-2|Fv| = {expected}",
             ring.len()
         ));
     }
-    let faults = FaultSet::from_vertices(
-        n,
-        key.ranks
-            .iter()
-            .map(|&r| Perm::unrank(n, r).expect("stored rank in range")),
-    )
-    .map_err(|e| e.to_string())?;
-    star_verify::check_ring(n, ring, &faults).map_err(|e| e.to_string())
+    let faults = key
+        .ranks
+        .iter()
+        .map(|&r| Perm::unrank(n, r).map_err(|e| format!("fault rank {r}: {e}")))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|fs| FaultSet::from_vertices(n, fs).map_err(|e| e.to_string()))?;
+    let mut check = RingCheck::new(n, &faults).map_err(|e| e.to_string())?;
+    check.push_delta(ring).map_err(|e| e.to_string())?;
+    check.finish().map(drop).map_err(|e| e.to_string())
 }
 
 fn seg_name(seg: u32) -> String {
@@ -944,6 +950,35 @@ mod tests {
         assert_eq!((stats.hits, stats.corrupt), (0, 0));
         assert!(!store.verify(0).all_ok());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checksum-valid record whose key names no fault set is a
+    /// verify failure, never a panic.
+    fn verify_failures_for(tag: &str, k: &OracleKey, ring: &RingDelta) -> Vec<String> {
+        let dir = tmpdir(tag);
+        {
+            let store = Store::open(&dir).unwrap();
+            assert_eq!(store.append_batch(&[(k.clone(), ring)]).unwrap(), 1);
+        }
+        let report = Store::open(&dir).unwrap().verify(0);
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!((report.checked, report.ok), (1, 0));
+        report.failures
+    }
+
+    #[test]
+    fn an_out_of_range_fault_rank_fails_verify() {
+        let k = OracleKey::from_parts(4, vec![u32::MAX], 0, 0);
+        let failures = verify_failures_for("rank-range", &k, &tiny_delta(4, 22));
+        assert!(failures[0].contains("fault rank"), "{failures:?}");
+    }
+
+    #[test]
+    fn more_faults_than_the_graph_can_lose_fails_verify() {
+        // S_2 has 2 vertices; 2 faults would put n! - 2|F_v| below zero.
+        let k = key(2, &[0, 1]);
+        let failures = verify_failures_for("underflow", &k, &tiny_delta(2, 2));
+        assert!(failures[0].contains("2 faults"), "{failures:?}");
     }
 
     #[test]

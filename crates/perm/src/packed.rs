@@ -17,7 +17,7 @@
 //! to and from [`Perm`] is lossless and verified by property tests
 //! (`crates/perm/tests/packed.rs`).
 
-use crate::{Parity, Perm, PermError};
+use crate::{Parity, Perm, PermError, FACTORIALS};
 
 /// Maximum size a permutation may have and still pack into nibbles:
 /// symbols `1..=15` fit a nibble, and 16 nibbles fill the `u64`. (The
@@ -157,8 +157,37 @@ impl PackedPerm {
         self.swapped(0, d)
     }
 
+    /// The Lehmer rank: the position of this permutation in the
+    /// lexicographic order of `S_n`, in `0..n!`. [`Perm::rank`] is this
+    /// rank; [`Perm::unrank`] is its independent inverse.
+    ///
+    /// O(n) on one register: nibble `s` of `smaller` counts the symbols
+    /// below `s` already placed, so the Lehmer digit of the symbol `s` at
+    /// the current position (the smaller symbols still to its right) is
+    /// `s - 1` minus that nibble — one shift and one mask. Placing `s`
+    /// adds one to every nibble above it; no nibble exceeds `n - 1`, so
+    /// no count carries into its neighbour.
+    #[inline]
+    pub fn rank(&self) -> u64 {
+        const ONES: u64 = 0x1111_1111_1111_1111;
+        let n = self.n as usize;
+        let mut bits = self.bits;
+        let mut smaller = 0u64;
+        let mut rank = 0u64;
+        // The last digit is always 0.
+        for i in 0..n - 1 {
+            let s = (bits & 0xF) as usize;
+            let digit = (s as u64 - 1) - ((smaller >> (4 * s)) & 0xF);
+            rank += digit * FACTORIALS[n - 1 - i];
+            smaller += (ONES << (4 * s)) << 4;
+            bits >>= 4;
+        }
+        rank
+    }
+
     /// Returns `d` with `self.star_move(d) == other`, or `None` when not
     /// adjacent in `S_n`. One XOR finds the differing positions.
+    #[inline]
     pub fn edge_dimension_to(&self, other: &PackedPerm) -> Option<usize> {
         if self.n != other.n {
             return None;

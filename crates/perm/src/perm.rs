@@ -261,22 +261,11 @@ impl Perm {
     }
 
     /// The Lehmer rank of the permutation: a bijection onto `0..n!` in
-    /// lexicographic order. Fits a `u32` because `n <= 12`.
+    /// lexicographic order. Fits a `u32` because `n <= 12`. Computed by
+    /// [`PackedPerm::rank`](crate::packed::PackedPerm::rank).
+    #[inline]
     pub fn rank(&self) -> u32 {
-        let n = self.n as usize;
-        let mut rank = 0u64;
-        for i in 0..n {
-            // Count symbols to the right of i that are smaller: that is the
-            // i-th digit of the Lehmer code.
-            let mut smaller = 0u64;
-            for j in (i + 1)..n {
-                if self.data[j] < self.data[i] {
-                    smaller += 1;
-                }
-            }
-            rank += smaller * factorial(n - 1 - i);
-        }
-        rank as u32
+        crate::packed::PackedPerm::from_perm(self).rank() as u32
     }
 
     /// Inverse of [`Perm::rank`]: the permutation of `1..=n` with the given

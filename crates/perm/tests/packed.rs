@@ -99,3 +99,29 @@ proptest! {
         }
     }
 }
+
+/// `PackedPerm::rank` is the Lehmer rank: it inverts the independent
+/// `Perm::unrank` on every permutation of `S_1..=S_9`.
+#[test]
+fn rank_inverts_unrank_exhaustively_through_s9() {
+    for n in 1..=9usize {
+        for rank in 0..factorial(n) {
+            let p = Perm::unrank(n, rank as u32).expect("rank in range");
+            assert_eq!(PackedPerm::from_perm(&p).rank(), rank, "{p}");
+            assert_eq!(p.rank() as u64, rank, "{p}");
+        }
+    }
+}
+
+/// Above `S_9`, sampled ranks spread over `0..n!` plus both ends.
+#[test]
+fn rank_inverts_unrank_on_samples_for_s10_to_s12() {
+    for n in 10..=12usize {
+        let total = factorial(n);
+        let spread = (0..4096u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % total);
+        for rank in spread.chain([0, 1, total - 2, total - 1]) {
+            let p = Perm::unrank(n, rank as u32).expect("rank in range");
+            assert_eq!(PackedPerm::from_perm(&p).rank(), rank, "{p}");
+        }
+    }
+}

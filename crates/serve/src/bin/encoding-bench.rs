@@ -15,6 +15,12 @@
 //! - `encoding/delta_decode/nN` — expanding the delta back to vertices,
 //!   the cost a client pays to materialize (streaming consumers never
 //!   do; they walk chunk by chunk).
+//! - `verify/stream/nN` — what a v2 client pays per ring: the frames
+//!   of [`chunk_stream`] at the default chunking, each parsed with
+//!   [`ChunkFrame::parse`] and fed to a [`StreamVerifier`], then
+//!   `finish`.
+//! - `verify/check_ring/nN` — [`star_verify::check_ring`] on the
+//!   vertex list, the same `RingCheck` fold over unpacked vertices.
 //!
 //! Encoded sizes and effective throughput go to stderr; the timing
 //! cases use the committed `BENCH_*.json` schema so `bench-diff` tracks
@@ -28,7 +34,10 @@ use std::time::Instant;
 use star_bench::baseline::{Baseline, BaselineCase};
 use star_fault::gen;
 use star_ring::embed_longest_ring;
-use star_serve::proto::{ring_to_json, RingDelta};
+use star_serve::proto::{
+    chunk_stream, ring_to_json, ChunkFrame, RingDelta, DEFAULT_CHUNK_VERTICES,
+};
+use star_serve::StreamVerifier;
 
 fn main() -> ExitCode {
     let mut samples = 15usize;
@@ -208,6 +217,34 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
             wall,
         ));
 
+        let frames: Vec<Vec<u8>> = chunk_stream(&delta, 0, DEFAULT_CHUNK_VERTICES)?
+            .iter()
+            .map(ChunkFrame::encode)
+            .collect();
+        let wall: Vec<u64> = (0..samples)
+            .map(|_| {
+                let t0 = Instant::now();
+                let summary = verify_frames(n, ring.len() as u64, &faults, &frames)
+                    .expect("the embedded ring verifies");
+                let ns = t0.elapsed().as_nanos() as u64;
+                assert!(summary.at_guarantee);
+                ns
+            })
+            .collect();
+        cases.push(case(format!("verify/stream/n{n}"), n, "verify", wall));
+
+        let wall: Vec<u64> = (0..samples)
+            .map(|_| {
+                let t0 = Instant::now();
+                let summary =
+                    star_verify::check_ring(n, &ring, &faults).expect("the embedded ring verifies");
+                let ns = t0.elapsed().as_nanos() as u64;
+                assert!(summary.at_guarantee);
+                ns
+            })
+            .collect();
+        cases.push(case(format!("verify/check_ring/n{n}"), n, "verify", wall));
+
         // The size win is the point of the protocol: hold the line.
         if n == n_max && (delta_bytes as f64) > json_bytes as f64 / 20.0 {
             return Err(format!(
@@ -221,4 +258,19 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
     Ok(Baseline { created_ms, cases })
+}
+
+/// The client's side of a v2 ring stream: parse every frame and fold it
+/// through one [`StreamVerifier`].
+fn verify_frames(
+    n: usize,
+    ring_len: u64,
+    faults: &star_fault::FaultSet,
+    frames: &[Vec<u8>],
+) -> Result<star_serve::stream::StreamSummary, String> {
+    let mut verifier = StreamVerifier::new(n, ring_len, faults)?;
+    for frame in frames {
+        verifier.feed(&ChunkFrame::parse(frame)?)?;
+    }
+    verifier.finish()
 }

@@ -37,6 +37,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use star_bench::jsonv::Json;
+use star_fault::RingCheck;
 use star_oracle::{Canon, Canonicalizer, Store, WriteBehind};
 use star_perm::Perm;
 use star_ring::{embed_many_with_options, embed_with_options, EmbedOptions};
@@ -69,8 +70,8 @@ pub struct ServeConfig {
     /// Default per-request deadline in ms (`None` = no deadline unless
     /// the request carries one).
     pub default_deadline_ms: Option<u64>,
-    /// Audit mode (`--verify`): re-check every embed result against
-    /// `star_verify::check_ring` and the exact `n! - 2|F_v|` length
+    /// Audit mode (`--verify`): re-check every embed result with one
+    /// `RingCheck` walk of its delta at the exact `n! - 2|F_v|` length
     /// before responding, and attach a STARRING-CERT v1 certificate to
     /// every embed response. A ring that fails the audit is answered
     /// `verify_failed` instead of being served.
@@ -1064,19 +1065,23 @@ fn embed_members(n: usize, ring_len: u64, cached: bool) -> Vec<(String, Json)> {
     ]
 }
 
-/// Server-side audit for `--verify` mode: full ring re-check plus the
-/// exact Theorem-1 length. Returns the failure reason, if any.
-fn audit_ring(n: usize, ring: &[star_perm::Perm], faults: &star_fault::FaultSet) -> Option<String> {
+/// Server-side audit for `--verify` mode: the exact Theorem-1 length,
+/// then one [`RingCheck`] walk of the delta. Returns the ring's
+/// STARRING-CERT checksum, or the failure reason.
+fn audit_ring(n: usize, delta: &RingDelta, faults: &star_fault::FaultSet) -> Result<u64, String> {
     let expected = star_perm::factorial(n) - 2 * faults.vertex_fault_count() as u64;
-    if ring.len() as u64 != expected {
-        return Some(format!(
+    if delta.len() as u64 != expected {
+        return Err(format!(
             "ring length {} != n! - 2|F_v| = {expected}",
-            ring.len()
+            delta.len()
         ));
     }
-    star_verify::check_ring(n, ring, faults)
-        .err()
-        .map(|e| e.to_string())
+    let mut check = RingCheck::new(n, faults).map_err(|e| e.to_string())?;
+    check.push_delta(delta).map_err(|e| e.to_string())?;
+    check
+        .finish()
+        .map(|summary| summary.checksum)
+        .map_err(|e| e.to_string())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1101,17 +1106,21 @@ fn serve_embed(
             return Reply::Json(error_response(id, ErrorCode::EmbedFailed, &msg));
         }
     };
+    // The `--verify` audit walks the delta once and yields the
+    // certificate checksum on the way.
+    let mut audited_checksum = None;
     if ctx.verify_responses {
-        // The audit API is vertex-based, so `--verify` expands the ring
-        // transiently; the expansion is freed before encoding starts.
         let verify_start = Instant::now();
-        let audit = audit_ring(n, &delta.decode(), faults);
+        let audit = audit_ring(n, &delta, faults);
         timing.verify_us = micros(verify_start.elapsed());
-        if let Some(reason) = audit {
-            ctx.obs.verify_failed.incr(1);
-            star_obs::flightrec::record("serve.verify_failed", reason.clone(), &[]);
-            star_obs::flightrec::dump_on_failure("serve.verify_failed");
-            return Reply::Json(error_response(id, ErrorCode::VerifyFailed, &reason));
+        match audit {
+            Ok(checksum) => audited_checksum = Some(checksum),
+            Err(reason) => {
+                ctx.obs.verify_failed.incr(1);
+                star_obs::flightrec::record("serve.verify_failed", reason.clone(), &[]);
+                star_obs::flightrec::dump_on_failure("serve.verify_failed");
+                return Reply::Json(error_response(id, ErrorCode::VerifyFailed, &reason));
+            }
         }
     }
     if let Some((cursor, chunk_vertices)) = stream {
@@ -1140,11 +1149,12 @@ fn serve_embed(
         };
         timing.encode_us = micros(encode_start.elapsed());
         if return_certificate || ctx.verify_responses {
-            // Checksum construction re-walks the ring: verification
-            // work, not encoding.
+            // Checksum construction re-walks the ring unless the audit
+            // already did: verification work, not encoding.
             let cert_start = Instant::now();
-            let checksum =
-                star_verify::certificate::ring_checksum(delta.walk().map(|p| p.to_perm().rank()));
+            let checksum = audited_checksum.unwrap_or_else(|| {
+                star_verify::certificate::ring_checksum(delta.walk().map(|p| p.rank() as u32))
+            });
             timing.verify_us += micros(cert_start.elapsed());
             ctx.obs.certificates.incr(1);
             members.push((
@@ -1275,17 +1285,13 @@ fn serve_batch(
                     return item_error(ErrorCode::BadRequest, &msg);
                 }
             };
-            // Expand vertices only where this item's response (or the
-            // `--verify` audit) actually consumes them.
-            let ring: Option<Vec<Perm>> =
-                (ctx.verify_responses || return_ring).then(|| delta.decode());
             // Non-Bad slots always come from an Ok scenario, so the
             // if-let never skips a real audit.
             if let (true, Ok(faults)) = (ctx.verify_responses, scenario.as_ref()) {
                 let verify_start = Instant::now();
-                let audit = audit_ring(n, ring.as_deref().expect("decoded for audit"), faults);
+                let audit = audit_ring(n, &delta, faults);
                 verify_ns += verify_start.elapsed().as_nanos();
-                if let Some(reason) = audit {
+                if let Err(reason) = audit {
                     verify_failed += 1;
                     star_obs::flightrec::record("serve.verify_failed", reason.clone(), &[]);
                     star_obs::flightrec::dump_on_failure("serve.verify_failed");
@@ -1295,10 +1301,7 @@ fn serve_batch(
             let mut members = vec![("ok".to_string(), Json::Bool(true))];
             members.extend(embed_members(n, delta.len() as u64, cached));
             if return_ring {
-                members.push((
-                    "ring".to_string(),
-                    ring_to_json(ring.as_deref().expect("decoded for return_ring")),
-                ));
+                members.push(("ring".to_string(), ring_to_json(&delta.decode())));
             }
             Json::Obj(members)
         })
@@ -1336,7 +1339,7 @@ fn serve_verify(
     let checked = star_verify::check_ring(n, ring, faults);
     timing.verify_us = micros(verify_start.elapsed());
     match checked {
-        Ok(()) => members.push(("valid".to_string(), Json::Bool(true))),
+        Ok(_) => members.push(("valid".to_string(), Json::Bool(true))),
         Err(e) => {
             members.push(("valid".to_string(), Json::Bool(false)));
             members.push(("reason".to_string(), Json::from(e.to_string())));

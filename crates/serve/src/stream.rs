@@ -4,93 +4,56 @@
 //! [`ChunkFrame`]s, each a self-contained ring segment. The whole point
 //! of the streamed encoding is that the client never holds the ring —
 //! so verification must be incremental too. [`StreamVerifier`] folds
-//! chunks as they arrive and maintains exactly the state that full-ring
-//! verification needs, none of it proportional to the ring length:
-//!
-//! - the previous chunk's final vertex (continuity across the chunk
-//!   boundary — the connecting edge's dimension is in neither chunk);
-//! - a duplicate-detection bitset over Lehmer ranks (`n!/8` bytes:
-//!   ~444 KiB at `n = 10` — bounded by the *graph*, not the ring);
-//! - the running STARRING-CERT checksum, byte-compatible with the
-//!   `checksum` line of [`star_verify::certificate::certificate_for`],
-//!   compared against the header's `cert_checksum` at the end;
-//! - fault membership sets (vertex ranks and edge rank pairs).
+//! every chunk's vertices through one [`RingCheck`] (fault avoidance,
+//! uniqueness over an `n!`-bit set, adjacency across and inside chunks,
+//! the running STARRING-CERT checksum) and adds what only a stream has:
+//! cursor continuity, the declared length, the last-chunk flag, and the
+//! header's `cert_checksum`, compared at the end. None of the state is
+//! proportional to the ring length.
 //!
 //! Feeding may span reconnects: after a broken stream, re-request with
 //! `cursor` = [`StreamVerifier::position`] and keep feeding the same
-//! verifier — the cursor check and the held boundary vertex make the
-//! resumed stream verify exactly as an unbroken one.
+//! verifier — the cursor check and the check's held boundary vertex make
+//! the resumed stream verify exactly as an unbroken one.
 
-use std::collections::HashSet;
 use std::time::Duration;
 
 use star_bench::jsonv::Json;
-use star_fault::FaultSet;
-use star_perm::{factorial, packed::PackedPerm};
-use star_verify::certificate::{fold_checksum, CHECKSUM_BASIS};
+use star_fault::{FaultSet, RingCheck, RingError};
 
 use crate::client::{Client, Received};
 use crate::proto::ChunkFrame;
 
-/// Totals reported by a completed stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Vertices consumed.
-    pub ring_len: u64,
-    /// STARRING-CERT checksum of the consumed rank sequence.
-    pub checksum: u64,
-    /// Whether the length matches the paper's `n! - 2|F_v|` guarantee.
-    pub at_guarantee: bool,
-}
+/// Totals reported by a completed stream: its length, STARRING-CERT
+/// checksum, and whether the length meets `n! - 2|F_v|`.
+pub use star_fault::RingSummary as StreamSummary;
 
 /// Chunk-by-chunk verifier for one logical ring stream. O(n!) bits of
-/// state, O(1) per vertex — independent of how the stream is chunked.
+/// state, O(n) per vertex — independent of how the stream is chunked.
 pub struct StreamVerifier {
-    n: usize,
+    check: RingCheck,
     ring_len: u64,
-    fault_ranks: HashSet<u32>,
-    fault_edges: HashSet<(u32, u32)>,
-    /// Bitset over Lehmer ranks of vertices already seen.
-    seen: Vec<u64>,
-    checksum: u64,
     expect_checksum: Option<u64>,
-    position: u64,
-    first: Option<(PackedPerm, u32)>,
-    last: Option<(PackedPerm, u32)>,
     saw_last_chunk: bool,
 }
 
 impl StreamVerifier {
     /// Starts a verifier for a declared ring of `ring_len` vertices in
     /// `S_n` avoiding `faults` (both come from the response header; the
-    /// verifier re-checks everything it can recompute).
+    /// verifier re-checks everything it can recompute). `n` must be the
+    /// fault set's own dimension, within `1..=MAX_N`.
     pub fn new(n: usize, ring_len: u64, faults: &FaultSet) -> Result<StreamVerifier, String> {
-        if !(2..=star_perm::packed::PACKED_MAX_N).contains(&n) {
-            return Err(format!("cannot stream-verify n = {n}"));
-        }
+        let check = RingCheck::new(n, faults).map_err(|e| e.to_string())?;
         if ring_len < 3 {
-            return Err(format!("declared ring length {ring_len} is not a ring"));
+            return Err(RingError::TooShort {
+                len: ring_len as usize,
+            }
+            .to_string());
         }
-        let words = (factorial(n) as usize).div_ceil(64);
         Ok(StreamVerifier {
-            n,
+            check,
             ring_len,
-            fault_ranks: faults
-                .vertices()
-                .iter()
-                .map(star_perm::Perm::rank)
-                .collect(),
-            fault_edges: faults
-                .edges()
-                .iter()
-                .map(|e| (e.lo().rank(), e.hi().rank()))
-                .collect(),
-            seen: vec![0u64; words],
-            checksum: CHECKSUM_BASIS,
             expect_checksum: None,
-            position: 0,
-            first: None,
-            last: None,
             saw_last_chunk: false,
         })
     }
@@ -107,7 +70,7 @@ impl StreamVerifier {
     /// The ring position the next chunk must start at — also the
     /// `cursor` to re-request after a broken stream.
     pub fn position(&self) -> u64 {
-        self.position
+        self.check.len()
     }
 
     /// `true` once a chunk flagged `last` has been consumed.
@@ -115,31 +78,21 @@ impl StreamVerifier {
         self.saw_last_chunk
     }
 
-    fn fault_free_edge(&self, a: u32, b: u32) -> bool {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        !self.fault_edges.contains(&key)
-    }
-
-    /// Consumes one chunk, verifying everything locally checkable:
-    /// cursor continuity, boundary adjacency, per-vertex fault
-    /// avoidance and uniqueness, and the running checksum.
+    /// Consumes one chunk: the stream checks (no chunk after the last,
+    /// cursor continuity, the declared length, the last flag), then every
+    /// vertex through the ring check.
     pub fn feed(&mut self, chunk: &ChunkFrame) -> Result<(), String> {
-        if chunk.n as usize != self.n {
-            return Err(format!(
-                "chunk for n = {} in an n = {} stream",
-                chunk.n, self.n
-            ));
-        }
         if self.saw_last_chunk {
             return Err("chunk after the last-flagged chunk".to_string());
         }
-        if chunk.cursor != self.position {
+        let position = self.position();
+        if chunk.cursor != position {
             return Err(format!(
-                "chunk cursor {} but stream position {}",
-                chunk.cursor, self.position
+                "chunk cursor {} but stream position {position}",
+                chunk.cursor
             ));
         }
-        let end = self.position + chunk.segment.len() as u64;
+        let end = position + chunk.segment.len() as u64;
         if end > self.ring_len {
             return Err(format!(
                 "chunk runs to position {end} past the declared ring length {}",
@@ -152,40 +105,9 @@ impl StreamVerifier {
                 chunk.last, self.ring_len
             ));
         }
-        let mut prev = self.last;
-        for vertex in chunk.segment.walk() {
-            let rank = vertex.to_perm().rank();
-            if self.fault_ranks.contains(&rank) {
-                return Err(format!("ring visits faulty vertex rank {rank}"));
-            }
-            if let Some((prev_vertex, prev_rank)) = prev {
-                // Adjacency *within* a chunk is guaranteed by the delta
-                // encoding; this check only bites at chunk boundaries,
-                // where the connecting edge is implicit.
-                if prev_vertex.edge_dimension_to(&vertex).is_none() {
-                    return Err(format!(
-                        "vertices at positions {}..{} are not adjacent",
-                        self.position.saturating_sub(1),
-                        self.position
-                    ));
-                }
-                if !self.fault_free_edge(prev_rank, rank) {
-                    return Err(format!("ring crosses faulty edge ({prev_rank}, {rank})"));
-                }
-            }
-            let (word, bit) = (rank as usize / 64, rank as usize % 64);
-            if self.seen[word] >> bit & 1 == 1 {
-                return Err(format!("ring repeats vertex rank {rank}"));
-            }
-            self.seen[word] |= 1 << bit;
-            self.checksum = fold_checksum(self.checksum, rank);
-            if self.first.is_none() {
-                self.first = Some((vertex, rank));
-            }
-            prev = Some((vertex, rank));
-            self.position += 1;
-        }
-        self.last = prev;
+        self.check
+            .push_delta(&chunk.segment)
+            .map_err(|e| e.to_string())?;
         self.saw_last_chunk = chunk.last;
         Ok(())
     }
@@ -193,36 +115,23 @@ impl StreamVerifier {
     /// Final whole-ring checks once the stream is complete: full length,
     /// the closing edge, and the certificate checksum.
     pub fn finish(self) -> Result<StreamSummary, String> {
-        if !self.saw_last_chunk || self.position != self.ring_len {
+        if !self.saw_last_chunk || self.position() != self.ring_len {
             return Err(format!(
                 "stream ended at position {} of {}",
-                self.position, self.ring_len
+                self.position(),
+                self.ring_len
             ));
         }
-        let (first, first_rank) = self.first.expect("ring_len >= 3 vertices consumed");
-        let (last, last_rank) = self.last.expect("ring_len >= 3 vertices consumed");
-        if last.edge_dimension_to(&first).is_none() {
-            return Err("closing edge is not a star-graph edge".to_string());
-        }
-        if !self.fault_free_edge(last_rank, first_rank) {
-            return Err(format!(
-                "closing edge ({last_rank}, {first_rank}) is faulty"
-            ));
-        }
+        let summary = self.check.finish().map_err(|e| e.to_string())?;
         if let Some(want) = self.expect_checksum {
-            if self.checksum != want {
+            if summary.checksum != want {
                 return Err(format!(
                     "certificate checksum mismatch: computed {:016x}, header claims {want:016x}",
-                    self.checksum
+                    summary.checksum
                 ));
             }
         }
-        let at_guarantee = self.ring_len == factorial(self.n) - 2 * self.fault_ranks.len() as u64;
-        Ok(StreamSummary {
-            ring_len: self.ring_len,
-            checksum: self.checksum,
-            at_guarantee,
-        })
+        Ok(summary)
     }
 }
 
@@ -388,5 +297,23 @@ mod tests {
             .find_map(|c| v.feed(c).err())
             .expect("fault must be detected");
         assert!(err.contains("faulty vertex"));
+    }
+
+    #[test]
+    fn new_rejects_a_header_n_beyond_max_n_before_allocating() {
+        // 13!/8 bytes would be ~0.78 GB; the check refuses first.
+        let err = StreamVerifier::new(13, 24, &FaultSet::empty(13))
+            .err()
+            .expect("n = 13 is out of range");
+        assert!(err.contains("S_13"), "{err}");
+    }
+
+    #[test]
+    fn new_rejects_a_header_n_that_is_not_the_fault_sets() {
+        // A valid S_7 ring offered for an S_6 request.
+        let err = StreamVerifier::new(7, 5040, &FaultSet::empty(6))
+            .err()
+            .expect("n = 7 against S_6 faults");
+        assert!(err.contains("fault set is for S_6"), "{err}");
     }
 }

@@ -21,7 +21,7 @@
 use core::fmt;
 
 use star_fault::FaultSet;
-use star_perm::{factorial, Perm};
+use star_perm::Perm;
 
 use crate::{check_ring, VerifyError};
 
@@ -61,29 +61,14 @@ pub struct CertificateSummary {
     pub at_guarantee: bool,
 }
 
-/// FNV-1a basis (the running state before any rank is folded in).
-pub const CHECKSUM_BASIS: u64 = 0xcbf29ce484222325;
-
-/// Folds one ring rank into a running STARRING-CERT checksum. Exposed so
-/// streaming consumers (wire protocol v2) can verify a certificate
-/// checksum chunk-by-chunk without ever holding the whole ring:
-/// `ranks.fold(CHECKSUM_BASIS, fold_checksum)` equals the `checksum`
-/// line [`certificate_for`] writes for the same ranks in the same order.
-pub fn fold_checksum(mut hash: u64, rank: u32) -> u64 {
-    for byte in rank.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
+/// The running STARRING-CERT checksum lives with [`star_fault::RingCheck`],
+/// which folds it while checking; streaming consumers (wire protocol v2)
+/// verify a certificate checksum chunk by chunk through it.
+pub use star_fault::{fold_checksum, CHECKSUM_BASIS};
 
 /// The STARRING-CERT checksum of a full rank sequence.
 pub fn ring_checksum(ranks: impl Iterator<Item = u32>) -> u64 {
     ranks.fold(CHECKSUM_BASIS, fold_checksum)
-}
-
-fn fnv1a(data: impl Iterator<Item = u32>) -> u64 {
-    ring_checksum(data)
 }
 
 /// Produces the certificate text for a verified ring. (The caller should
@@ -122,7 +107,7 @@ pub fn certificate_for(n: usize, faults: &FaultSet, ring: &[Perm]) -> String {
         let _ = write!(out, " {}", v.rank());
     }
     out.push('\n');
-    let checksum = fnv1a(ring.iter().map(Perm::rank));
+    let checksum = ring_checksum(ring.iter().map(Perm::rank));
     let _ = writeln!(out, "checksum {checksum:016x}");
     out
 }
@@ -211,7 +196,7 @@ pub fn verify_certificate(text: &str) -> Result<CertificateSummary, CertificateE
     }
     let expected_checksum =
         checksum.ok_or_else(|| CertificateError::Malformed("missing checksum".into()))?;
-    if fnv1a(ring_ranks.iter().copied()) != expected_checksum {
+    if ring_checksum(ring_ranks.iter().copied()) != expected_checksum {
         return Err(CertificateError::ChecksumMismatch);
     }
     let decode = |rank: u32| {
@@ -237,12 +222,12 @@ pub fn verify_certificate(text: &str) -> Result<CertificateSummary, CertificateE
         .iter()
         .map(|&r| decode(r))
         .collect::<Result<_, _>>()?;
-    check_ring(n, &ring, &faults).map_err(CertificateError::Invalid)?;
+    let checked = check_ring(n, &ring, &faults).map_err(CertificateError::Invalid)?;
     Ok(CertificateSummary {
         n,
         fault_count: faults.vertex_fault_count(),
         ring_len: ring.len(),
-        at_guarantee: ring.len() as u64 == factorial(n) - 2 * faults.vertex_fault_count() as u64,
+        at_guarantee: checked.at_guarantee,
     })
 }
 

@@ -1,137 +1,36 @@
-//! Validity checks for embedded rings and paths.
+//! Validity checks for embedded rings and paths: thin adapters over
+//! [`star_fault::RingCheck`], the one ring validator.
 
-use core::fmt;
-use std::collections::HashSet;
+use star_fault::{FaultSet, RingCheck, RingSummary};
+use star_perm::{packed::PackedPerm, Perm};
 
-use star_fault::FaultSet;
-use star_perm::Perm;
-
-/// Why a ring or path failed verification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifyError {
-    /// The sequence is empty or too short to be a ring.
-    TooShort {
-        /// Number of vertices supplied.
-        len: usize,
-    },
-    /// A vertex has the wrong permutation size for `S_n`.
-    WrongDimension {
-        /// Index in the sequence.
-        index: usize,
-    },
-    /// A vertex appears more than once.
-    RepeatedVertex {
-        /// Index of the second occurrence.
-        index: usize,
-        /// The repeated vertex.
-        vertex: Perm,
-    },
-    /// Two consecutive vertices are not adjacent in `S_n`.
-    NotAdjacent {
-        /// Index of the first vertex of the offending step.
-        index: usize,
-    },
-    /// A vertex on the ring is faulty.
-    FaultyVertex {
-        /// Index of the faulty vertex.
-        index: usize,
-        /// The vertex.
-        vertex: Perm,
-    },
-    /// A step of the ring uses a faulty edge.
-    FaultyEdge {
-        /// Index of the first endpoint.
-        index: usize,
-    },
-}
-
-impl fmt::Display for VerifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VerifyError::TooShort { len } => write!(f, "sequence of {len} vertices is too short"),
-            VerifyError::WrongDimension { index } => {
-                write!(f, "vertex at index {index} has the wrong dimension")
-            }
-            VerifyError::RepeatedVertex { index, vertex } => {
-                write!(f, "vertex {vertex} repeated at index {index}")
-            }
-            VerifyError::NotAdjacent { index } => {
-                write!(
-                    f,
-                    "vertices at indices {index}, {} are not adjacent",
-                    index + 1
-                )
-            }
-            VerifyError::FaultyVertex { index, vertex } => {
-                write!(f, "faulty vertex {vertex} on ring at index {index}")
-            }
-            VerifyError::FaultyEdge { index } => {
-                write!(f, "faulty edge used at step {index} -> {}", index + 1)
-            }
-        }
-    }
-}
-
-impl std::error::Error for VerifyError {}
+/// Why a ring or path failed verification: [`star_fault::RingError`],
+/// which every ring check in the workspace reports.
+pub use star_fault::RingError as VerifyError;
 
 /// Verifies that `vertices` is a simple, healthy **ring** of `S_n`: all
 /// distinct healthy vertices, consecutive (and wrap-around) pairs adjacent
 /// via healthy edges, and length at least 3 (the star graph's girth is 6,
 /// so any real ring has length >= 6; 3 is the structural minimum for a
-/// cycle).
-pub fn check_ring(n: usize, vertices: &[Perm], faults: &FaultSet) -> Result<(), VerifyError> {
-    if vertices.len() < 3 {
-        return Err(VerifyError::TooShort {
-            len: vertices.len(),
-        });
-    }
-    check_common(n, vertices, faults)?;
-    // Wrap-around step.
-    let last = vertices.len() - 1;
-    if !vertices[last].is_adjacent(&vertices[0]) {
-        return Err(VerifyError::NotAdjacent { index: last });
-    }
-    if faults.is_edge_faulty(&vertices[last], &vertices[0]) {
-        return Err(VerifyError::FaultyEdge { index: last });
-    }
-    Ok(())
+/// cycle). Reports the first defect in ring order; a valid ring yields
+/// its length, STARRING-CERT checksum and Theorem-1 comparison.
+pub fn check_ring(
+    n: usize,
+    vertices: &[Perm],
+    faults: &FaultSet,
+) -> Result<RingSummary, VerifyError> {
+    let mut check = RingCheck::new(n, faults)?;
+    check.push_all(vertices.iter().map(PackedPerm::from_perm))?;
+    check.finish()
 }
 
 /// Verifies that `vertices` is a simple, healthy **path** of `S_n` (no
 /// wrap-around requirement; a single vertex is a valid path).
 pub fn check_path(n: usize, vertices: &[Perm], faults: &FaultSet) -> Result<(), VerifyError> {
-    if vertices.is_empty() {
+    let mut check = RingCheck::new(n, faults)?;
+    check.push_all(vertices.iter().map(PackedPerm::from_perm))?;
+    if check.is_empty() {
         return Err(VerifyError::TooShort { len: 0 });
-    }
-    check_common(n, vertices, faults)
-}
-
-fn check_common(n: usize, vertices: &[Perm], faults: &FaultSet) -> Result<(), VerifyError> {
-    let mut seen: HashSet<u32> = HashSet::with_capacity(vertices.len());
-    for (i, v) in vertices.iter().enumerate() {
-        if v.n() != n {
-            return Err(VerifyError::WrongDimension { index: i });
-        }
-        if !seen.insert(v.rank()) {
-            return Err(VerifyError::RepeatedVertex {
-                index: i,
-                vertex: *v,
-            });
-        }
-        if faults.is_vertex_faulty(v) {
-            return Err(VerifyError::FaultyVertex {
-                index: i,
-                vertex: *v,
-            });
-        }
-    }
-    for i in 0..vertices.len().saturating_sub(1) {
-        if !vertices[i].is_adjacent(&vertices[i + 1]) {
-            return Err(VerifyError::NotAdjacent { index: i });
-        }
-        if faults.is_edge_faulty(&vertices[i], &vertices[i + 1]) {
-            return Err(VerifyError::FaultyEdge { index: i });
-        }
     }
     Ok(())
 }
