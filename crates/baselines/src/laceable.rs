@@ -28,6 +28,7 @@ use star_graph::partition::i_partition;
 use star_graph::smallgraph::SmallGraph;
 use star_graph::Pattern;
 use star_perm::Perm;
+use star_ring::oracle;
 
 use crate::BaselineError;
 
@@ -129,8 +130,9 @@ fn ham_path_rec(pattern: &Pattern, u: &Perm, v: &Perm) -> Option<Vec<Perm>> {
 fn base_case(pattern: &Pattern, u: &Perm, v: &Perm) -> Option<Vec<Perm>> {
     let r = pattern.r();
     if r == 4 {
-        // Memoized oracle (empty fault set).
-        return star_ring::oracle::block_path(pattern, u, v, &FaultSet::empty(pattern.n()));
+        // Memoized oracle (empty fault set, Hamiltonian target).
+        let faults = FaultSet::empty(pattern.n());
+        return oracle::block_path(pattern, u, v, &faults, oracle::HEALTHY_BLOCK_VERTICES);
     }
     // r <= 3: tiny direct search.
     let g = SmallGraph::from_star(r);

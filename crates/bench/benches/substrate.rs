@@ -49,9 +49,9 @@ fn bench_oracle(c: &mut Criterion) {
         .unwrap();
     let faults = FaultSet::empty(6);
     // Warm.
-    let _ = star_ring::oracle::block_path(&block, &u, &v, &faults).unwrap();
+    let _ = star_ring::oracle::block_path(&block, &u, &v, &faults, 24).unwrap();
     c.bench_function("oracle/block_path_hit", |b| {
-        b.iter(|| star_ring::oracle::block_path(black_box(&block), &u, &v, &faults).unwrap())
+        b.iter(|| star_ring::oracle::block_path(black_box(&block), &u, &v, &faults, 24).unwrap())
     });
 }
 

@@ -40,10 +40,10 @@ fn run() {
         let plan = positions::select_positions(n, &faults).unwrap();
         let r4 = hierarchy::build_r4(n, &faults, &plan).unwrap();
         // Same super-ring, two block-routing policies.
-        let refined = expand::expand_with_block_loss(&r4, &faults, plan.spare[0], 0, 2)
+        let refined = expand::expand(&r4, &faults, plan.spare[0], 0, 2)
             .unwrap()
             .len() as u64;
-        let coarse = expand::expand_with_block_loss(&r4, &faults, plan.spare[0], 0, 4)
+        let coarse = expand::expand(&r4, &faults, plan.spare[0], 0, 4)
             .unwrap()
             .len() as u64;
         (n, fv, refined, coarse)

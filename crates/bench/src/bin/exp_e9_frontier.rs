@@ -141,7 +141,7 @@ fn try_beyond_budget_edges(n: usize, faults: &FaultSet) -> bool {
     for spare_index in 0..3 {
         for salt in 0..8 {
             let spare = plan.spare[spare_index % plan.spare.len()];
-            if let Ok(v) = expand::expand_with_salt(&r4, faults, spare, salt) {
+            if let Ok(v) = expand::expand(&r4, faults, spare, salt, 2) {
                 if v.len() as u64 == factorial(n) {
                     return true;
                 }

@@ -13,9 +13,9 @@
 //! either direction.
 //!
 //! The context answers in **local `S_4` ranks** — the same coordinates
-//! the Lemma-4 oracle table is keyed by ([`crate::oracle::query_local`]),
-//! so the expansion loop goes `rank → vertex` without ever materializing
-//! an intermediate local [`Perm`].
+//! the Lemma-4 oracle table is keyed by ([`crate::oracle`]), so the
+//! expansion loop goes `rank → vertex` without ever materializing an
+//! intermediate local [`Perm`].
 
 use std::sync::OnceLock;
 
@@ -49,7 +49,7 @@ fn rank4(d: [u8; 4]) -> u8 {
 /// order 4): converts between the block's members and their local `S_4`
 /// ranks with no heap allocation.
 pub struct BlockCtx {
-    n: usize,
+    block: Pattern,
     /// The block's don't-care positions, ascending (`fp[0] == 0`).
     fp: [u8; 4],
     /// The block's free symbols, ascending (`fs[k]` is local digit `k+1`).
@@ -88,7 +88,7 @@ impl BlockCtx {
             local_of[s as usize] = k as u8 + 1;
         }
         BlockCtx {
-            n,
+            block: *block,
             fp,
             fs,
             template,
@@ -107,7 +107,13 @@ impl BlockCtx {
         for k in 0..4 {
             buf[self.fp[k] as usize] = self.fs[(digits[k] - 1) as usize];
         }
-        Perm::from_slice_trusted(&buf[..self.n])
+        Perm::from_slice_trusted(&buf[..self.block.n()])
+    }
+
+    /// The block this context lifts into.
+    #[inline]
+    pub(crate) fn block(&self) -> &Pattern {
+        &self.block
     }
 
     /// The local `S_4` rank of a member vertex — equals

@@ -1,8 +1,8 @@
 //! Public entry points: Theorem 1.
 
 use star_fault::{FaultSet, RingCheck, RingError};
-use star_perm::factorial;
 use star_perm::packed::PackedPerm;
+use star_perm::{factorial, Perm};
 
 use crate::{expand, hierarchy, positions, small_n, EmbedError, EmbeddedRing};
 
@@ -12,8 +12,8 @@ pub struct EmbedOptions {
     /// Re-verify the output ring (adjacency, distinctness, health, length)
     /// before returning. O(ring length); on by default.
     pub verify: bool,
-    /// Seam-choice salt (see [`expand::expand_with_salt`]); 0 is the
-    /// canonical choice. Used by the mixed embedder's retry loop.
+    /// Seam-choice salt (see [`expand::expand`]); 0 is the canonical
+    /// choice. Used by the mixed embedder's retry loop.
     pub salt: usize,
     /// Index (0..3) into the spare-position list used for the Lemma-7
     /// partition.
@@ -93,27 +93,7 @@ pub fn embed_with_options(
     }
 
     let embed = || -> Result<EmbeddedRing, EmbedError> {
-        let vertices = match n {
-            3 => star_obs::span("embed.expand").hold(|| small_n::embed_n3(faults))?,
-            4 => star_obs::span("embed.expand").hold(|| small_n::embed_n4(faults))?,
-            5 => star_obs::span("embed.expand")
-                .hold(|| small_n::embed_n5_with(faults, opts.spare_index, opts.salt))?,
-            _ => {
-                let mut sp = star_obs::span("embed.positions");
-                let plan = positions::select_positions(n, faults)?;
-                sp.record("sequence", plan.sequence.as_slice());
-                sp.record("spare", plan.spare.as_slice());
-                drop(sp);
-                let r4 = star_obs::span("embed.hierarchy")
-                    .hold(|| hierarchy::build_r4(n, faults, &plan))?;
-                let spare = plan.spare[opts.spare_index % plan.spare.len()];
-                let mut sp = star_obs::span("embed.expand");
-                sp.record("spare_pos", spare);
-                sp.record("salt", opts.salt);
-                sp.hold(|| expand::expand_with_salt(&r4, faults, spare, opts.salt))?
-            }
-        };
-
+        let vertices = construct(n, faults, opts.spare_index, opts.salt)?;
         let ring = EmbeddedRing::new(n, vertices);
         let expected = factorial(n) - 2 * faults.vertex_fault_count() as u64;
         debug_assert_eq!(ring.len() as u64, expected);
@@ -146,6 +126,38 @@ pub fn embed_with_options(
     result
 }
 
+/// The construction behind every embed: the paper's small-`n` cases,
+/// else Lemma 2 ([`positions`]) → Lemma 3 ([`hierarchy`]) → Lemma 7
+/// ([`expand`]). `spare_index` and `salt` pick among equally valid
+/// configurations; the mixed embedder retries over them.
+pub(crate) fn construct(
+    n: usize,
+    faults: &FaultSet,
+    spare_index: usize,
+    salt: usize,
+) -> Result<Vec<Perm>, EmbedError> {
+    match n {
+        3 => star_obs::span("embed.expand").hold(|| small_n::embed_n3(faults)),
+        4 => star_obs::span("embed.expand").hold(|| small_n::embed_n4(faults)),
+        5 => star_obs::span("embed.expand")
+            .hold(|| small_n::embed_n5_with(faults, spare_index, salt)),
+        _ => {
+            let mut sp = star_obs::span("embed.positions");
+            let plan = positions::select_positions(n, faults)?;
+            sp.record("sequence", plan.sequence.as_slice());
+            sp.record("spare", plan.spare.as_slice());
+            drop(sp);
+            let r4 =
+                star_obs::span("embed.hierarchy").hold(|| hierarchy::build_r4(n, faults, &plan))?;
+            let spare = plan.spare[spare_index % plan.spare.len()];
+            let mut sp = star_obs::span("embed.expand");
+            sp.record("spare_pos", spare);
+            sp.record("salt", salt);
+            sp.hold(|| expand::expand(&r4, faults, spare, salt, 2))
+        }
+    }
+}
+
 /// Internal verification: one [`RingCheck`] fold over the ring (simple,
 /// healthy, cyclically adjacent). A defect is reported as
 /// `ExpansionFailed` at the ring position the check found it.
@@ -162,7 +174,7 @@ pub(crate) fn verify_ring(ring: &EmbeddedRing, faults: &FaultSet) -> Result<(), 
 mod tests {
     use super::*;
     use star_fault::gen;
-    use star_perm::{Parity, Perm};
+    use star_perm::Parity;
 
     #[test]
     fn theorem_1_random_faults_n6_n7() {

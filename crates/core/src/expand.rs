@@ -24,28 +24,25 @@
 //! choices); the assembler tries both before reporting failure (which the
 //! theory rules out under (P1)-(P3)).
 //!
-//! ## Flat-arena materialization
+//! ## One fill
 //!
 //! The endpoint pass fixes every block's path length up front (24
 //! healthy, `24 - loss` faulty), so the ring is laid out CSR-style: one
 //! prefix-sum offset table over the blocks and a single flat `Vec<Perm>`
-//! arena. Each block writes its oracle path straight into its own slice
-//! through an allocation-free [`crate::blockctx::BlockCtx`] lift —
-//! replacing the old per-block `Vec<Perm>` + concatenation, which paid
-//! one allocation per block *and* one heap-built vertex for each of the
-//! ~360k lifts at `n = 9`. Blocks are independent given the endpoints,
-//! so large rings fan the arena fill out over `star-pool` in contiguous
-//! chunks of whole blocks; the bytes written are identical for every
-//! worker count. The segment-returning path ([`expand_structured`], kept
-//! for the repair machinery) shares the endpoint plan and per-block fill,
-//! so the two representations cannot drift.
+//! arena. Each block writes its Lemma-4 path straight into its own slice
+//! through [`crate::oracle`]'s one fill, which lifts local ranks through an
+//! allocation-free [`crate::blockctx::BlockCtx`]. Blocks are independent
+//! given the endpoints, so large rings fan the fill out over `star-pool`
+//! in contiguous chunks of whole blocks; the bytes written are identical
+//! for every worker count. [`expand_structured`], for the repair
+//! machinery, cuts the same arena into per-block [`BlockSegment`]s.
 
 use star_fault::FaultSet;
 use star_graph::{Pattern, SuperRing};
 use star_perm::{Parity, Perm, MAX_N};
 
 use crate::blockctx::BlockCtx;
-use crate::oracle;
+use crate::oracle::{self, BlockCensus};
 use crate::EmbedError;
 
 /// One block's slice of the assembled ring: the 4-vertex, its entry/exit
@@ -79,14 +76,8 @@ struct BlockPlan {
     cross_symbol: u8,
     /// Position where `A_i` and `A_{i+1}` differ.
     cross_dif: usize,
-    /// Vertex faults inside the block (0 or 1 under (P1); more only in
-    /// out-of-invariant inputs, which take the uncached slow path).
-    fault_count: usize,
-    /// The block's vertex fault when `fault_count == 1`.
-    fault: Option<Perm>,
-    /// Whether any faulty edge lies fully inside the block (mixed
-    /// extension); forces the uncached edge-avoiding search.
-    edge_faulty: bool,
+    /// The block's faults, counted once here and read by every fill.
+    census: BlockCensus,
 }
 
 impl BlockPlan {
@@ -95,54 +86,72 @@ impl BlockPlan {
     /// laid out flat before any path is materialized.
     #[inline]
     fn path_len(&self, faulty_block_loss: usize) -> usize {
-        oracle::HEALTHY_BLOCK_VERTICES - faulty_block_loss * self.fault_count
+        oracle::HEALTHY_BLOCK_VERTICES - faulty_block_loss * self.census.count
     }
 }
 
 /// Expands an `R^4` with properties (P1)-(P3) into the healthy ring of
-/// length `sum(24 or 22 per block) = n! - 2|F_v|`.
+/// length `sum(24 or 24 - loss per block) = n! - loss·|F_v|`.
 ///
-/// `spare_pos` must be a free position (other than 0) of the ring's
-/// 4-vertices — one of the three positions Lemma 2 left unpinned.
+/// * `spare_pos` must be a free position (other than 0) of the ring's
+///   4-vertices — one of the three positions Lemma 2 left unpinned.
+/// * `salt` rotates every seam's candidate list, yielding a different
+///   (still valid) set of entry/exit 3-vertices; 0 is the canonical
+///   choice. The mixed vertex+edge embedder retries with other salts when
+///   a forced seam edge happens to be faulty.
+/// * `faulty_block_loss` is the vertices each faulty block gives up. The
+///   paper's construction loses exactly **2** (Lemma 4). Passing 4
+///   reproduces the coarser Tseng-style traversal (drop the fault plus a
+///   3-vertex's worth of slack), which is what the `n! - 4|F_v|` prior
+///   bound models — used by the baseline crate and the A1 ablation.
 pub fn expand(
-    r4: &SuperRing,
-    faults: &FaultSet,
-    spare_pos: usize,
-) -> Result<Vec<Perm>, EmbedError> {
-    expand_with_salt(r4, faults, spare_pos, 0)
-}
-
-/// [`expand`] with a seam-choice `salt`: rotates every seam's candidate
-/// list, yielding a different (still valid) set of entry/exit 3-vertices.
-/// The mixed vertex+edge embedder retries with different salts when a
-/// forced seam edge happens to be faulty.
-pub fn expand_with_salt(
-    r4: &SuperRing,
-    faults: &FaultSet,
-    spare_pos: usize,
-    salt: usize,
-) -> Result<Vec<Perm>, EmbedError> {
-    expand_with_block_loss(r4, faults, spare_pos, salt, 2)
-}
-
-/// [`expand_with_salt`] with a configurable per-faulty-block vertex loss.
-///
-/// The paper's construction loses exactly **2** vertices per faulty block
-/// (Lemma 4). Passing `faulty_block_loss = 4` reproduces the coarser
-/// Tseng-style traversal (drop the fault plus a 3-vertex's worth of slack),
-/// which is what the `n! - 4|F_v|` prior bound models — used by the
-/// baseline crate and the A1 ablation.
-///
-/// This is the hot entry point: it materializes the ring directly into
-/// one flat arena (no per-block buffers). [`expand_structured`] is the
-/// segment-returning sibling for callers that need the decomposition.
-pub fn expand_with_block_loss(
     r4: &SuperRing,
     faults: &FaultSet,
     spare_pos: usize,
     salt: usize,
     faulty_block_loss: usize,
 ) -> Result<Vec<Perm>, EmbedError> {
+    let (_, ring) = fill(r4, faults, spare_pos, salt, faulty_block_loss)?;
+    crate::invariants::debug_assert_ring(r4.n(), faults, &ring, "expand");
+    Ok(ring)
+}
+
+/// [`expand`]'s ring cut into per-block segments (their paths concatenate
+/// to exactly that ring), for the repair machinery.
+pub fn expand_structured(
+    r4: &SuperRing,
+    faults: &FaultSet,
+    spare_pos: usize,
+    salt: usize,
+    faulty_block_loss: usize,
+) -> Result<Vec<BlockSegment>, EmbedError> {
+    let (plans, ring) = fill(r4, faults, spare_pos, salt, faulty_block_loss)?;
+    let mut rest = ring.as_slice();
+    let segments: Vec<BlockSegment> = plans
+        .iter()
+        .map(|plan| {
+            let (path, tail) = rest.split_at(plan.path_len(faulty_block_loss));
+            rest = tail;
+            BlockSegment {
+                block: plan.block,
+                entry: path[0],
+                exit: path[path.len() - 1],
+                path: path.to_vec(),
+            }
+        })
+        .collect();
+    crate::invariants::debug_assert_segments(r4.n(), faults, &segments, "expand");
+    Ok(segments)
+}
+
+/// The seam plan and the filled ring, trying both starting vertices.
+fn fill(
+    r4: &SuperRing,
+    faults: &FaultSet,
+    spare_pos: usize,
+    salt: usize,
+    faulty_block_loss: usize,
+) -> Result<(Vec<BlockPlan>, Vec<Perm>), EmbedError> {
     debug_assert_eq!(r4.r(), 4);
     debug_assert!(faulty_block_loss >= 2 && faulty_block_loss.is_multiple_of(2));
     let plans = plan_blocks(r4, faults, spare_pos, salt)?;
@@ -153,59 +162,9 @@ pub fn expand_with_block_loss(
         let Some(ring) = fill_ring(&plans, faults, &endpoints, faulty_block_loss) else {
             continue;
         };
-        let healthy = plans.iter().filter(|p| p.fault_count == 0).count();
+        let healthy = plans.iter().filter(|p| p.census.count == 0).count();
         record_block_counters(healthy as u64, (plans.len() - healthy) as u64, attempt);
-        // Debug builds cross-check the flat arena against the segment
-        // path (same endpoints, same oracle), then run the full segment
-        // invariants — so any drift between the two representations, or
-        // any geometry violation, fails loudly in tests.
-        #[cfg(debug_assertions)]
-        {
-            let segments = make_segments(&plans, faults, &endpoints, faulty_block_loss)
-                .expect("segment path must succeed where the flat fill did");
-            let concat: Vec<Perm> = segments.iter().flat_map(|s| s.path.clone()).collect();
-            debug_assert_eq!(ring, concat, "flat arena drifted from segment path");
-            if faulty_block_loss == 2 {
-                crate::invariants::debug_assert_segments(r4.n(), faults, &segments, "expand");
-            }
-        }
-        return Ok(ring);
-    }
-    Err(EmbedError::ExpansionFailed { block: 0 })
-}
-
-/// The structured variant: returns the ring as per-block segments (the
-/// concatenation of the segment paths is exactly the ring
-/// [`expand_with_block_loss`] returns — both share the endpoint plan and
-/// per-block fill).
-pub fn expand_structured(
-    r4: &SuperRing,
-    faults: &FaultSet,
-    spare_pos: usize,
-    salt: usize,
-    faulty_block_loss: usize,
-) -> Result<Vec<BlockSegment>, EmbedError> {
-    debug_assert_eq!(r4.r(), 4);
-    debug_assert!(faulty_block_loss >= 2 && faulty_block_loss.is_multiple_of(2));
-    let plans = plan_blocks(r4, faults, spare_pos, salt)?;
-    for (attempt, x0) in entry_candidates(&plans).into_iter().enumerate() {
-        let Some(endpoints) = plan_endpoints(&plans, faults, &x0) else {
-            continue;
-        };
-        let Some(segments) = make_segments(&plans, faults, &endpoints, faulty_block_loss) else {
-            continue;
-        };
-        let healthy = segments
-            .iter()
-            .filter(|s| s.path.len() == oracle::HEALTHY_BLOCK_VERTICES)
-            .count();
-        record_block_counters(healthy as u64, (segments.len() - healthy) as u64, attempt);
-        if faulty_block_loss == 2 {
-            // The paper's regime produces a full ring; the coarser
-            // block-loss ablations intentionally skip extra vertices.
-            crate::invariants::debug_assert_segments(r4.n(), faults, &segments, "expand");
-        }
-        return Ok(segments);
+        return Ok((plans, ring));
     }
     Err(EmbedError::ExpansionFailed { block: 0 })
 }
@@ -265,15 +224,12 @@ fn plan_blocks(
     let r4_rotated = rotate_to_healthy_start(r4, faults);
     let r4 = &r4_rotated;
     let len = r4.len();
-    let any_edge_faults = faults.edge_fault_count() > 0;
     // Geometry per block.
     let mut cross_dif = vec![0usize; len];
     let mut cross_symbol = vec![0u8; len]; // A_{i+1}'s symbol at dif(A_i,A_{i+1})
     let mut blocked_prev = vec![0u8; len];
     let mut blocked_next = vec![0u8; len];
-    let mut block_fault: Vec<Option<Perm>> = vec![None; len];
-    let mut block_fault_count = vec![0usize; len];
-    let mut block_edge_faulty = vec![false; len];
+    let mut census = vec![BlockCensus::default(); len];
     for i in 0..len {
         let cur = r4.get(i);
         let next = r4.get_wrapped(i + 1);
@@ -284,23 +240,10 @@ fn plan_blocks(
         let dp = prev.dif(cur).expect("ring adjacency");
         blocked_prev[i] = prev.fixed_symbol(dp).expect("pinned at dif");
         blocked_next[i] = cross_symbol[i];
-        // Per-block fault census without the per-block Vec the old
-        // `vertex_faults_in` call allocated: the global lists are tiny
-        // (≤ n-3 vertices), so a linear scan per block is cheaper.
-        for f in faults.vertices() {
-            if cur.contains(f) {
-                if block_fault[i].is_none() {
-                    block_fault[i] = Some(*f);
-                }
-                block_fault_count[i] += 1;
-            }
-        }
-        debug_assert!(block_fault_count[i] <= 1, "(P1)");
-        block_edge_faulty[i] = any_edge_faults
-            && faults
-                .edges()
-                .iter()
-                .any(|e| cur.contains(e.lo()) && cur.contains(e.hi()));
+        // The block's fault census, taken once: the global lists are tiny
+        // (≤ n-3 entries), so a linear scan per block is cheap.
+        census[i] = BlockCensus::of(cur, faults);
+        debug_assert!(census[i].count <= 1, "(P1)");
         // (P2) manifests here: the prev-blocked and next-blocked 3-vertices
         // differ, leaving two both-connected ones.
         debug_assert_ne!(blocked_prev[i], blocked_next[i], "(P2)");
@@ -330,7 +273,7 @@ fn plan_blocks(
         }
         (opts, m)
     };
-    let fault_spare_sym = |i: usize| -> Option<u8> { block_fault[i].map(|f| f.get(spare_pos)) };
+    let fault_spare_sym = |i: usize| -> Option<u8> { census[i].first.map(|f| f.get(spare_pos)) };
     let sv_ok = |i: usize, w_in: u8, w_out: u8| -> bool {
         match fault_spare_sym(i) {
             Some(fsym) => {
@@ -403,9 +346,7 @@ fn plan_blocks(
             exit: cur.sub(spare_pos, w_out).expect("seam symbol free"),
             cross_symbol: cross_symbol[i],
             cross_dif: cross_dif[i],
-            fault_count: block_fault_count[i],
-            fault: block_fault[i],
-            edge_faulty: block_edge_faulty[i],
+            census: census[i],
         });
     }
     Ok(plans)
@@ -544,62 +485,14 @@ fn plan_endpoints(plans: &[BlockPlan], faults: &FaultSet, x0: &Perm) -> Option<V
     Some(endpoints)
 }
 
-/// Phase 2, shared per-block fill: writes the block's oracle path over
-/// `out` (whose length is the plan's `path_len`). The healthy/one-fault
-/// Lemma-4 regime reads local ranks straight from the canonical table and
-/// lifts them through the [`BlockCtx`]; out-of-invariant blocks (multiple
-/// faults, internal edge faults, coarser loss) fall back to the uncached
-/// oracle searches and copy. Returns `false` when no path exists.
-fn fill_block(
-    plan: &BlockPlan,
-    faults: &FaultSet,
-    x: &Perm,
-    y: &Perm,
-    faulty_block_loss: usize,
-    out: &mut [Perm],
-) -> bool {
-    if !plan.edge_faulty && faulty_block_loss == 2 && plan.fault_count <= 1 {
-        let ctx = BlockCtx::new(&plan.block);
-        let entry = ctx.local_rank(x);
-        let exit = ctx.local_rank(y);
-        let fault = plan.fault.as_ref().map(|f| ctx.local_rank(f));
-        let Some(ranks) = oracle::query_local(entry, exit, fault) else {
-            return false;
-        };
-        debug_assert_eq!(ranks.len(), out.len());
-        for (slot, &r) in out.iter_mut().zip(ranks) {
-            *slot = ctx.lift_rank(r);
-        }
-        true
-    } else {
-        let target = out.len();
-        let path = if plan.edge_faulty {
-            // Edge faults inside the block (mixed extension): uncached
-            // exact search avoiding them; edge faults cost no vertices.
-            oracle::block_path_avoiding_edges(&plan.block, x, y, faults, target)
-        } else if faulty_block_loss == 2 {
-            oracle::block_path(&plan.block, x, y, faults)
-        } else {
-            oracle::block_path_with_target(&plan.block, x, y, faults, target)
-        };
-        match path {
-            Some(p) if p.len() == out.len() => {
-                out.copy_from_slice(&p);
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
 /// Minimum blocks allotted per worker before the expansion fans out under
 /// the auto thread policy (a 2048-block ring — `n >= 9` — is the first to
 /// parallelize, matching where the per-thread overhead amortizes).
 const MIN_BLOCKS_PER_WORKER: usize = 256;
 
-/// Materializes the ring as one flat arena: CSR offsets from the plans'
-/// fixed path lengths, then every block fills its own disjoint slice —
-/// serially inline, or in contiguous whole-block chunks over the
+/// Phase 2: materializes the ring as one flat arena: CSR offsets from the
+/// plans' fixed path lengths, then every block fills its own disjoint
+/// slice — serially inline, or in contiguous whole-block chunks over the
 /// `star-pool` when [`star_pool::workers_for`] grants more than one
 /// worker. Byte-identical output for every worker count.
 fn fill_ring(
@@ -622,7 +515,8 @@ fn fill_ring(
 
     let fill_one = |i: usize, out: &mut [Perm]| -> bool {
         let (x, y) = &endpoints[i];
-        fill_block(&plans[i], faults, x, y, faulty_block_loss, out)
+        let plan = &plans[i];
+        oracle::fill_path(&BlockCtx::new(&plan.block), &plan.census, faults, x, y, out)
     };
 
     let workers = star_pool::workers_for(len, MIN_BLOCKS_PER_WORKER);
@@ -654,34 +548,6 @@ fn fill_ring(
     ok.then_some(ring)
 }
 
-/// Segment-returning phase 2 (the repair path's representation): same
-/// endpoints, same per-block [`fill_block`], one owned path per block.
-/// Fans out over the pool like the flat fill.
-fn make_segments(
-    plans: &[BlockPlan],
-    faults: &FaultSet,
-    endpoints: &[(Perm, Perm)],
-    faulty_block_loss: usize,
-) -> Option<Vec<BlockSegment>> {
-    let len = plans.len();
-    let make_segment = |i: usize| -> Option<BlockSegment> {
-        let plan = &plans[i];
-        let (x, y) = &endpoints[i];
-        let mut path = vec![*x; plan.path_len(faulty_block_loss)];
-        if !fill_block(plan, faults, x, y, faulty_block_loss, &mut path) {
-            return None;
-        }
-        Some(BlockSegment {
-            block: plan.block,
-            entry: *x,
-            exit: *y,
-            path,
-        })
-    };
-    let workers = star_pool::workers_for(len, MIN_BLOCKS_PER_WORKER);
-    star_pool::try_map_indexed(len, workers, make_segment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,9 +566,9 @@ mod tests {
         };
         let faults = FaultSet::empty(6);
         star_pool::set_threads(1);
-        let serial = expand(&r4, &faults, 1).unwrap();
+        let serial = expand(&r4, &faults, 1, 0, 2).unwrap();
         star_pool::set_threads(4);
-        let parallel = expand(&r4, &faults, 1).unwrap();
+        let parallel = expand(&r4, &faults, 1, 0, 2).unwrap();
         star_pool::set_threads(0);
         assert_eq!(serial, parallel, "worker count must not change the ring");
     }
@@ -767,7 +633,7 @@ mod tests {
         let f = Perm::from_digits(5, 21345);
         let faults = FaultSet::from_vertices(5, [f]).unwrap();
         let r4 = k5_r4(&[5, 1, 2, 3, 4]);
-        let flat = expand_with_block_loss(&r4, &faults, 1, 0, 2).unwrap();
+        let flat = expand(&r4, &faults, 1, 0, 2).unwrap();
         let segments = expand_structured(&r4, &faults, 1, 0, 2).unwrap();
         let concat: Vec<Perm> = segments.iter().flat_map(|s| s.path.clone()).collect();
         assert_eq!(flat, concat);
@@ -782,7 +648,7 @@ mod tests {
     fn fault_free_s5_hamiltonian() {
         let r4 = k5_r4(&[1, 2, 3, 4, 5]);
         let faults = FaultSet::empty(5);
-        let ring = expand(&r4, &faults, 1).unwrap();
+        let ring = expand(&r4, &faults, 1, 0, 2).unwrap();
         assert_eq!(ring.len(), 120);
         crate::embed_impl::verify_ring(&crate::EmbeddedRing::new(5, ring), &faults).unwrap();
     }
@@ -793,7 +659,7 @@ mod tests {
         let faults = FaultSet::from_vertices(5, [f]).unwrap();
         // Fault lives in the block pinned to 5 at position 4.
         let r4 = k5_r4(&[5, 1, 2, 3, 4]);
-        let ring = expand(&r4, &faults, 1).unwrap();
+        let ring = expand(&r4, &faults, 1, 0, 2).unwrap();
         assert_eq!(ring.len(), 118);
         crate::embed_impl::verify_ring(&crate::EmbeddedRing::new(5, ring), &faults).unwrap();
     }
@@ -805,7 +671,7 @@ mod tests {
         let f2 = Perm::from_digits(5, 24153); // block with symbol 3 at pos 4
         let faults = FaultSet::from_vertices(5, [f1, f2]).unwrap();
         let r4 = k5_r4(&[1, 2, 3, 4, 5]);
-        let ring = expand(&r4, &faults, 1).unwrap();
+        let ring = expand(&r4, &faults, 1, 0, 2).unwrap();
         assert_eq!(ring.len(), 116);
         assert!(!ring.contains(&f1));
         assert!(!ring.contains(&f2));

@@ -20,7 +20,8 @@
 //! 3. [`oracle`] — Lemma 4 as a verified computation: all 4-vertices are
 //!    isomorphic to `S_4`, so block path queries are canonicalized and
 //!    answered from a dense lock-free memo table (lazily filled, or
-//!    precomputed wholesale with [`oracle::warm`]).
+//!    precomputed wholesale with [`oracle::warm`]); queries outside the
+//!    paper's regime run one exact search on the block.
 //! 4. [`expand`] — Lemma 7: pick entry/exit 3-vertices per block (Lemmas 1,
 //!    5, 6 fix the geometry), then splice per-block Hamiltonian (healthy,
 //!    24 vertices) or Lemma-4 (faulty, 22 vertices) paths into the final

@@ -7,23 +7,25 @@
 //!
 //! Implementation: the vertex-fault pipeline already ignores edge faults at
 //! the super-ring level (they do not affect (P1)-(P3)); the expansion is
-//! edge-aware (block paths avoid in-block faulty edges, seam crossings
-//! check edge health). Because the vertex walk is parity-forced, a faulty
-//! seam edge can require a different seam assignment; we retry over
-//! starting vertices, seam salts, spare positions and (for `n = 5`)
-//! partition positions and block orders — each retry is a fully
-//! independent valid configuration. If every configuration is
-//! exhausted (not observed in practice within the budget; the theory says a
-//! ring exists), the embedder degrades gracefully by *promoting* an edge
-//! fault to a vertex fault on one endpoint (total fault count is unchanged,
-//! so the budget still holds) and recursing; each promotion costs exactly
-//! 2 ring vertices and the achieved length is reported honestly in the
-//! returned ring.
+//! edge-aware (a block holding a faulty edge takes the oracle's exact
+//! search on `S_4` minus that edge, and seam crossings check edge health),
+//! and so is the `n = 4` search. Because the vertex walk is parity-forced,
+//! a faulty seam edge can require a different seam assignment, so this
+//! module runs Theorem 1's own construction dispatch once per (spare
+//! position, seam salt) pair — the expander also tries both starting
+//! vertices, and for `n = 5` the salt varies the partition position and
+//! block order. Each retry is a fully independent valid configuration. If
+//! every configuration is exhausted (not observed in practice within the
+//! budget; the theory says a ring exists), the embedder degrades
+//! gracefully by *promoting* an edge fault to a vertex fault on one
+//! endpoint (total fault count is unchanged, so the budget still holds)
+//! and recursing; each promotion costs exactly 2 ring vertices and the
+//! achieved length is reported honestly in the returned ring.
 
 use star_fault::FaultSet;
 use star_perm::factorial;
 
-use crate::{expand, hierarchy, positions, small_n, EmbedError, EmbeddedRing};
+use crate::{EmbedError, EmbeddedRing};
 
 /// Embeds a healthy ring into `S_n` under mixed faults
 /// (`|F_v| + |F_e| <= n-3`). The target length is `n! - 2|F_v|`; see the
@@ -82,26 +84,13 @@ pub fn embed_with_mixed_faults(n: usize, faults: &FaultSet) -> Result<EmbeddedRi
     }
 }
 
-/// One full attempt sweep over (spare position, salt, start vertex)
-/// configurations at the target length `n! - 2|F_v|`.
+/// One full attempt sweep over (spare position, salt) configurations of
+/// the shared construction, at the target length `n! - 2|F_v|`.
 fn try_embed_mixed(n: usize, faults: &FaultSet) -> Option<EmbeddedRing> {
     let expected = factorial(n) - 2 * faults.vertex_fault_count() as u64;
-    let build = |spare_index: usize, salt: usize| -> Option<Vec<star_perm::Perm>> {
-        match n {
-            3 => small_n::embed_n3(faults).ok(),
-            4 => embed_n4_mixed(faults),
-            5 => small_n::embed_n5_with(faults, spare_index, salt).ok(),
-            _ => {
-                let plan = positions::select_positions(n, faults).ok()?;
-                let r4 = hierarchy::build_r4(n, faults, &plan).ok()?;
-                let spare = plan.spare[spare_index % plan.spare.len()];
-                expand::expand_with_salt(&r4, faults, spare, salt).ok()
-            }
-        }
-    };
     for spare_index in 0..3 {
         for salt in 0..16 {
-            if let Some(vertices) = build(spare_index, salt) {
+            if let Ok(vertices) = crate::embed_impl::construct(n, faults, spare_index, salt) {
                 let ring = EmbeddedRing::new(n, vertices);
                 if ring.len() as u64 == expected
                     && crate::embed_impl::verify_ring(&ring, faults).is_ok()
@@ -118,42 +107,6 @@ fn try_embed_mixed(n: usize, faults: &FaultSet) -> Option<EmbeddedRing> {
         }
     }
     None
-}
-
-/// `n = 4` with mixed faults: exact search on the 24-vertex graph minus
-/// faulty vertices and edges.
-fn embed_n4_mixed(faults: &FaultSet) -> Option<Vec<star_perm::Perm>> {
-    use star_graph::smallgraph::SmallGraph;
-    use star_perm::Perm;
-    let base = SmallGraph::from_star(4);
-    let mut g = SmallGraph::new(24);
-    for u in 0..24u16 {
-        let pu = Perm::unrank(4, u as u32).unwrap();
-        for &v in base.neighbors(u) {
-            if v <= u {
-                continue;
-            }
-            let pv = Perm::unrank(4, v as u32).unwrap();
-            if !faults.is_edge_faulty(&pu, &pv) {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    let mut blocked = vec![false; 24];
-    for f in faults.vertices() {
-        blocked[f.rank() as usize] = true;
-    }
-    let (cycle, _) = g.longest_cycle(&blocked, u64::MAX);
-    let expected = 24 - 2 * faults.vertex_fault_count();
-    if cycle.len() != expected {
-        return None;
-    }
-    Some(
-        cycle
-            .into_iter()
-            .map(|id| Perm::unrank(4, id as u32).unwrap())
-            .collect(),
-    )
 }
 
 #[cfg(test)]

@@ -14,6 +14,19 @@
 //! holds for **all** opposite-parity healthy pairs, which gives the
 //! assembler slack.
 //!
+//! ## One block path: table or search
+//!
+//! Every block-path query — the expander's per-block fill, a repair, the
+//! public [`block_path`] — goes through one rule. A block with `k` vertex
+//! faults reads the memo table below iff `k <= 1`, no faulty edge lies
+//! inside it, and the target is `24 - 2k`. Anything else (a second fault
+//! in one block, a faulty edge, the loss-4 baseline's 20-vertex target)
+//! runs one uncached exact search on the block's local `S_4`, with the
+//! faulty vertices blocked and the in-block faulty edges removed. The
+//! expander hands in each block's fault census from its seam plan, and
+//! the search is kept out of line, so the table branch stays a few table
+//! reads per block.
+//!
 //! ## Dense lock-free memo table
 //!
 //! The canonical query space is tiny and fixed: `24` entries × `24` exits
@@ -43,6 +56,8 @@ use star_fault::FaultSet;
 use star_graph::smallgraph::SmallGraph;
 use star_graph::Pattern;
 use star_perm::Perm;
+
+use crate::blockctx::BlockCtx;
 
 /// Vertices of a healthy block traversal: `4! = 24`.
 pub const HEALTHY_BLOCK_VERTICES: usize = 24;
@@ -287,149 +302,143 @@ fn state() -> &'static OracleTable {
     STATE.get_or_init(OracleTable::new)
 }
 
-/// Raw canonical-table read on the global oracle: the Lemma-4 path from
-/// local rank `entry` to `exit` avoiding `fault`, as **local `S_4`
-/// ranks**. This is the flat-arena expansion's hot entry point — callers
-/// that hold a [`crate::blockctx::BlockCtx`] lift the ranks themselves
-/// and skip the per-vertex `Pattern::from_local` conversions that
-/// [`block_path`] performs. Counts as a hit/miss like any other query.
-#[inline]
-pub fn query_local(entry: u8, exit: u8, fault: Option<u8>) -> Option<&'static [u8]> {
-    state().query(entry, exit, fault)
+/// A block's fault census: the facts the table-or-search rule reads.
+/// The expander computes it once per block in its seam plan.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BlockCensus {
+    /// Vertex faults inside the block (0 or 1 under (P1)).
+    pub(crate) count: usize,
+    /// The first of them: the block's only fault under (P1).
+    pub(crate) first: Option<Perm>,
+    /// Whether a faulty edge lies inside the block (mixed faults).
+    pub(crate) edge_faulty: bool,
 }
 
-/// The required traversal size for a block with `fault_count` faults.
-pub fn block_target_vertices(fault_count: usize) -> usize {
-    HEALTHY_BLOCK_VERTICES - 2 * fault_count
+impl BlockCensus {
+    /// Scans the (short) fault lists for members of `block`; allocates
+    /// only for a block that holds a faulty edge.
+    pub(crate) fn of(block: &Pattern, faults: &FaultSet) -> Self {
+        let mut census = BlockCensus::default();
+        for f in faults.vertices() {
+            if block.contains(f) {
+                census.first.get_or_insert(*f);
+                census.count += 1;
+            }
+        }
+        census.edge_faulty = !faults.edge_faults_within(block).is_empty();
+        census
+    }
 }
 
-/// Finds a healthy path through `block` (an embedded `S_4`) from `entry` to
-/// `exit` covering `24 - 2·k` vertices, where `k` is the number of vertex
-/// faults inside the block (0 or 1 under the paper's invariants; larger `k`
-/// falls back to an uncached exact search).
+/// Lemma 4 on one block: a path through `block` (an embedded `S_4`) from
+/// `entry` to `exit` over exactly `target` vertices, avoiding the vertex
+/// faults inside the block and the faulty edges between its members.
 ///
-/// Returns `None` if no such path exists (e.g. same-parity endpoints).
+/// The paper's target is `24 - 2k` for a block with `k` vertex faults.
+/// Such queries with `k <= 1` and no faulty edge in the block read the
+/// memo table; every other query runs the exact search (the rule in the
+/// [module docs](self)). Returns `None` when no such path exists, when an
+/// endpoint lies outside the block, when `block` is not a 4-vertex, when
+/// `faults` has another dimension, or when `target` is outside `1..=24`;
+/// it does not allocate for the invalid inputs.
 pub fn block_path(
     block: &Pattern,
     entry: &Perm,
     exit: &Perm,
     faults: &FaultSet,
+    target: usize,
 ) -> Option<Vec<Perm>> {
-    debug_assert_eq!(block.r(), 4, "blocks are 4-vertices");
-    debug_assert!(block.contains(entry) && block.contains(exit));
-    let local_entry = block.to_local(entry).rank() as u8;
-    let local_exit = block.to_local(exit).rank() as u8;
-    let block_faults = faults.vertex_faults_in(block);
-    let from_local = |rank: u8| block.from_local(&Perm::unrank(4, rank as u32).expect("rank < 24"));
-    match block_faults.len() {
-        0 => Some(
-            state()
-                .query(local_entry, local_exit, None)?
-                .iter()
-                .map(|&r| from_local(r))
-                .collect(),
-        ),
-        1 => {
-            let f = block.to_local(&block_faults[0]).rank() as u8;
-            Some(
-                state()
-                    .query(local_entry, local_exit, Some(f))?
-                    .iter()
-                    .map(|&r| from_local(r))
-                    .collect(),
-            )
-        }
-        k => {
-            // Outside the paper's invariant; exact uncached search.
-            let mut blocked = vec![false; 24];
-            for f in &block_faults {
-                blocked[block.to_local(f).rank() as usize] = true;
-            }
-            let (found, _) = state().graph.path_with_exact_count(
-                local_entry as u16,
-                local_exit as u16,
-                &blocked,
-                block_target_vertices(k),
-                u64::MAX,
-            );
-            Some(found?.into_iter().map(|x| from_local(x as u8)).collect())
-        }
+    if !(1..=HEALTHY_BLOCK_VERTICES).contains(&target)
+        || block.r() != 4
+        || faults.n() != block.n()
+        || !block.contains(entry)
+        || !block.contains(exit)
+    {
+        return None;
     }
+    let ctx = BlockCtx::new(block);
+    let census = BlockCensus::of(block, faults);
+    let mut path = vec![*entry; target];
+    fill_path(&ctx, &census, faults, entry, exit, &mut path).then_some(path)
 }
 
-/// Like [`block_path`], but with an explicit target vertex count (uncached;
-/// used by the Tseng-style baseline that drops 4 vertices per faulty
-/// block).
-pub fn block_path_with_target(
-    block: &Pattern,
-    entry: &Perm,
-    exit: &Perm,
+/// The one Lemma-4 fill, where the module's table-or-search rule is
+/// decided: writes the `out.len()`-vertex path from `x` to `y` through
+/// `ctx`'s block over `out`, lifting local ranks straight into the
+/// caller's slice. `x` and `y` must be members of the block. Returns
+/// `false` when no such path exists.
+#[inline]
+pub(crate) fn fill_path(
+    ctx: &BlockCtx,
+    census: &BlockCensus,
     faults: &FaultSet,
-    target_vertices: usize,
-) -> Option<Vec<Perm>> {
-    debug_assert_eq!(block.r(), 4);
-    let mut blocked = vec![false; 24];
-    for f in faults.vertex_faults_in(block) {
-        blocked[block.to_local(&f).rank() as usize] = true;
+    x: &Perm,
+    y: &Perm,
+    out: &mut [Perm],
+) -> bool {
+    let (entry, exit) = (ctx.local_rank(x), ctx.local_rank(y));
+    let searched;
+    let ranks = if census.count <= 1
+        && !census.edge_faulty
+        && out.len() == HEALTHY_BLOCK_VERTICES - 2 * census.count
+    {
+        state().query(entry, exit, census.first.map(|f| ctx.local_rank(&f)))
+    } else {
+        searched = search(ctx, faults, entry, exit, out.len());
+        searched.as_deref()
+    };
+    let Some(ranks) = ranks.filter(|ranks| ranks.len() == out.len()) else {
+        return false;
+    };
+    for (slot, &r) in out.iter_mut().zip(ranks) {
+        *slot = ctx.lift_rank(r);
     }
-    let (found, _) = state().graph.path_with_exact_count(
-        block.to_local(entry).rank() as u16,
-        block.to_local(exit).rank() as u16,
+    true
+}
+
+/// The exact search behind every query off the table: more than one
+/// vertex fault, a faulty edge inside the block, or a target other than
+/// `24 - 2k`. Uncached, and kept out of line so that it does not weigh
+/// on the table branch of the per-block fill.
+#[cold]
+#[inline(never)]
+fn search(
+    ctx: &BlockCtx,
+    faults: &FaultSet,
+    entry: u8,
+    exit: u8,
+    target: usize,
+) -> Option<Vec<u8>> {
+    let mut blocked = [false; HEALTHY_BLOCK_VERTICES];
+    for f in faults.vertex_faults_in(ctx.block()) {
+        blocked[ctx.local_rank(&f) as usize] = true;
+    }
+    let (found, _) = local_s4(ctx, faults).path_with_exact_count(
+        u16::from(entry),
+        u16::from(exit),
         &blocked,
-        target_vertices,
+        target,
         u64::MAX,
     );
-    Some(
-        found?
-            .into_iter()
-            .map(|rank| block.from_local(&Perm::unrank(4, rank as u32).expect("rank < 24")))
-            .collect(),
-    )
+    Some(found?.into_iter().map(|r| r as u8).collect())
 }
 
-/// Like [`block_path`], but additionally avoiding faulty edges inside the
-/// block (used by the mixed vertex+edge extension). Uncached: edge-fault
-/// blocks are rare.
-pub fn block_path_avoiding_edges(
-    block: &Pattern,
-    entry: &Perm,
-    exit: &Perm,
-    faults: &FaultSet,
-    target_vertices: usize,
-) -> Option<Vec<Perm>> {
-    debug_assert_eq!(block.r(), 4);
-    // Rebuild the local graph minus faulty edges (reusing the cached base).
+/// `S_4` in the local ranks of `ctx`'s block, minus the faulty edges
+/// between its members. With no such edge this is the canonical graph,
+/// adjacency order included, so an exact search returns the same path on
+/// either.
+pub(crate) fn local_s4(ctx: &BlockCtx, faults: &FaultSet) -> SmallGraph {
     let base = &state().graph;
-    let mut g = SmallGraph::new(24);
-    for u in 0..24u16 {
-        let pu = block.from_local(&Perm::unrank(4, u as u32).unwrap());
+    let mut g = SmallGraph::new(HEALTHY_BLOCK_VERTICES);
+    for u in 0..HEALTHY_BLOCK_VERTICES as u16 {
+        let pu = ctx.lift_rank(u as u8);
         for &v in base.neighbors(u) {
-            if v <= u {
-                continue;
-            }
-            let pv = block.from_local(&Perm::unrank(4, v as u32).unwrap());
-            if !faults.is_edge_faulty(&pu, &pv) {
+            if v > u && !faults.is_edge_faulty(&pu, &ctx.lift_rank(v as u8)) {
                 g.add_edge(u, v);
             }
         }
     }
-    let mut blocked = vec![false; 24];
-    for f in faults.vertex_faults_in(block) {
-        blocked[block.to_local(&f).rank() as usize] = true;
-    }
-    let (found, _) = g.path_with_exact_count(
-        block.to_local(entry).rank() as u16,
-        block.to_local(exit).rank() as u16,
-        &blocked,
-        target_vertices,
-        u64::MAX,
-    );
-    Some(
-        found?
-            .into_iter()
-            .map(|rank| block.from_local(&Perm::unrank(4, rank as u32).expect("rank < 24")))
-            .collect(),
-    )
+    g
 }
 
 #[cfg(test)]
@@ -451,7 +460,7 @@ mod tests {
             .find(|v| v.parity() != u.parity())
             .copied()
             .unwrap();
-        let path = block_path(&block, &u, &v, &FaultSet::empty(6)).unwrap();
+        let path = block_path(&block, &u, &v, &FaultSet::empty(6), 24).unwrap();
         assert_eq!(path.len(), 24);
         assert_eq!(path[0], u);
         assert_eq!(path[23], v);
@@ -474,7 +483,7 @@ mod tests {
             .find(|v| v.parity() == u.parity())
             .copied()
             .unwrap();
-        assert!(block_path(&block, &u, &v, &FaultSet::empty(6)).is_none());
+        assert!(block_path(&block, &u, &v, &FaultSet::empty(6), 24).is_none());
     }
 
     #[test]
@@ -496,7 +505,7 @@ mod tests {
                     if v == f || v.parity() == u.parity() {
                         continue;
                     }
-                    let path = block_path(&block, &u, &v, &faults)
+                    let path = block_path(&block, &u, &v, &faults, 22)
                         .unwrap_or_else(|| panic!("no 22-path for u={u} v={v} f={f}"));
                     assert_eq!(path.len(), 22);
                     assert!(!path.contains(&f));
@@ -519,22 +528,59 @@ mod tests {
         let same = Perm::from_digits(4, 2314); // even, like the identity
         assert_eq!(u.parity(), Parity::Even);
         assert_eq!(same.parity(), Parity::Even);
-        assert!(block_path(&block, &u, &same, &faults).is_none());
+        assert!(block_path(&block, &u, &same, &faults, 22).is_none());
     }
 
     #[test]
-    fn edge_avoiding_variant() {
+    fn faulty_edges_inside_the_block_are_dodged() {
         let block = Pattern::full(4);
         let u = Perm::identity(4);
         let v = u.star_move(2);
         // Fault the direct edge u-v; a Hamiltonian path must dodge it.
         let e = star_graph::Edge::new(u, v).unwrap();
         let faults = FaultSet::from_edges(4, [e]).unwrap();
-        let path = block_path_avoiding_edges(&block, &u, &v, &faults, 24).unwrap();
+        let path = block_path(&block, &u, &v, &faults, 24).unwrap();
         assert_eq!(path.len(), 24);
         for w in path.windows(2) {
             assert!(w[0].is_adjacent(&w[1]));
             assert!(!faults.is_edge_faulty(&w[0], &w[1]));
+        }
+    }
+
+    #[test]
+    fn off_table_queries_run_the_exact_search() {
+        let block = block_in_s6();
+        let members: Vec<Perm> = block.vertices().collect();
+        let (u, v) = (members[0], members[1]);
+        assert_ne!(u.parity(), v.parity());
+        // Two faults in one block (beyond the paper's budget): 20 vertices.
+        let two = FaultSet::from_vertices(6, [members[5], members[9]]).unwrap();
+        let path = block_path(&block, &u, &v, &two, 20).unwrap();
+        assert_eq!(path.len(), 20);
+        assert!(!path.contains(&members[5]) && !path.contains(&members[9]));
+        // A healthy block at the table's target reads the table; any other
+        // target searches, and the table's answer is the search's.
+        let none = FaultSet::empty(6);
+        let table = block_path(&block, &u, &v, &none, 24).unwrap();
+        let ctx = BlockCtx::new(&block);
+        let searched = search(&ctx, &none, ctx.local_rank(&u), ctx.local_rank(&v), 24).unwrap();
+        let lifted: Vec<Perm> = searched.iter().map(|&r| ctx.lift_rank(r)).collect();
+        assert_eq!(table, lifted);
+        let short = block_path(&block, &u, &v, &none, 12).unwrap();
+        assert_eq!((short.len(), short[0], short[11]), (12, u, v));
+        for w in short.windows(2) {
+            assert!(w[0].is_adjacent(&w[1]));
+        }
+    }
+
+    #[test]
+    fn local_s4_without_faulty_edges_is_the_canonical_graph() {
+        let canonical = SmallGraph::from_star(4);
+        for block in [Pattern::full(4), block_in_s6()] {
+            let g = local_s4(&BlockCtx::new(&block), &FaultSet::empty(block.n()));
+            for u in 0..24u16 {
+                assert_eq!(g.neighbors(u), canonical.neighbors(u), "{block} vertex {u}");
+            }
         }
     }
 

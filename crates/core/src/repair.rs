@@ -2,13 +2,17 @@
 //!
 //! The global construction is O(n!); but a *new* fault usually damages
 //! only one 4-vertex of the stored block structure. [`MaintainedRing`]
-//! keeps the [`expand::BlockSegment`] decomposition alive and, when a
-//! processor dies:
+//! keeps the [`expand::BlockSegment`] decomposition alive — owned
+//! per-block paths that [`expand::expand_structured`] cuts from the
+//! expander's one ring — and, when a processor dies:
 //!
 //! 1. if the dead vertex is strictly inside one block's segment (not its
 //!    entry or exit), it recomputes **only that block's path** with the
-//!    same endpoints — a 24-vertex oracle query, microseconds, and every
-//!    other segment (and therefore almost the entire ring) is untouched;
+//!    same endpoints — one [`oracle::block_path`] call for `24 - 2k`
+//!    vertices (a table read within the paper's regime, the exact search
+//!    for a second fault in the block or a faulty edge inside it),
+//!    microseconds, and every other segment (and therefore almost the
+//!    entire ring) is untouched;
 //! 2. otherwise (the fault hits a seam vertex, or the local query cannot
 //!    reach the target length) it falls back to a global re-embed.
 //!
@@ -185,33 +189,11 @@ impl MaintainedRing {
             // Local repair: endpoints must survive and the block must
             // still admit a path of the required length.
             if v != seg.entry && v != seg.exit {
-                let block_faults = self.faults.count_vertex_faults_in(&home);
-                let target = oracle::HEALTHY_BLOCK_VERTICES - 2 * block_faults;
-                let repaired = if !self.faults.edge_faults_within(&home).is_empty() {
-                    // The block carries faulty edges (mixed extension):
-                    // the replacement path must dodge them too.
-                    oracle::block_path_avoiding_edges(
-                        &home,
-                        &seg.entry,
-                        &seg.exit,
-                        &self.faults,
-                        target,
-                    )
-                } else if block_faults <= 1 {
-                    // The paper's regime: answered from the dense memo
-                    // table, lock-free once warm.
-                    oracle::block_path(&home, &seg.entry, &seg.exit, &self.faults)
-                } else {
-                    // Beyond-budget pile-up in one block: exact search.
-                    oracle::block_path_with_target(
-                        &home,
-                        &seg.entry,
-                        &seg.exit,
-                        &self.faults,
-                        target,
-                    )
-                };
-                if let Some(path) = repaired {
+                let target =
+                    oracle::HEALTHY_BLOCK_VERTICES - 2 * self.faults.count_vertex_faults_in(&home);
+                if let Some(path) =
+                    oracle::block_path(&home, &seg.entry, &seg.exit, &self.faults, target)
+                {
                     self.segments[idx].path = path;
                     crate::invariants::debug_assert_segments(
                         self.n,

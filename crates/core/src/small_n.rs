@@ -3,8 +3,8 @@
 //! * `n = 3`: `S_3` *is* a 6-cycle; with the budget `n-3 = 0` there are no
 //!   faults and the ring is the graph itself.
 //! * `n = 4`: at most one fault; Lemma 4's regime. We answer by exact
-//!   search on the 24-vertex graph (and the exhaustive tests confirm the
-//!   result is always `4! - 2|F_v|`).
+//!   search on the 24-vertex graph minus any faulty edges (and the
+//!   exhaustive tests confirm the result is always `4! - 2|F_v|`).
 //! * `n = 5`: at most two faults. Per Theorem 1's proof: one `a_1`-partition
 //!   splits the faults into different 4-vertices (Lemma 2), the five
 //!   4-vertices form a `K_5` whose cyclic order is chosen with the faulty
@@ -13,12 +13,12 @@
 
 use star_fault::FaultSet;
 use star_graph::partition::i_partition;
-use star_graph::smallgraph::SmallGraph;
 use star_graph::{Pattern, SuperRing};
 use star_perm::Perm;
 
+use crate::blockctx::BlockCtx;
 use crate::positions::select_positions;
-use crate::{expand, EmbedError};
+use crate::{expand, oracle, EmbedError};
 
 /// `n = 3`: the 6-cycle (no fault budget).
 pub fn embed_n3(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
@@ -32,11 +32,11 @@ pub fn embed_n3(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
     Ok(ring)
 }
 
-/// `n = 4`: exact search on `S_4` for the longest healthy cycle
-/// (`24 - 2|F_v|`, `|F_v| <= 1`).
+/// `n = 4`: exact search on `S_4` minus its faulty edges for the longest
+/// healthy cycle (`24 - 2|F_v|`, `|F_v| <= 1`; edge faults cost nothing).
 pub fn embed_n4(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
     debug_assert!(faults.vertex_fault_count() <= 1);
-    let g = SmallGraph::from_star(4);
+    let g = oracle::local_s4(&BlockCtx::new(&Pattern::full(4)), faults);
     let mut blocked = vec![false; 24];
     for f in faults.vertices() {
         blocked[f.rank() as usize] = true;
@@ -123,7 +123,7 @@ pub fn embed_n5_with(
     // (recomputed here because the salt may have overridden a1).
     let spares: Vec<usize> = (1..5).filter(|&p| p != a1).collect();
     let spare = spares[spare_index % spares.len()];
-    expand::expand_with_salt(&r4, faults, spare, salt)
+    expand::expand(&r4, faults, spare, salt, 2)
 }
 
 #[cfg(test)]

@@ -32,8 +32,6 @@
 //! - [`smallgraph`] — exhaustive path/cycle search on explicitly
 //!   materialized small graphs (the 24-vertex `S_4` blocks, and exhaustive
 //!   optimality checks).
-//! - [`automorphism`] — the Cayley symmetries (vertex/edge transitivity)
-//!   the construction exploits, as first-class maps.
 //! - [`export`] — Graphviz DOT writers for small graphs and ring overlays.
 
 mod bipartite;
@@ -45,7 +43,6 @@ mod pattern;
 mod properties;
 mod ring;
 
-pub mod automorphism;
 pub mod bfs;
 pub mod export;
 pub mod fault_routing;

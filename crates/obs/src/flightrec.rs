@@ -484,10 +484,21 @@ mod tests {
 
     // All tests share the process-global ring; they tag their events with
     // unique names and filter, so concurrent unit tests cannot confuse
-    // them.
+    // them. Every test that touches the ring also holds `global_recorder`,
+    // so no test's `disable()` or `drain()` lands inside another's
+    // record-then-drain window.
+
+    /// Serializes the tests that touch the process-global recorder.
+    /// Poison-tolerant: one failing test must not fail the others.
+    fn global_recorder() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn record_and_drain_preserves_order() {
+        let _recorder = global_recorder();
         enable_with_capacity(DEFAULT_CAPACITY);
         for i in 0..5u64 {
             record("test.frec", format!("frec.order.{i}"), &[("i", i.into())]);
@@ -505,6 +516,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_drops_events() {
+        let _recorder = global_recorder();
         // `record` while disabled must not buffer anything.
         disable();
         record("test.frec", "frec.dropped", &[]);
@@ -514,6 +526,7 @@ mod tests {
 
     #[test]
     fn ring_capacity_evicts_oldest() {
+        let _recorder = global_recorder();
         enable_with_capacity(DEFAULT_CAPACITY);
         let cap = recorder().slots.len();
         for i in 0..(cap + 10) {
@@ -529,6 +542,7 @@ mod tests {
 
     #[test]
     fn events_carry_the_open_span_phase() {
+        let _recorder = global_recorder();
         enable_with_capacity(DEFAULT_CAPACITY);
         {
             let _sp = crate::span("frec.phase.outer");
@@ -573,6 +587,7 @@ mod tests {
 
     #[test]
     fn events_inherit_the_thread_trace_id() {
+        let _recorder = global_recorder();
         enable_with_capacity(DEFAULT_CAPACITY);
         {
             let _t = crate::trace::with_trace(0xfeed);
@@ -592,6 +607,7 @@ mod tests {
 
     #[test]
     fn dump_writes_header_and_events() {
+        let _recorder = global_recorder();
         enable_with_capacity(DEFAULT_CAPACITY);
         record("test.frec", "frec.dump.a", &[]);
         record("test.frec", "frec.dump.b", &[("x", 3u64.into())]);
@@ -609,6 +625,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_does_not_lose_the_newest() {
+        let _recorder = global_recorder();
         enable_with_capacity(DEFAULT_CAPACITY);
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 500;
@@ -637,6 +654,7 @@ mod tests {
 
     #[test]
     fn counter_deltas_aggregate_without_losing_total() {
+        let _recorder = global_recorder();
         enable_with_capacity(DEFAULT_CAPACITY);
         let ctr = crate::counter("frec.agg.total");
         // One full flush window plus a remainder that only
@@ -668,6 +686,7 @@ mod tests {
 
     #[test]
     fn pending_table_evicts_least_active_counter() {
+        let _recorder = global_recorder();
         enable_with_capacity(DEFAULT_CAPACITY);
         // More distinct counters than PENDING_SLOTS: insertions past the
         // table size must flush-evict rather than drop deltas.

@@ -230,6 +230,14 @@ mod tests {
                 }
             }
         }
+        // Vertex transitivity: the left translation by b∘a⁻¹ maps a to b.
+        let (a, b) = (Perm::from_digits(n, 35214), Perm::from_digits(n, 51423));
+        let witness = Aut::new(b.compose(&a.inverse()), Perm::identity(n)).unwrap();
+        assert_eq!(witness.apply(&a), b);
+        for d in 1..n {
+            let step = witness.apply(&a.star_move(d));
+            assert_eq!(b.edge_dimension_to(&step), Some(witness.map_dimension(d)));
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //!
 //! Every parallel run records three `star-obs` counters: `pool.jobs`
 //! (parallel invocations), `pool.workers` (scoped threads spawned) and
-//! `pool.items` (work items processed — map items for the map entry
-//! points, output slots for [`try_fill_chunks`]), so sweep throughput and
+//! `pool.items` (work items processed — inputs for [`sweep`], output
+//! slots for [`try_fill_chunks`]), so sweep throughput and
 //! worker fan-out are visible in any metrics snapshot. Serial fallbacks
 //! record nothing: `pool.workers > 0` after a run is the definitive
 //! "the pool actually engaged" signal the perf baseline asserts on.
@@ -180,61 +180,6 @@ where
     out
 }
 
-/// Computes `f(0..len)` on `workers` threads, preserving index order, and
-/// returns `None` as soon as any item fails (a cooperative abort flag
-/// stops the remaining workers early). `workers <= 1` runs inline with no
-/// thread or metric overhead — callers pick the count via
-/// [`workers_for`]. Each worker owns one contiguous index range, so
-/// per-worker memory access stays sequential.
-pub fn try_map_indexed<R, F>(len: usize, workers: usize, f: F) -> Option<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize) -> Option<R> + Sync,
-{
-    if workers <= 1 || len < 2 {
-        return (0..len).map(f).collect();
-    }
-    let workers = workers.min(len);
-    record_run(workers, len);
-    let abort = AtomicBool::new(false);
-    let cuts = chunk_cuts(len, workers);
-    let results: Vec<Option<Vec<R>>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                let abort = &abort;
-                let (lo, hi) = (cuts[w], cuts[w + 1]);
-                scope.spawn(move |_| {
-                    let mut chunk = Vec::with_capacity(hi - lo);
-                    for i in lo..hi {
-                        if abort.load(Ordering::Relaxed) {
-                            return None;
-                        }
-                        match f(i) {
-                            Some(r) => chunk.push(r),
-                            None => {
-                                abort.store(true, Ordering::Relaxed);
-                                return None;
-                            }
-                        }
-                    }
-                    Some(chunk)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
-            .collect()
-    })
-    .expect("pool scope failed");
-    let mut out = Vec::with_capacity(len);
-    for chunk in results {
-        out.extend(chunk?);
-    }
-    Some(out)
-}
-
 /// Per-chunk context handed to [`try_fill_chunks`] closures.
 pub struct ChunkCtx<'a> {
     /// Chunk index (position in the `cuts` array).
@@ -374,27 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn try_map_preserves_order_across_worker_counts() {
-        for workers in [1usize, 2, 4, 7] {
-            let out = try_map_indexed(53, workers, |i| Some(i * 3)).unwrap();
-            assert_eq!(out.len(), 53);
-            for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, i * 3, "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn try_map_aborts_on_failure_in_any_mode() {
-        for workers in [1usize, 4] {
-            assert!(try_map_indexed(40, workers, |i| (i != 17).then_some(i)).is_none());
-        }
-        // Failure at the very first and very last index.
-        assert!(try_map_indexed(40, 4, |i| (i != 0).then_some(i)).is_none());
-        assert!(try_map_indexed(40, 4, |i| (i != 39).then_some(i)).is_none());
-    }
-
-    #[test]
     fn workers_for_honors_override_and_batching() {
         // Auto: small inputs stay serial, large ones batch.
         set_threads(0);
@@ -500,11 +424,10 @@ mod tests {
         let jobs0 = star_obs::counter("pool.jobs").get();
         let workers0 = star_obs::counter("pool.workers").get();
         let items0 = star_obs::counter("pool.items").get();
-        let _ = try_map_indexed(64, 3, Some);
         let mut out = vec![0u8; 64];
         assert!(try_fill_chunks(&mut out, &chunk_cuts(64, 3), |_, _| true));
-        assert!(star_obs::counter("pool.jobs").get() >= jobs0 + 2);
-        assert!(star_obs::counter("pool.workers").get() >= workers0 + 6);
-        assert!(star_obs::counter("pool.items").get() >= items0 + 128);
+        assert!(star_obs::counter("pool.jobs").get() > jobs0);
+        assert!(star_obs::counter("pool.workers").get() >= workers0 + 3);
+        assert!(star_obs::counter("pool.items").get() >= items0 + 64);
     }
 }

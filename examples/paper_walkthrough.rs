@@ -88,7 +88,8 @@ fn main() {
         .iter()
         .find(|m| **m != fault && m.parity() != u.parity())
         .unwrap();
-    let path = oracle::block_path(&faulty_block, &u, &v, &faults).unwrap();
+    let target = oracle::FAULTY_BLOCK_VERTICES;
+    let path = oracle::block_path(&faulty_block, &u, &v, &faults, target).unwrap();
     println!("  block {faulty_block}, fault {fault}");
     println!(
         "  path {u} -> {v}: {} of 24 vertices (skips the fault and one parity partner)",

@@ -32,7 +32,11 @@ use star_rings::verify::certificate::ring_checksum;
 type Row = (&'static str, usize, u64);
 
 fn fingerprint(label: String, ring: &[Perm]) -> (String, usize, u64) {
-    (label, ring.len(), ring_checksum(ring.iter().map(Perm::rank)))
+    (
+        label,
+        ring.len(),
+        ring_checksum(ring.iter().map(Perm::rank)),
+    )
 }
 
 /// Fails with every row that is missing, extra or different.
@@ -44,7 +48,9 @@ fn assert_rows(actual: &[(String, usize, u64)], expected: &[Row]) {
             Some(&(_, l, s)) => diff.push(format!(
                 "  {label}: pinned ({l}, {s:#018x}), got ({len}, {sum:#018x})"
             )),
-            None => diff.push(format!("  (\"{label}\", {len}, {sum:#018x}),  <- not pinned")),
+            None => diff.push(format!(
+                "  (\"{label}\", {len}, {sum:#018x}),  <- not pinned"
+            )),
         }
     }
     for (label, ..) in expected {
@@ -201,7 +207,10 @@ fn repair_sequences_match_the_pinned_fingerprints() {
         let edge = Edge::new(probe[10], probe[11]).unwrap();
         let faults = FaultSet::from_edges(n, [edge]).unwrap();
         let mut mr = MaintainedRing::new(n, &faults).unwrap();
-        actual.push(fingerprint(format!("repair/n{n}/edge/new"), mr.ring().vertices()));
+        actual.push(fingerprint(
+            format!("repair/n{n}/edge/new"),
+            mr.ring().vertices(),
+        ));
         for step in 0..3 {
             let victim = mr.ring().vertices()[6 + 4 * step];
             let outcome = mr.fail(victim);
@@ -212,6 +221,7 @@ fn repair_sequences_match_the_pinned_fingerprints() {
     assert_rows(&actual, REPAIR);
 }
 
+#[rustfmt::skip]
 const EMBED: &[Row] = &[
     ("embed/n4/fv0/none/spare0/salt0", 24, 0xd156fdc65dab3365),
     ("embed/n4/fv0/none/spare1/salt3", 24, 0xd156fdc65dab3365),
@@ -311,6 +321,7 @@ const EMBED: &[Row] = &[
     ("embed/n8/fv5/clustered/spare2/salt5", 40310, 0x532a1164ba910e55),
 ];
 
+#[rustfmt::skip]
 const EMBED_N9: &[Row] = &[
     ("embed/n9/fv0/none/spare0/salt0", 362880, 0xf5626068870633f5),
     ("embed/n9/fv0/none/spare1/salt3", 362880, 0x540bbb20f153d945),
@@ -335,6 +346,7 @@ const EMBED_N9: &[Row] = &[
     ("embed/n9/fv6/clustered/spare2/salt5", 362868, 0x098162119a92f8d9),
 ];
 
+#[rustfmt::skip]
 const MIXED: &[Row] = &[
     ("mixed/n4/fv0/fe1/seed1", 24, 0x91abb3257fb86265),
     ("mixed/n4/fv0/fe1/seed2", 24, 0x91abb3257fb86265),
@@ -378,6 +390,7 @@ const MIXED: &[Row] = &[
     ("mixed/n8/fv5/fe0/seed2", 40310, 0x5c4fa0c3a108ddd4),
 ];
 
+#[rustfmt::skip]
 const TSENG: &[Row] = &[
     ("tseng/n6/fv1/random", 716, 0xf1d88751a7a8823a),
     ("tseng/n6/fv1/worst", 716, 0xf1d88751a7a8823a),
@@ -399,6 +412,7 @@ const TSENG: &[Row] = &[
     ("tseng/n8/fv5/clustered", 40300, 0x6f2fce7f7579c8ca),
 ];
 
+#[rustfmt::skip]
 const REPAIR: &[Row] = &[
     ("repair/n6/step0/Ok(Local { block: 10 })", 718, 0xd058f834d5892b13),
     ("repair/n6/step1/Ok(Global)", 716, 0x93fb422305017b8a),
