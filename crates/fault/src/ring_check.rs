@@ -3,12 +3,15 @@
 //! Every path that accepts a ring — the embedder's self-verify,
 //! `star_verify::check_ring`, the v2 stream client, the oracle store's
 //! audit and the server's `--verify` mode — folds it through this check,
-//! one packed vertex at a time. Each push costs one O(n) Lehmer rank,
-//! one probe of an `n!`-bit seen set, one XOR adjacency test and one
-//! checksum round; nothing grows with the ring.
+//! one packed vertex at a time. Each push costs one rank, one probe of an
+//! `n!`-bit seen set, one step check and one checksum round; nothing
+//! grows with the ring. The rank is O(1) for a step that stays inside an
+//! `S_4` block of the ring's own partition ([`star_perm::block`]) and
+//! one O(n) Lehmer rank otherwise.
 
 use core::fmt;
 
+use star_perm::block::{BlockFrame, BlockRank};
 use star_perm::delta::RingDelta;
 use star_perm::packed::PackedPerm;
 use star_perm::{factorial, Perm, MAX_N};
@@ -151,8 +154,9 @@ pub struct RingSummary {
 /// it — adjacency to the previous vertex, edge faults — so the first
 /// defect in ring order is the one reported. [`RingCheck::finish`]
 /// closes the ring. The state is an `n!`-bit seen set (44 KiB at
-/// `n = 9`, 57 MiB at `n = 12`), the first and last vertex and the
-/// running checksum. Once a push fails the check is spent.
+/// `n = 9`, 57 MiB at `n = 12`), the first and last vertex, the running
+/// checksum and a few hundred bytes of rank tables. Once a push fails
+/// the check is spent.
 ///
 /// # Examples
 ///
@@ -178,10 +182,98 @@ pub struct RingCheck {
     fault_ranks: Vec<u32>,
     /// Sorted `(lo, hi)` rank pairs of the edge faults.
     edge_faults: Vec<(u32, u32)>,
-    first: Option<(PackedPerm, u32)>,
-    last: Option<(PackedPerm, u32)>,
+    /// The first and the last vertex with their ranks; meaningful once
+    /// `len > 0`.
+    first: (PackedPerm, u32),
+    last: (PackedPerm, u32),
     len: u64,
     checksum: u64,
+    ranker: Ranker,
+}
+
+/// Steps counted before the block partition is fixed.
+const LEARN_STEPS: u8 = 64;
+
+/// Where each step's rank comes from. The first [`LEARN_STEPS`] steps
+/// take [`PackedPerm::rank`] and count their dimensions; then the free
+/// positions are fixed as 0 plus the three most frequent dimensions
+/// (ties to the lower one). From there a step along a free position
+/// stays in its block and, once its run has taken two such steps, reads
+/// its rank off the block's tables; any other step takes
+/// [`PackedPerm::rank`] and ends the block. Every rank is exact under
+/// any frame: the frame only decides how many take the table path.
+struct Ranker {
+    /// Steps still to count before the frame is fixed; 0 once it is, and
+    /// from the start for `n < 4`, which has no blocks.
+    learn_left: u8,
+    counts: [u8; 16],
+    frame: Option<BlockFrame>,
+    /// In-block steps since the last step that left a block, up to 3.
+    run: u8,
+    /// The current block's tables; valid while `run == 3`.
+    block: BlockRank,
+}
+
+impl Ranker {
+    fn new(n: usize) -> Ranker {
+        Ranker {
+            learn_left: if n >= 4 { LEARN_STEPS } else { 0 },
+            counts: [0; 16],
+            frame: None,
+            run: 0,
+            block: BlockRank::default(),
+        }
+    }
+
+    /// The rank of `v`, reached by a star move along `d` from `prev`,
+    /// whose rank is `prev_rank`.
+    #[inline(always)]
+    fn next(&mut self, prev: &PackedPerm, prev_rank: u32, v: &PackedPerm, d: usize) -> u32 {
+        let Some(frame) = &self.frame else {
+            if self.learn_left > 0 {
+                self.learn(v.n(), d);
+            }
+            return v.rank() as u32;
+        };
+        let k = frame.slot(d);
+        if k == 0 {
+            self.run = 0;
+            return v.rank() as u32;
+        }
+        if self.run < 2 {
+            self.run += 1;
+            return v.rank() as u32;
+        }
+        if self.run == 2 {
+            self.run = 3;
+            self.block = frame.enter(prev);
+        }
+        let rank = self.block.step(frame, prev_rank, k);
+        debug_assert_eq!(rank as u64, v.rank(), "in-block rank of {v}");
+        rank
+    }
+
+    /// Counts one step; the last counted step fixes the frame.
+    #[cold]
+    fn learn(&mut self, n: usize, d: usize) {
+        self.counts[d] += 1;
+        self.learn_left -= 1;
+        if self.learn_left == 0 {
+            let mut dims = [0usize; 3];
+            for k in 0..3 {
+                dims[k] = (1..n)
+                    .filter(|d| !dims[..k].contains(d))
+                    .fold(0, |best, d| {
+                        if best == 0 || self.counts[d] > self.counts[best] {
+                            d
+                        } else {
+                            best
+                        }
+                    });
+            }
+            self.frame = Some(BlockFrame::new(n, dims));
+        }
+    }
 }
 
 impl RingCheck {
@@ -210,15 +302,17 @@ impl RingCheck {
             .map(|e| ordered(e.lo().rank(), e.hi().rank()))
             .collect();
         edge_faults.sort_unstable();
+        let none = (PackedPerm::from_perm(&Perm::identity(n)), 0);
         Ok(RingCheck {
             n,
             seen,
             fault_ranks,
             edge_faults,
-            first: None,
-            last: None,
+            first: none,
+            last: none,
             len: 0,
             checksum: CHECKSUM_BASIS,
+            ranker: Ranker::new(n),
         })
     }
 
@@ -230,20 +324,20 @@ impl RingCheck {
         if v.n() != self.n {
             return Err(RingError::WrongDimension { index });
         }
-        let rank = v.rank() as u32;
-        let (word, bit) = (rank as usize / 64, 1u64 << (rank % 64));
-        if self.seen[word] & bit != 0 {
-            return Err(self.fault_or_repeat(index, v, rank));
+        if index == 0 {
+            let rank = v.rank() as u32;
+            self.visit(index, v, rank)?;
+            self.first = (v, rank);
+            self.record(v, rank);
+            return Ok(());
         }
-        self.seen[word] |= bit;
-        match self.last {
-            Some((prev, prev_rank)) => self.check_step(index - 1, prev, prev_rank, v, rank)?,
-            None => self.first = Some((v, rank)),
+        match self.last.0.edge_dimension_to(&v) {
+            Some(d) => self.step(v, d),
+            None => {
+                self.visit(index, v, v.rank() as u32)?;
+                Err(RingError::NotAdjacent { index: index - 1 })
+            }
         }
-        self.last = Some((v, rank));
-        self.checksum = fold_checksum(self.checksum, rank);
-        self.len += 1;
-        Ok(())
     }
 
     /// Pushes every vertex of `vertices` in order.
@@ -256,9 +350,23 @@ impl RingCheck {
     }
 
     /// Pushes every vertex a delta encodes, walking it without decoding.
-    /// Steps inside the delta are checked like any other.
+    /// The step into the delta's start is checked like any push; each
+    /// step inside it is a star move along a dimension the delta
+    /// validated at construction, so it is checked by its range.
     pub fn push_delta(&mut self, delta: &RingDelta) -> Result<(), RingError> {
-        self.push_all(delta.walk())
+        let mut v = delta.start();
+        self.push(v)?;
+        for i in 0..delta.len() as usize - 1 {
+            let d = delta.dim_at(i);
+            if !(1..self.n).contains(&d) {
+                return Err(RingError::NotAdjacent {
+                    index: self.len as usize - 1,
+                });
+            }
+            v = v.star_move(d);
+            self.step(v, d)?;
+        }
+        Ok(())
     }
 
     /// Vertices pushed so far.
@@ -276,14 +384,17 @@ impl RingCheck {
     /// Closes the ring: at least 3 vertices, and a healthy edge from the
     /// last vertex back to the first.
     pub fn finish(&self) -> Result<RingSummary, RingError> {
-        let (Some((first, first_rank)), Some((last, last_rank)), true) =
-            (self.first, self.last, self.len >= 3)
-        else {
+        if self.len < 3 {
             return Err(RingError::TooShort {
                 len: self.len as usize,
             });
-        };
-        self.check_step(self.len as usize - 1, last, last_rank, first, first_rank)?;
+        }
+        let ((first, first_rank), (last, last_rank)) = (self.first, self.last);
+        let index = self.len as usize - 1;
+        if !last.is_adjacent(&first) {
+            return Err(RingError::NotAdjacent { index });
+        }
+        self.check_edge(index, last_rank, first_rank)?;
         let guarantee = factorial(self.n).checked_sub(2 * self.fault_ranks.len() as u64);
         Ok(RingSummary {
             ring_len: self.len,
@@ -292,28 +403,55 @@ impl RingCheck {
         })
     }
 
-    /// The step `a -> b`, whose first vertex sits at ring position `index`.
-    #[inline]
-    fn check_step(
-        &self,
-        index: usize,
-        a: PackedPerm,
-        a_rank: u32,
-        b: PackedPerm,
-        b_rank: u32,
-    ) -> Result<(), RingError> {
-        if !a.is_adjacent(&b) {
-            return Err(RingError::NotAdjacent { index });
+    /// The vertex `v`, one star move along `d` from the last vertex, and
+    /// the step into it.
+    #[inline(always)]
+    fn step(&mut self, v: PackedPerm, d: usize) -> Result<(), RingError> {
+        let index = self.len as usize;
+        let (prev, prev_rank) = self.last;
+        let rank = self.ranker.next(&prev, prev_rank, &v, d);
+        self.visit(index, v, rank)?;
+        self.check_edge(index - 1, prev_rank, rank)?;
+        self.record(v, rank);
+        Ok(())
+    }
+
+    /// Marks rank `rank` seen, or reports why it already was.
+    #[inline(always)]
+    fn visit(&mut self, index: usize, v: PackedPerm, rank: u32) -> Result<(), RingError> {
+        let (word, bit) = (rank as usize / 64, 1u64 << (rank % 64));
+        if self.seen[word] & bit != 0 {
+            return Err(self.fault_or_repeat(index, v, rank));
         }
-        if !self.edge_faults.is_empty()
-            && self
-                .edge_faults
-                .binary_search(&ordered(a_rank, b_rank))
-                .is_ok()
-        {
+        self.seen[word] |= bit;
+        Ok(())
+    }
+
+    /// The edge between ranks `a` and `b`, whose first vertex sits at
+    /// ring position `index`, must not be faulty.
+    #[inline(always)]
+    fn check_edge(&self, index: usize, a: u32, b: u32) -> Result<(), RingError> {
+        if !self.edge_faults.is_empty() && self.edge_faults.binary_search(&ordered(a, b)).is_ok() {
             return Err(RingError::FaultyEdge { index });
         }
         Ok(())
+    }
+
+    /// Appends a checked vertex.
+    #[inline(always)]
+    fn record(&mut self, v: PackedPerm, rank: u32) {
+        self.last = (v, rank);
+        self.checksum = fold_checksum(self.checksum, rank);
+        self.len += 1;
+    }
+
+    /// Fixes the block frame to free positions 0 and `dims` from the
+    /// first step on, instead of inferring it.
+    #[cfg(test)]
+    fn with_frame(mut self, dims: [usize; 3]) -> RingCheck {
+        self.ranker.frame = Some(BlockFrame::new(self.n, dims));
+        self.ranker.learn_left = 0;
+        self
     }
 
     /// Classifies a vertex whose seen bit was already set.
@@ -438,6 +576,61 @@ mod tests {
             c.push(six_ring()[0]),
             Err(RingError::WrongDimension { index: 0 })
         );
+    }
+
+    /// A long cycle of `S_6` from the small-graph search, as packed
+    /// vertices.
+    fn s6_cycle() -> Vec<PackedPerm> {
+        let g = star_graph::smallgraph::SmallGraph::from_star(6);
+        let (cycle, _) = g.longest_cycle(&[false; 720], 20_000);
+        cycle
+            .iter()
+            .map(|&id| PackedPerm::from_perm(&Perm::unrank(6, id as u32).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn every_block_frame_gives_the_same_summary_and_errors() {
+        let ring = s6_cycle();
+        assert!(ring.len() > 2 * LEARN_STEPS as usize, "{}", ring.len());
+        let faults = FaultSet::empty(6);
+        let inferred = check(6, &ring, &faults).unwrap();
+        let lehmer = ring
+            .iter()
+            .map(|v| v.rank() as u32)
+            .fold(CHECKSUM_BASIS, fold_checksum);
+        assert_eq!(inferred.checksum, lehmer);
+        // A repeat and a fault past the learning window.
+        let at = ring.len() - 20;
+        let mut repeated = ring.clone();
+        repeated[at] = ring[at - 2];
+        let faulty = FaultSet::from_vertices(6, [ring[at].to_perm()]).unwrap();
+        let mut frames = 0;
+        for a in 1..6 {
+            for b in a + 1..6 {
+                for c in b + 1..6 {
+                    let run = |ring: &[PackedPerm], faults: &FaultSet| {
+                        let mut check = RingCheck::new(6, faults).unwrap().with_frame([a, b, c]);
+                        check.push_all(ring.iter().copied())?;
+                        check.finish()
+                    };
+                    assert_eq!(run(&ring, &faults), Ok(inferred), "frame {a},{b},{c}");
+                    assert_eq!(
+                        run(&repeated, &faults),
+                        Err(RingError::RepeatedVertex {
+                            index: at,
+                            vertex: ring[at - 2].to_perm()
+                        })
+                    );
+                    assert!(matches!(
+                        run(&ring, &faulty),
+                        Err(RingError::FaultyVertex { index, .. }) if index == at
+                    ));
+                    frames += 1;
+                }
+            }
+        }
+        assert_eq!(frames, 10);
     }
 
     #[test]

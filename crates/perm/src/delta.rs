@@ -92,11 +92,20 @@ impl RingDelta {
                 steps.div_ceil(2)
             ));
         }
-        for i in 0..steps {
+        // A byte at a time: both steps of every full byte, then the last
+        // step of an odd count.
+        let ok = |d: u8| d.wrapping_sub(1) < n as u8 - 1;
+        let bad_byte = dims[..steps / 2]
+            .iter()
+            .position(|&b| !(ok(b & 0xF) & ok(b >> 4)));
+        let bad_step = match bad_byte {
+            Some(j) => Some(2 * j + usize::from(ok(dims[j] & 0xF))),
+            None if steps % 2 == 1 && !ok(dims[steps / 2] & 0xF) => Some(steps - 1),
+            None => None,
+        };
+        if let Some(i) = bad_step {
             let d = unpack_dim(&dims, i);
-            if d == 0 || d as usize >= n {
-                return Err(format!("step {i} has invalid dimension {d} for n={n}"));
-            }
+            return Err(format!("step {i} has invalid dimension {d} for n={n}"));
         }
         if steps % 2 == 1 && dims[steps / 2] >> 4 != 0 {
             return Err("nonzero padding nibble".to_string());
@@ -163,21 +172,20 @@ impl RingDelta {
 
     /// The image of this delta under a star-graph automorphism, without
     /// expanding: automorphisms relabel edge *dimensions* by a fixed
-    /// table ([`Aut::map_dimension`]), so the step stream maps
-    /// nibble-by-nibble and only the start vertex needs a permutation
-    /// composition. This is how a canonical-frame cached ring becomes a
-    /// literal-frame stream in O(len) bit work and O(len/2) bytes.
+    /// table ([`Aut::map_dimension`]), so the step stream maps a byte
+    /// (two steps) at a time through a 256-entry table and only the start
+    /// vertex needs a permutation composition. This is how a
+    /// canonical-frame cached ring becomes a literal-frame stream in
+    /// O(len/2) table reads and bytes.
     pub fn map_through(&self, aut: &Aut) -> RingDelta {
         let n = self.n();
-        let mut table = [0u8; 16];
-        for (d, slot) in table.iter_mut().enumerate().take(n).skip(1) {
+        // Nibble 0 is the padding of an odd step count and maps to 0.
+        let mut nibble = [0u8; 16];
+        for (d, slot) in nibble.iter_mut().enumerate().take(n).skip(1) {
             *slot = aut.map_dimension(d) as u8;
         }
-        let steps = self.len as usize - 1;
-        let dims = pack_dims(
-            (0..steps).map(|i| table[unpack_dim(&self.dims, i) as usize]),
-            steps,
-        );
+        let byte: [u8; 256] = core::array::from_fn(|b| nibble[b & 0xF] | nibble[b >> 4] << 4);
+        let dims = self.dims.iter().map(|&b| byte[b as usize]).collect();
         let start = PackedPerm::from_perm(&aut.apply(&self.start().to_perm()));
         RingDelta {
             n: self.n,
@@ -190,13 +198,24 @@ impl RingDelta {
     /// A sub-segment of `count` vertices starting at ring position
     /// `from`, as its own self-contained delta. `start_at` must be the
     /// walker-computed vertex at `from` (the caller is walking anyway);
-    /// this is how a stream slices chunks off a cached ring.
+    /// this is how a stream slices chunks off a cached ring. From an
+    /// even `from` the steps are whole bytes of this delta's stream.
     pub fn segment(&self, from: u32, count: u32, start_at: PackedPerm) -> RingDelta {
         debug_assert!(count >= 1 && from + count <= self.len);
         debug_assert_eq!(start_at.n(), self.n());
         let steps = count as usize - 1;
         let base = from as usize;
-        let dims = pack_dims((0..steps).map(|i| unpack_dim(&self.dims, base + i)), steps);
+        let dims = if base % 2 == 1 {
+            pack_dims((0..steps).map(|i| unpack_dim(&self.dims, base + i)), steps)
+        } else {
+            let mut dims = self.dims[base / 2..(base + steps).div_ceil(2)].to_vec();
+            if steps % 2 == 1 {
+                // The last step's high nibble is the next step here but
+                // padding in the segment.
+                dims[steps / 2] &= 0xF;
+            }
+            dims
+        };
         RingDelta {
             n: self.n,
             len: count,
@@ -299,9 +318,26 @@ mod tests {
         assert!(RingDelta::encode(&ring).is_err());
         assert!(RingDelta::encode(&[]).is_err());
         let good = RingDelta::encode(&small_ring(6)).unwrap();
-        // Dimension 0 and out-of-range dimension both rejected.
-        assert!(RingDelta::from_parts(4, 6, good.start().bits(), vec![0x01, 0x21, 0x02]).is_err());
-        assert!(RingDelta::from_parts(4, 6, good.start().bits(), vec![0x21, 0x51, 0x02]).is_err());
+        // Dimension 0 and out-of-range dimensions are rejected, naming
+        // the first invalid step: in either nibble of a byte or as the
+        // odd last step.
+        let named = |dims: Vec<u8>| RingDelta::from_parts(4, 6, good.start().bits(), dims);
+        for (dims, want) in [
+            (
+                vec![0x01, 0x21, 0x02],
+                "step 1 has invalid dimension 0 for n=4",
+            ),
+            (
+                vec![0x21, 0x25, 0x02],
+                "step 2 has invalid dimension 5 for n=4",
+            ),
+            (
+                vec![0x21, 0x21, 0x04],
+                "step 4 has invalid dimension 4 for n=4",
+            ),
+        ] {
+            assert_eq!(named(dims), Err(want.to_string()));
+        }
         // Wrong dims length.
         assert!(RingDelta::from_parts(4, 6, good.start().bits(), vec![0x21]).is_err());
         // Nonzero padding nibble (5 steps: high nibble of byte 2 is pad).

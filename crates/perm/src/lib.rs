@@ -22,6 +22,9 @@
 //!   rank order.
 //! - [`packed::PackedPerm`] — the same permutation nibble-packed into one
 //!   `u64`, for register-resident hot loops (flat-arena ring expansion).
+//! - [`block::BlockFrame`] / [`block::BlockRank`] — exact Lehmer ranks
+//!   in O(1) per star move that stays inside an `S_4` block, for ring
+//!   checks that follow a ring step by step.
 //! - [`delta::RingDelta`] — a whole ring as a start vertex plus one star
 //!   dimension per step (~½ byte/vertex), the representation the oracle
 //!   store, the serve cache and the v2 wire share.
@@ -36,6 +39,7 @@ mod parity;
 mod perm;
 
 pub mod aut;
+pub mod block;
 pub mod cycles;
 pub mod delta;
 pub mod iter;

@@ -19,6 +19,9 @@
 //!   of [`chunk_stream`] at the default chunking, each parsed with
 //!   [`ChunkFrame::parse`] and fed to a [`StreamVerifier`], then
 //!   `finish`.
+//! - `verify/stream_mapped/nN` — the same client check on the ring as a
+//!   canonical hit serves it: mapped through a fixed automorphism, which
+//!   moves the free positions of its `S_4` blocks off `0..=3`.
 //! - `verify/check_ring/nN` — [`star_verify::check_ring`] on the
 //!   vertex list, the same `RingCheck` fold over unpacked vertices.
 //!
@@ -32,7 +35,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use star_bench::baseline::{Baseline, BaselineCase};
-use star_fault::gen;
+use star_fault::{gen, FaultSet};
+use star_perm::{factorial, Aut};
 use star_ring::embed_longest_ring;
 use star_serve::proto::{
     chunk_stream, ring_to_json, ChunkFrame, RingDelta, DEFAULT_CHUNK_VERTICES,
@@ -232,6 +236,33 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
             })
             .collect();
         cases.push(case(format!("verify/stream/n{n}"), n, "verify", wall));
+
+        // The last automorphism of Stab_1 relabels dimension d as n - d.
+        let aut = Aut::from_ranks(n, 0x5EED, factorial(n - 1) - 1);
+        let mapped_faults =
+            FaultSet::from_vertices(n, faults.vertices().iter().map(|f| aut.apply(f)))
+                .map_err(|e| e.to_string())?;
+        let mapped_frames: Vec<Vec<u8>> =
+            chunk_stream(&delta.map_through(&aut), 0, DEFAULT_CHUNK_VERTICES)?
+                .iter()
+                .map(ChunkFrame::encode)
+                .collect();
+        let wall: Vec<u64> = (0..samples)
+            .map(|_| {
+                let t0 = Instant::now();
+                let summary = verify_frames(n, ring.len() as u64, &mapped_faults, &mapped_frames)
+                    .expect("the mapped ring verifies");
+                let ns = t0.elapsed().as_nanos() as u64;
+                assert!(summary.at_guarantee);
+                ns
+            })
+            .collect();
+        cases.push(case(
+            format!("verify/stream_mapped/n{n}"),
+            n,
+            "verify",
+            wall,
+        ));
 
         let wall: Vec<u64> = (0..samples)
             .map(|_| {

@@ -21,6 +21,13 @@
 //! connection — so responses to pipelined requests may arrive out of
 //! order, correlated via the echoed `id`.
 //!
+//! A frame write that makes no progress for 5 s — a client that
+//! stopped reading while its socket buffers are full — fails: the
+//! connection is counted as `serve.reject.slow_reader` and shut down
+//! (a partial frame leaves the stream out of sync), its queued requests
+//! are dropped, and the worker moves on. A v2 client resumes by cursor
+//! on a new connection.
+//!
 //! ## Graceful shutdown
 //!
 //! SIGINT/SIGTERM set a process-global flag. The accept loop stops, the
@@ -30,7 +37,7 @@
 //! CLI then exits 0.
 
 use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -55,6 +62,41 @@ use crate::slo::{Outcome, SloConfig, Watchdog};
 /// Idle-poll period for connection reads and worker pops; bounds how
 /// long shutdown waits on a quiescent thread.
 const POLL: Duration = Duration::from_millis(100);
+
+/// How long a write to a client may make no progress before the
+/// connection is cut. A client that keeps reading never reaches it.
+const WRITE_STALL: Duration = Duration::from_secs(5);
+
+/// A connection's socket (write timeout [`POLL`]) as a frame writer:
+/// each `write` retries through the socket's timeouts until it moves a
+/// byte, and fails once no byte has moved for [`WRITE_STALL`].
+struct StallWriter<'a> {
+    stream: &'a mut TcpStream,
+    progress: Instant,
+}
+
+impl std::io::Write for StallWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.write(buf) {
+                Ok(k) => {
+                    self.progress = Instant::now();
+                    return Ok(k);
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) && self.progress.elapsed() < WRITE_STALL => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
 
 /// Server configuration (the CLI's `serve` flags).
 #[derive(Debug, Clone)]
@@ -167,6 +209,8 @@ fn install_signal_handlers() {}
 struct Conn {
     stream: Mutex<TcpStream>,
     peer: String,
+    /// Set once a stalled write cut the connection.
+    cut: AtomicBool,
 }
 
 impl Conn {
@@ -204,18 +248,39 @@ impl Conn {
                 fallback.to_string().into_bytes()
             }
         };
-        self.respond_raw(ctx, &body);
+        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
+        self.write(ctx, &mut stream, &body);
     }
 
-    /// Writes one already-encoded frame body (JSON or a binary v2
-    /// chunk). Write failures are counted, not propagated: the request
-    /// was still served.
-    fn respond_raw(&self, ctx: &Ctx, body: &[u8]) {
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        if write_frame(&mut *stream, body).is_err() {
+    /// Writes one already-encoded frame body (JSON or a binary v2 chunk)
+    /// to the locked stream; `false` when it failed. Failures are
+    /// counted, not propagated: the request was still served. A write
+    /// that stalled for [`WRITE_STALL`] cuts the connection.
+    fn write(&self, ctx: &Ctx, stream: &mut TcpStream, body: &[u8]) -> bool {
+        let mut writer = StallWriter {
+            stream,
+            progress: Instant::now(),
+        };
+        let Err(e) = write_frame(&mut writer, body) else {
+            return true;
+        };
+        if matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ) && !self.cut.swap(true, Ordering::Relaxed)
+        {
+            ctx.obs.reject_slow_reader.incr(1);
+            if star_obs::flightrec::enabled() {
+                star_obs::flightrec::record("serve.reject.slow_reader", self.peer.clone(), &[]);
+            }
+            // The frame is half written: nothing after it could be read
+            // in sync, so the connection ends here.
+            stream.shutdown(Shutdown::Both).ok();
+        } else {
             // The client went away; the request was still served.
             ctx.obs.write_errors.incr(1);
         }
+        false
     }
 }
 
@@ -239,6 +304,8 @@ struct ServeObs {
     verify_failed: star_obs::Counter,
     certificates: star_obs::Counter,
     write_errors: star_obs::Counter,
+    // Connections cut because a write made no progress for WRITE_STALL.
+    reject_slow_reader: star_obs::Counter,
     // Responses whose encoded body outgrew MAX_FRAME and were replaced
     // by the deterministic `response_too_large` error frame.
     reject_oversize: star_obs::Counter,
@@ -282,6 +349,7 @@ fn obs() -> &'static ServeObs {
         verify_failed: star_obs::counter("serve.verify_failed"),
         certificates: star_obs::counter("serve.certificates"),
         write_errors: star_obs::counter("serve.write_errors"),
+        reject_slow_reader: star_obs::counter("serve.reject.slow_reader"),
         reject_oversize: star_obs::counter("serve.reject.oversize_response"),
         v2_chunks: star_obs::counter("serve.v2.chunks"),
         v2_streams: star_obs::counter("serve.v2.streams"),
@@ -502,6 +570,7 @@ pub fn run(config: ServeConfig) -> Result<ServeSummary, String> {
 fn handle_conn(ctx: &Ctx, stream: TcpStream, peer: String) {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(POLL)).ok();
+    stream.set_write_timeout(Some(POLL)).ok();
     let mut reader = match stream.try_clone() {
         Ok(r) => r,
         Err(_) => return,
@@ -509,6 +578,7 @@ fn handle_conn(ctx: &Ctx, stream: TcpStream, peer: String) {
     let conn = Arc::new(Conn {
         stream: Mutex::new(stream),
         peer,
+        cut: AtomicBool::new(false),
     });
     loop {
         match read_frame(&mut reader) {
@@ -717,6 +787,10 @@ fn stats_response(ctx: &Ctx, id: Option<&str>) -> Json {
                 Json::from(ctx.obs.reject_oversize.get()),
             ),
             (
+                "rejected_slow_reader".to_string(),
+                Json::from(ctx.obs.reject_slow_reader.get()),
+            ),
+            (
                 "v2".to_string(),
                 Json::Obj(vec![
                     ("streams".to_string(), Json::from(ctx.obs.v2_streams.get())),
@@ -775,6 +849,10 @@ enum Reply {
 }
 
 fn handle_job(ctx: &Ctx, job: Job) {
+    if job.conn.cut.load(Ordering::Relaxed) {
+        // No one reads this connection any more.
+        return;
+    }
     // The request's trace id covers everything the worker does for it:
     // the embed span tree, flight-recorder events (deadline misses,
     // verify failures, counter flushes), and the SLO offender log all
@@ -889,14 +967,12 @@ fn handle_job(ctx: &Ctx, job: Job) {
             // carries the ring, only counts and a checksum.
             let mut stream = job.conn.stream.lock().unwrap_or_else(|e| e.into_inner());
             let header_body = header.to_string();
-            if write_frame(&mut *stream, header_body.as_bytes()).is_err() {
-                ctx.obs.write_errors.incr(1);
-            } else {
+            if job.conn.write(ctx, &mut stream, header_body.as_bytes()) {
                 for (seq, body) in chunks.iter().enumerate() {
-                    if write_frame(&mut *stream, body).is_err() {
-                        // The client went away mid-stream; it can
-                        // resume from its cursor on a new connection.
-                        ctx.obs.write_errors.incr(1);
+                    if !job.conn.write(ctx, &mut stream, body) {
+                        // The client went away or stopped reading
+                        // mid-stream; it can resume from its cursor on a
+                        // new connection.
                         break;
                     }
                     ctx.obs.v2_chunks.incr(1);

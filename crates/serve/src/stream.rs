@@ -29,7 +29,9 @@ use crate::proto::ChunkFrame;
 pub use star_fault::RingSummary as StreamSummary;
 
 /// Chunk-by-chunk verifier for one logical ring stream. O(n!) bits of
-/// state, O(n) per vertex — independent of how the stream is chunked.
+/// state; per vertex one seen-set probe, one checksum round and a rank
+/// that is O(1) inside the ring's `S_4` blocks and O(n) on the steps
+/// between them — independent of how the stream is chunked.
 pub struct StreamVerifier {
     check: RingCheck,
     ring_len: u64,

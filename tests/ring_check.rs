@@ -9,7 +9,11 @@
 //!   reference check that uses no rank, bitset or packed word;
 //! - through a tamper matrix that every adapter — `check_ring`,
 //!   `StreamVerifier` at several chunkings, `Store::verify` — must reject
-//!   with the same error kind at the same ring position.
+//!   with the same error kind at the same ring position. It runs on an
+//!   `S_5` ring with defects inside the check's 64-step frame inference,
+//!   and on an `S_7` ring with defects past it, where in-block steps take
+//!   their ranks from the block tables: in the middle of a block's run,
+//!   on a seam step and on the first step after a seam.
 
 use std::collections::BTreeSet;
 
@@ -203,10 +207,84 @@ struct Case {
     at: Option<usize>,
 }
 
-/// Positions chosen so that each chunk size below puts at least one
-/// defect on a chunk boundary and one inside a chunk.
-const POSITIONS: [usize; 3] = [10, 48, 61];
-const CHUNK_SIZES: [u32; 3] = [2, 5, 24];
+/// A valid ring to tamper with, the ring positions of its defects, and
+/// the chunk sizes its streams are cut at: each chunk size puts at least
+/// one defect on a chunk boundary and one inside a chunk.
+struct Base {
+    n: usize,
+    ring: Vec<Perm>,
+    faults: FaultSet,
+    positions: [usize; 3],
+    chunk_sizes: [u32; 3],
+}
+
+/// The embedded ring of `S_n` around `k` seeded random vertex faults.
+fn embedded_ring(n: usize, k: usize, seed: u64) -> (Vec<Perm>, FaultSet) {
+    let faults = gen::random_vertex_faults(n, k, seed).unwrap();
+    let ring = embed_longest_ring(n, &faults).unwrap().into_vertices();
+    (ring, faults)
+}
+
+/// An `S_5` ring (118 vertices) with its defects inside the first 64
+/// steps, and a worst-budget `S_7` ring (5,032 vertices) with its defects
+/// past them.
+fn bases() -> Vec<Base> {
+    let (ring, faults) = embedded_ring(5, 1, 3);
+    let s5 = Base {
+        n: 5,
+        ring,
+        faults,
+        positions: [10, 48, 61],
+        chunk_sizes: [2, 5, 24],
+    };
+    let (ring, faults) = embedded_ring(7, 4, 3);
+    let positions = block_positions(7, &ring);
+    let s7 = Base {
+        n: 7,
+        ring,
+        faults,
+        positions,
+        chunk_sizes: positions.map(|p| p as u32),
+    };
+    vec![s5, s7]
+}
+
+/// Three vertex positions past the 64-step window over which the ring
+/// check infers its blocks' free positions (0 and the three most frequent
+/// step dimensions, ties to the lower): one reached by the fourth step
+/// of a block's run, one by a seam step that leaves a block, and one by
+/// the first step after a seam.
+fn block_positions(n: usize, ring: &[Perm]) -> [usize; 3] {
+    // dims[i] is the step from ring position i to i + 1.
+    let dims: Vec<usize> = ring
+        .windows(2)
+        .map(|w| w[0].edge_dimension_to(&w[1]).expect("a ring"))
+        .collect();
+    let mut counts = [0usize; 16];
+    for &d in &dims[..64] {
+        counts[d] += 1;
+    }
+    let mut by_count: Vec<usize> = (1..n).collect();
+    by_count.sort_by_key(|&d| (std::cmp::Reverse(counts[d]), d));
+    let inside = |step: usize| by_count[..3].contains(&dims[step]);
+    let mid = (200..)
+        .find(|&p| (p - 4..p).all(inside))
+        .expect("a run of four in-block steps");
+    let seam = (mid + 1..).find(|&p| !inside(p - 1)).expect("a seam");
+    let after = (seam + 1..)
+        .find(|&p| inside(p - 1) && !inside(p - 2))
+        .expect("a step after a seam");
+    let positions = [mid, seam, after];
+    for a in positions {
+        for b in positions {
+            assert!(
+                a == b || b % a != 0,
+                "{positions:?}: pick positions that are not multiples"
+            );
+        }
+    }
+    positions
+}
 
 fn with_edge(faults: &FaultSet, a: Perm, b: Perm) -> FaultSet {
     let mut f = faults.clone();
@@ -214,10 +292,11 @@ fn with_edge(faults: &FaultSet, a: Perm, b: Perm) -> FaultSet {
     f
 }
 
-fn tamper_cases(n: usize, ring: &[Perm], faults: &FaultSet) -> Vec<Case> {
+fn tamper_cases(base: &Base) -> Vec<Case> {
+    let (n, ring, faults) = (base.n, &base.ring[..], &base.faults);
     let len = ring.len();
     let mut cases = Vec::new();
-    for p in POSITIONS {
+    for p in base.positions {
         cases.push(Case {
             name: "repeated vertex",
             n,
@@ -318,25 +397,19 @@ fn tamper_cases(n: usize, ring: &[Perm], faults: &FaultSet) -> Vec<Case> {
     cases
 }
 
-/// A worst-budget S_5 ring (118 vertices) to tamper with.
-fn base_ring() -> (usize, Vec<Perm>, FaultSet) {
-    let n = 5;
-    let faults = gen::random_vertex_faults(n, 1, 3).unwrap();
-    let ring = embed_longest_ring(n, &faults).unwrap().into_vertices();
-    (n, ring, faults)
-}
-
 #[test]
 fn check_ring_rejects_the_tamper_matrix() {
-    let (n, ring, faults) = base_ring();
-    check_ring(n, &ring, &faults).expect("the base ring is valid");
-    for case in tamper_cases(n, &ring, &faults) {
-        assert_eq!(
-            check_ring(case.n, &case.vertices, &case.faults).err(),
-            Some(case.want.clone()),
-            "{}",
-            case.name
-        );
+    for base in bases() {
+        check_ring(base.n, &base.ring, &base.faults).expect("the base ring is valid");
+        for case in tamper_cases(&base) {
+            assert_eq!(
+                check_ring(case.n, &case.vertices, &case.faults).err(),
+                Some(case.want.clone()),
+                "S_{}: {}",
+                base.n,
+                case.name
+            );
+        }
     }
 }
 
@@ -377,95 +450,111 @@ fn stream_error(case: &Case, chunks: &[ChunkFrame]) -> String {
 
 #[test]
 fn stream_verifier_rejects_the_tamper_matrix_at_every_chunking() {
-    let (n, ring, faults) = base_ring();
-    let mut ran: BTreeSet<(&str, u32, &str)> = BTreeSet::new();
-    for case in tamper_cases(n, &ring, &faults) {
-        for chunk in CHUNK_SIZES {
-            let Some(chunks) = frames(&case.vertices, chunk) else {
-                continue;
-            };
-            assert_eq!(
-                stream_error(&case, &chunks),
-                case.want.to_string(),
-                "{} in chunks of {chunk}",
-                case.name
-            );
-            let place = match case.at {
-                Some(p) if p % chunk as usize == 0 => "boundary",
-                Some(_) => "inside",
-                None => "whole ring",
-            };
-            ran.insert((case.name, chunk, place));
-        }
-    }
-    for chunk in CHUNK_SIZES {
-        for name in ["repeated vertex", "faulty vertex", "faulty edge"] {
-            for place in ["boundary", "inside"] {
-                assert!(
-                    ran.contains(&(name, chunk, place)),
-                    "{name} {place} {chunk}"
+    for base in bases() {
+        let mut ran: BTreeSet<(&str, u32, &str)> = BTreeSet::new();
+        for case in tamper_cases(&base) {
+            for chunk in base.chunk_sizes {
+                let Some(chunks) = frames(&case.vertices, chunk) else {
+                    continue;
+                };
+                assert_eq!(
+                    stream_error(&case, &chunks),
+                    case.want.to_string(),
+                    "S_{}: {} in chunks of {chunk}",
+                    base.n,
+                    case.name
                 );
+                let place = match case.at {
+                    Some(p) if p % chunk as usize == 0 => "boundary",
+                    Some(_) => "inside",
+                    None => "whole ring",
+                };
+                ran.insert((case.name, chunk, place));
             }
         }
-        // A delta cannot hold a non-adjacent step or two dimensions, so
-        // those defects only reach a stream on a chunk boundary.
-        for name in ["non-adjacent step", "wrong dimension"] {
-            assert!(ran.contains(&(name, chunk, "boundary")), "{name} {chunk}");
-        }
-        for name in [
-            "wrong n",
-            "broken closing edge",
-            "faulty closing edge",
-            "too short",
-        ] {
-            assert!(ran.contains(&(name, chunk, "whole ring")), "{name} {chunk}");
+        for chunk in base.chunk_sizes {
+            for name in ["repeated vertex", "faulty vertex", "faulty edge"] {
+                for place in ["boundary", "inside"] {
+                    assert!(
+                        ran.contains(&(name, chunk, place)),
+                        "S_{}: {name} {place} {chunk}",
+                        base.n
+                    );
+                }
+            }
+            // A delta cannot hold a non-adjacent step or two dimensions,
+            // so those defects only reach a stream on a chunk boundary.
+            for name in ["non-adjacent step", "wrong dimension"] {
+                assert!(
+                    ran.contains(&(name, chunk, "boundary")),
+                    "S_{}: {name} {chunk}",
+                    base.n
+                );
+            }
+            for name in [
+                "wrong n",
+                "broken closing edge",
+                "faulty closing edge",
+                "too short",
+            ] {
+                assert!(
+                    ran.contains(&(name, chunk, "whole ring")),
+                    "S_{}: {name} {chunk}",
+                    base.n
+                );
+            }
         }
     }
 }
 
 #[test]
 fn store_verify_rejects_the_tamper_matrix() {
-    let (n, ring, faults) = base_ring();
-    let mut ran = BTreeSet::new();
-    for (i, case) in tamper_cases(n, &ring, &faults).into_iter().enumerate() {
-        // A record holds one delta of its key's n under vertex faults
-        // only; the other cases cannot be stored.
-        let Ok(delta) = RingDelta::encode(&case.vertices) else {
-            continue;
-        };
-        if case.n != n || delta.n() != n || case.faults.edge_fault_count() > 0 {
-            continue;
+    for base in bases() {
+        let n = base.n;
+        let mut ran = BTreeSet::new();
+        for (i, case) in tamper_cases(&base).into_iter().enumerate() {
+            // A record holds one delta of its key's n under vertex faults
+            // only; the other cases cannot be stored.
+            let Ok(delta) = RingDelta::encode(&case.vertices) else {
+                continue;
+            };
+            if case.n != n || delta.n() != n || case.faults.edge_fault_count() > 0 {
+                continue;
+            }
+            let dir = std::env::temp_dir().join(format!(
+                "star-ring-check-store-{n}-{i}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let ranks = case.faults.vertices().iter().map(Perm::rank).collect();
+            let key = OracleKey::from_parts(n as u8, ranks, 0, 0);
+            Store::open(&dir)
+                .unwrap()
+                .append_batch(&[(key, &delta)])
+                .unwrap();
+            let report = Store::open(&dir).unwrap().verify(0);
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(report.failures.len(), 1, "S_{n}: {}", case.name);
+            let failure = &report.failures[0];
+            // The store checks the contract length before walking the ring.
+            let contract = factorial(n) - 2 * case.faults.vertex_fault_count() as u64;
+            let want = if case.vertices.len() as u64 == contract {
+                case.want.to_string()
+            } else {
+                "ring length".to_string()
+            };
+            assert!(failure.contains(&want), "S_{n}: {}: {failure}", case.name);
+            ran.insert(case.name);
         }
-        let dir =
-            std::env::temp_dir().join(format!("star-ring-check-store-{i}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ranks = case.faults.vertices().iter().map(Perm::rank).collect();
-        let key = OracleKey::from_parts(n as u8, ranks, 0, 0);
-        Store::open(&dir)
-            .unwrap()
-            .append_batch(&[(key, &delta)])
-            .unwrap();
-        let report = Store::open(&dir).unwrap().verify(0);
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(report.failures.len(), 1, "{}", case.name);
-        let failure = &report.failures[0];
-        // The store checks the contract length before walking the ring.
-        let contract = factorial(n) - 2 * case.faults.vertex_fault_count() as u64;
-        let want = if case.vertices.len() as u64 == contract {
-            case.want.to_string()
-        } else {
-            "ring length".to_string()
-        };
-        assert!(failure.contains(&want), "{}: {failure}", case.name);
-        ran.insert(case.name);
+        assert_eq!(
+            ran,
+            BTreeSet::from([
+                "broken closing edge",
+                "faulty vertex",
+                "repeated vertex",
+                "too short"
+            ]),
+            "S_{n}"
+        );
     }
-    assert_eq!(
-        ran,
-        BTreeSet::from([
-            "broken closing edge",
-            "faulty vertex",
-            "repeated vertex",
-            "too short"
-        ])
-    );
 }

@@ -3,7 +3,10 @@
 //!
 //! Each case is one ring, fingerprinted by its length and its
 //! STARRING-CERT checksum (FNV-1a over the vertex ranks, so any changed,
-//! moved or rotated vertex changes it). The matrix:
+//! moved or rotated vertex changes it). The checksum is the one
+//! `check_ring` folds while it verifies the ring against its faults, and
+//! must equal the fold of the Lehmer ranks: every row also pins the ring
+//! check's in-block ranks. The matrix:
 //!
 //! * `embed_with_options` at n = 4..8 with |F_v| in {0, 1, n-3}, random,
 //!   worst-case and clustered placements, and three (spare, salt) choices;
@@ -27,16 +30,20 @@ use star_rings::ring::mixed::embed_with_mixed_faults;
 use star_rings::ring::repair::{MaintainedRing, RepairOutcome};
 use star_rings::ring::{embed_with_options, EmbedOptions};
 use star_rings::verify::certificate::ring_checksum;
+use star_rings::verify::check_ring;
 
 /// One pinned ring: `(label, length, STARRING-CERT checksum)`.
 type Row = (&'static str, usize, u64);
 
-fn fingerprint(label: String, ring: &[Perm]) -> (String, usize, u64) {
-    (
-        label,
-        ring.len(),
-        ring_checksum(ring.iter().map(Perm::rank)),
-    )
+/// The row of one ring: its length and the checksum `check_ring` folds
+/// while it verifies the ring against `faults`, which must equal the
+/// checksum of its Lehmer ranks.
+fn fingerprint(label: String, ring: &[Perm], faults: &FaultSet) -> (String, usize, u64) {
+    let checked = check_ring(faults.n(), ring, faults)
+        .unwrap_or_else(|e| panic!("{label} is not a ring for its faults: {e}"));
+    let lehmer = ring_checksum(ring.iter().map(Perm::rank));
+    assert_eq!(checked.checksum, lehmer, "{label}: check_ring's checksum");
+    (label, ring.len(), checked.checksum)
 }
 
 /// Fails with every row that is missing, extra or different.
@@ -106,7 +113,7 @@ fn embed_rings(dims: std::ops::RangeInclusive<usize>) -> Vec<(String, usize, u64
                 };
                 let ring = embed_with_options(n, &faults, &opts).unwrap();
                 let label = format!("embed/n{n}/{name}/spare{spare_index}/salt{salt}");
-                out.push(fingerprint(label, ring.vertices()));
+                out.push(fingerprint(label, ring.vertices(), &faults));
             }
         }
     }
@@ -134,7 +141,7 @@ fn mixed_rings_match_the_pinned_fingerprints() {
                 let faults = gen::mixed_faults(n, fv, fe, seed).unwrap();
                 let ring = embed_with_mixed_faults(n, &faults).unwrap();
                 let label = format!("mixed/n{n}/fv{fv}/fe{fe}/seed{seed}");
-                actual.push(fingerprint(label, ring.vertices()));
+                actual.push(fingerprint(label, ring.vertices(), &faults));
             }
         }
     }
@@ -150,7 +157,11 @@ fn tseng_rings_match_the_pinned_fingerprints() {
                 continue; // delegated to the optimal embedder
             }
             let ring = tseng_vertex_ring(n, &faults).unwrap();
-            actual.push(fingerprint(format!("tseng/n{n}/{name}"), ring.vertices()));
+            actual.push(fingerprint(
+                format!("tseng/n{n}/{name}"),
+                ring.vertices(),
+                &faults,
+            ));
         }
     }
     assert_rows(&actual, TSENG);
@@ -190,7 +201,7 @@ fn repair_sequences_match_the_pinned_fingerprints() {
                 local_blocks.push(block);
             }
             let label = format!("repair/n{n}/step{step}/{outcome:?}");
-            actual.push(fingerprint(label, mr.ring().vertices()));
+            actual.push(fingerprint(label, mr.ring().vertices(), mr.faults()));
         }
     }
     assert!(
@@ -210,12 +221,13 @@ fn repair_sequences_match_the_pinned_fingerprints() {
         actual.push(fingerprint(
             format!("repair/n{n}/edge/new"),
             mr.ring().vertices(),
+            mr.faults(),
         ));
         for step in 0..3 {
             let victim = mr.ring().vertices()[6 + 4 * step];
             let outcome = mr.fail(victim);
             let label = format!("repair/n{n}/edge/step{step}/{outcome:?}");
-            actual.push(fingerprint(label, mr.ring().vertices()));
+            actual.push(fingerprint(label, mr.ring().vertices(), mr.faults()));
         }
     }
     assert_rows(&actual, REPAIR);

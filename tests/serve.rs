@@ -11,6 +11,7 @@ use star_rings::serve::client::{
     certified_embed_request, embed_request, plain_request, with_proto_v2, with_return_ring,
     Received,
 };
+use star_rings::serve::proto::write_frame;
 use star_rings::serve::{fetch_verified, Client, StreamVerifier};
 
 /// A `star-rings serve` child process bound to an OS-assigned port.
@@ -330,6 +331,61 @@ fn n10_v1_ring_hits_the_frame_cap_with_a_deterministic_error() {
     assert_eq!(get_u64(&stats, "rejected_oversize_response"), 1);
     let after = client.call(&embed_request("after", 5, &[], None)).unwrap();
     assert!(is_ok(&after), "{after}");
+}
+
+/// A client that pipelines large responses and never reads them must not
+/// pin the only worker: once a write makes no progress for the server's
+/// write-stall deadline (5 s), the connection is cut, counted, and its
+/// queued requests dropped, and the next client is answered.
+#[test]
+fn a_client_that_stops_reading_is_cut_and_frees_the_worker() {
+    use std::io::Read as _;
+    const WRITE_STALL: Duration = Duration::from_secs(5);
+    let server = Server::start(&["--threads", "1"]);
+    // Ten v1 n = 9 rings of ~4.7 MB of JSON each: more than the loopback
+    // socket buffers hold (at most 32 MiB received plus 4 MiB sent).
+    let mut stalled = std::net::TcpStream::connect(&server.addr).unwrap();
+    for i in 0..10 {
+        let request = with_return_ring(embed_request(&format!("a{i}"), 9, &[], None));
+        write_frame(&mut stalled, request.to_string().as_bytes()).unwrap();
+    }
+    // Once all ten are admitted (one in the worker, nine queued), the
+    // next request queues behind them.
+    let mut client = server.connect();
+    let admitted = Instant::now();
+    loop {
+        let stats = client.call(&plain_request("q", "stats")).unwrap();
+        if get_u64(&stats, "queue_depth") + get_u64(&stats, "served") >= 9 {
+            break;
+        }
+        assert!(admitted.elapsed() < Duration::from_secs(30), "{stats}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    client.send(&embed_request("b", 5, &[], None)).unwrap();
+    // The first ring's length prefix marks the start of its write (a
+    // debug-build render takes seconds); after it, nothing is read.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut prefix = [0u8; 4];
+    stalled.read_exact(&mut prefix).unwrap();
+    let writing = Instant::now();
+    let frame_len = u32::from_be_bytes(prefix) as usize;
+    assert!(frame_len > 4_000_000, "{frame_len}");
+    let response = client.recv(Duration::from_secs(60)).unwrap();
+    let waited = writing.elapsed();
+    assert!(is_ok(&response), "{response}");
+    assert_eq!(get_str(&response, "id"), "b");
+    assert!(
+        waited < WRITE_STALL + Duration::from_secs(5),
+        "answered {waited:?} after the stalled write began"
+    );
+    let stats = client.call(&plain_request("s", "stats")).unwrap();
+    assert!(get_u64(&stats, "rejected_slow_reader") >= 1, "{stats}");
+    // The cut connection ends inside the first ring's frame.
+    let mut rest = Vec::new();
+    let ended = stalled.read_to_end(&mut rest);
+    assert!(ended.is_err() || rest.len() < frame_len, "{ended:?}");
 }
 
 /// The tentpole end to end: the same n = 10 ring that breaks v1 streams
