@@ -3,7 +3,7 @@
 //! Runs seeded scenario sweeps and cross-checks `embed_longest_ring`
 //! against every independent source of truth this workspace has:
 //!
-//! 1. **The contract** — the ring must pass [`crate::check_ring`] and hit
+//! 1. **The contract** — the ring must pass [`check_ring`] and hit
 //!    the exact Theorem-1 length `n! - 2|F_v|`.
 //! 2. **The certificate layer** — a STARRING-CERT v1 certificate built
 //!    from the result must re-verify from its text form alone, and its
@@ -19,17 +19,15 @@
 //!
 //! Every scenario is derived from a seed, so any mismatch report is a
 //! one-line reproduction recipe. The sweep also records per-`n` embed
-//! latencies; the CLI maps them onto the committed `BENCH_*.json` schema
-//! (the mapping lives in the CLI because `star-bench` depends on this
-//! crate).
+//! latencies; the `star-rings audit` subcommand maps them onto the
+//! committed `BENCH_*.json` schema ([`crate::baseline`]).
 
 use std::time::Instant;
 
 use star_fault::{gen, FaultSet};
 use star_perm::factorial;
 
-use crate::certificate;
-use crate::exhaustive;
+use star_verify::{certificate, check_ring, exhaustive};
 
 /// Sweep configuration.
 #[derive(Debug, Clone)]
@@ -178,7 +176,7 @@ fn audit_dimension(config: &AuditConfig, n: usize, mismatches: &mut Vec<Mismatch
                 ring.len()
             ));
         }
-        if let Err(e) = crate::check_ring(n, ring.vertices(), &faults) {
+        if let Err(e) = check_ring(n, ring.vertices(), &faults) {
             fail(format!("ring failed validity check: {e}"));
         }
 
@@ -230,7 +228,7 @@ fn audit_dimension(config: &AuditConfig, n: usize, mismatches: &mut Vec<Mismatch
         // 4a. Tseng baseline: valid, and dominated by the paper's bound.
         match star_baselines::tseng_vertex::tseng_vertex_ring(n, &faults) {
             Ok(t) => {
-                if let Err(e) = crate::check_ring(n, t.vertices(), &faults) {
+                if let Err(e) = check_ring(n, t.vertices(), &faults) {
                     fail(format!("tseng ring invalid: {e}"));
                 }
                 if t.len() > ring.len() {
@@ -253,7 +251,7 @@ fn audit_dimension(config: &AuditConfig, n: usize, mismatches: &mut Vec<Mismatch
         if clustered {
             match star_baselines::latifi::latifi_ring(n, &faults) {
                 Ok(l) => {
-                    if let Err(e) = crate::check_ring(n, l.ring.vertices(), &faults) {
+                    if let Err(e) = check_ring(n, l.ring.vertices(), &faults) {
                         fail(format!("latifi ring invalid: {e}"));
                     }
                     let promised = factorial(n) - factorial(l.m);
@@ -341,7 +339,7 @@ pub fn soak_repairs(n: usize, injections: usize, seed: u64) -> (Vec<Mismatch>, (
                         ),
                     });
                 }
-                if let Err(e) = crate::check_ring(n, mr.ring().vertices(), mr.faults()) {
+                if let Err(e) = check_ring(n, mr.ring().vertices(), mr.faults()) {
                     mismatches.push(Mismatch {
                         n,
                         seed,

@@ -8,7 +8,7 @@
 //! into a [`BaselineCase`]: median and p95 wall time over the samples,
 //! plus the oracle hit rate and pool items-per-worker fan-out read from
 //! the `star-obs` counter deltas of that cell. [`Baseline`] serializes
-//! the whole matrix to JSON and parses it back (via [`crate::jsonv`]), so
+//! the whole matrix to JSON and parses it back (via [`star_obs::json`]), so
 //! CI can commit one file per known-good revision and
 //! [`diff`] can flag any case whose median regressed beyond a threshold
 //! against it.
@@ -19,7 +19,7 @@ use star_fault::gen;
 use star_perm::Parity;
 use star_ring::{embed_with_options, oracle, EmbedOptions};
 
-use crate::jsonv::Json;
+use star_obs::json::Json;
 
 /// Default regression threshold: >10% median slowdown fails.
 pub const DEFAULT_THRESHOLD: f64 = 0.10;
@@ -78,12 +78,12 @@ impl Baseline {
         for (i, c) in self.cases.iter().enumerate() {
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"n\": {}, \"mode\": \"{}\", \"samples\": {}, \
+                "    {{\"name\": {}, \"n\": {}, \"mode\": {}, \"samples\": {}, \
                  \"median_ns\": {}, \"p95_ns\": {}, \"oracle_hit_rate\": {:.6}, \
                  \"pool_items_per_worker\": {:.3}, \"per_conn_rate\": {:.3}}}",
-                c.name,
+                Json::from(c.name.as_str()),
                 c.n,
-                c.mode,
+                Json::from(c.mode.as_str()),
                 c.samples,
                 c.median_ns,
                 c.p95_ns,

@@ -12,42 +12,30 @@
 use std::process::ExitCode;
 
 use star_bench::baseline::{date_slug, run_matrix};
+use star_bench::flags::{ensure, exit_code, usage, Flags};
 
 fn main() -> ExitCode {
+    exit_code(cli())
+}
+
+fn cli() -> Result<ExitCode, String> {
     let mut samples = 9usize;
     let mut out: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" => {
-                i += 1;
-                samples = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(k) if k >= 1 => k,
-                    _ => return fail("--samples needs a positive integer"),
-                };
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = Some(p.clone()),
-                    None => return fail("--out needs a file path"),
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: baseline [--samples K] [--out FILE]");
-                return ExitCode::SUCCESS;
-            }
-            other => return fail(&format!("unknown option `{other}`")),
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--samples" => samples = flags.value()?,
+            "--out" => out = Some(flags.value()?),
+            "--help" | "-h" => return Ok(usage("baseline [--samples K] [--out FILE]")),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
+    ensure(samples >= 1, "--samples needs a positive integer")?;
 
     let baseline = run_matrix(samples);
     let path = out.unwrap_or_else(|| format!("BENCH_{}.json", date_slug(baseline.created_ms)));
-    if let Err(e) = std::fs::write(&path, baseline.to_json()) {
-        return fail(&format!("{path}: {e}"));
-    }
+    std::fs::write(&path, baseline.to_json()).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "wrote {path} ({} cases, {samples} samples each)",
         baseline.cases.len()
@@ -62,10 +50,5 @@ fn main() -> ExitCode {
             c.pool_items_per_worker
         );
     }
-    ExitCode::SUCCESS
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+    Ok(ExitCode::SUCCESS)
 }

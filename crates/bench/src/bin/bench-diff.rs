@@ -11,44 +11,37 @@
 use std::process::ExitCode;
 
 use star_bench::baseline::{diff, Baseline, DEFAULT_THRESHOLD};
+use star_bench::flags::{ensure, exit_code, usage, Flags};
 
 fn main() -> ExitCode {
+    exit_code(cli())
+}
+
+fn cli() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files = Vec::new();
     let mut threshold = DEFAULT_THRESHOLD;
     let mut warn_only = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" => {
-                i += 1;
-                threshold = match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(p) if p > 0.0 => p / 100.0,
-                    _ => return fail("--threshold needs a positive percentage"),
-                };
-            }
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--threshold" => threshold = flags.value::<f64>()? / 100.0,
             "--warn-only" => warn_only = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench-diff <base.json> <current.json> [--threshold PCT] [--warn-only]"
-                );
-                return ExitCode::SUCCESS;
+                return Ok(usage(
+                    "bench-diff <base.json> <current.json> [--threshold PCT] [--warn-only]",
+                ))
             }
-            other => files.push(other.to_string()),
+            file => files.push(file),
         }
-        i += 1;
     }
+    // Written so that a NaN threshold fails too.
+    ensure(threshold > 0.0, "--threshold needs a positive percentage")?;
     let [base_path, cur_path] = files.as_slice() else {
-        return fail("expected exactly two baseline files (base, current)");
+        return Err("expected exactly two baseline files (base, current)".to_string());
     };
-    let base = match load(base_path) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    let cur = match load(cur_path) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+    let base = load(base_path)?;
+    let cur = load(cur_path)?;
 
     let lines = diff(&base, &cur, threshold);
     let mut regressions = 0usize;
@@ -87,7 +80,7 @@ fn main() -> ExitCode {
             }
         );
         if !warn_only {
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     } else {
         println!(
@@ -95,7 +88,7 @@ fn main() -> ExitCode {
             100.0 * threshold
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn load(path: &str) -> Result<Baseline, String> {
@@ -108,9 +101,4 @@ fn fmt_opt_ns(ns: Option<u64>) -> String {
         Some(v) => format!("{:.3} ms", v as f64 / 1e6),
         None => "-".to_string(),
     }
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
 }

@@ -35,6 +35,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use star_bench::baseline::{Baseline, BaselineCase};
+use star_bench::flags::{ensure, exit_code, usage, Flags};
 use star_fault::{gen, FaultSet};
 use star_perm::{factorial, Aut};
 use star_ring::embed_longest_ring;
@@ -44,53 +45,36 @@ use star_serve::proto::{
 use star_serve::StreamVerifier;
 
 fn main() -> ExitCode {
+    exit_code(cli())
+}
+
+fn cli() -> Result<ExitCode, String> {
     let mut samples = 15usize;
     let mut n_max = 9usize;
     let mut out: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" => {
-                i += 1;
-                samples = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(k) if k >= 1 => k,
-                    _ => return fail("--samples needs a positive integer"),
-                };
-            }
-            "--n-max" => {
-                i += 1;
-                n_max = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(k) if (7..=9).contains(&k) => k,
-                    _ => return fail("--n-max must be in 7..=9"),
-                };
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = Some(p.clone()),
-                    None => return fail("--out needs a file path"),
-                }
-            }
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--samples" => samples = flags.value()?,
+            "--n-max" => n_max = flags.value()?,
+            "--out" => out = Some(flags.value()?),
             "--help" | "-h" => {
-                eprintln!("usage: encoding-bench [--samples K] [--n-max N] [--out FILE]");
-                return ExitCode::SUCCESS;
+                return Ok(usage(
+                    "encoding-bench [--samples K] [--n-max N] [--out FILE]",
+                ))
             }
-            other => return fail(&format!("unknown option `{other}`")),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
+    ensure(samples >= 1, "--samples needs a positive integer")?;
+    ensure((7..=9).contains(&n_max), "--n-max must be in 7..=9")?;
 
-    let baseline = match run(n_max, samples) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+    let baseline = run(n_max, samples)?;
     let json = baseline.to_json();
     match &out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                return fail(&format!("{path}: {e}"));
-            }
+            std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
             eprintln!("encoding-bench: summary written to {path}");
         }
         None => print!("{json}"),
@@ -101,12 +85,7 @@ fn main() -> ExitCode {
             c.name, c.median_ns, c.p95_ns
         );
     }
-    ExitCode::SUCCESS
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+    Ok(ExitCode::SUCCESS)
 }
 
 fn percentile(sorted_ns: &[u64], p: f64) -> u64 {

@@ -31,59 +31,39 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use star_bench::baseline::{Baseline, BaselineCase};
+use star_bench::flags::{ensure, exit_code, usage, Flags};
 use star_fault::{gen, FaultSet};
 use star_oracle::{canonicalize, Canon, Canonicalizer, OracleKey, Store};
 use star_perm::{delta::RingDelta, Aut, Perm};
 use star_ring::embed_longest_ring;
 
 fn main() -> ExitCode {
+    exit_code(cli())
+}
+
+fn cli() -> Result<ExitCode, String> {
     let mut samples = 25usize;
     let mut n = 7usize;
     let mut out: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" => {
-                i += 1;
-                samples = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(k) if k >= 1 => k,
-                    _ => return fail("--samples needs a positive integer"),
-                };
-            }
-            "--n" => {
-                i += 1;
-                n = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(k) if (5..=8).contains(&k) => k,
-                    _ => return fail("--n must be in 5..=8"),
-                };
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = Some(p.clone()),
-                    None => return fail("--out needs a file path"),
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: oracle-bench [--samples K] [--n N] [--out FILE]");
-                return ExitCode::SUCCESS;
-            }
-            other => return fail(&format!("unknown option `{other}`")),
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--samples" => samples = flags.value()?,
+            "--n" => n = flags.value()?,
+            "--out" => out = Some(flags.value()?),
+            "--help" | "-h" => return Ok(usage("oracle-bench [--samples K] [--n N] [--out FILE]")),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
+    ensure(samples >= 1, "--samples needs a positive integer")?;
+    ensure((5..=8).contains(&n), "--n must be in 5..=8")?;
 
-    let baseline = match run(n, samples) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
+    let baseline = run(n, samples)?;
     let json = baseline.to_json();
     match &out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                return fail(&format!("{path}: {e}"));
-            }
+            std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
             eprintln!("oracle-bench: summary written to {path}");
         }
         None => print!("{json}"),
@@ -94,12 +74,7 @@ fn main() -> ExitCode {
             c.name, c.median_ns, c.p95_ns
         );
     }
-    ExitCode::SUCCESS
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+    Ok(ExitCode::SUCCESS)
 }
 
 fn percentile(sorted_ns: &[u64], p: f64) -> u64 {

@@ -20,45 +20,34 @@
 use std::process::ExitCode;
 
 use star_bench::baseline::{parallel_threads, run_case};
+use star_bench::flags::{ensure, exit_code, usage, Flags};
 use star_ring::oracle;
 
 fn main() -> ExitCode {
+    exit_code(cli())
+}
+
+fn cli() -> Result<ExitCode, String> {
     let mut n = 9usize;
     let mut samples = 9usize;
     let mut min_ratio = 1.2f64;
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                n = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(k) if (7..=10).contains(&k) => k,
-                    _ => return fail("--n needs an integer in 7..=10"),
-                };
-            }
-            "--samples" => {
-                i += 1;
-                samples = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(k) if k >= 1 => k,
-                    _ => return fail("--samples needs a positive integer"),
-                };
-            }
-            "--min-ratio" => {
-                i += 1;
-                min_ratio = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(r) if r > 0.0 => r,
-                    _ => return fail("--min-ratio needs a positive number"),
-                };
-            }
+    let mut flags = Flags::new(&args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--n" => n = flags.value()?,
+            "--samples" => samples = flags.value()?,
+            "--min-ratio" => min_ratio = flags.value()?,
             "--help" | "-h" => {
-                eprintln!("usage: speedup-gate [--n N] [--samples K] [--min-ratio R]");
-                return ExitCode::SUCCESS;
+                return Ok(usage("speedup-gate [--n N] [--samples K] [--min-ratio R]"))
             }
-            other => return fail(&format!("unknown option `{other}`")),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
+    ensure((7..=10).contains(&n), "--n needs an integer in 7..=10")?;
+    ensure(samples >= 1, "--samples needs a positive integer")?;
+    // Written so that a NaN ratio fails too.
+    ensure(min_ratio > 0.0, "--min-ratio needs a positive number")?;
 
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
@@ -68,7 +57,7 @@ fn main() -> ExitCode {
             "speedup-gate: SKIPPED — host has {cores} CPU(s); a parallel speedup \
              is not measurable here (gate enforced on multi-core CI)"
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     oracle::warm();
@@ -87,20 +76,15 @@ fn main() -> ExitCode {
     );
     if parallel.pool_items_per_worker <= 0.0 {
         eprintln!("speedup-gate: FAIL — parallel cell never engaged the pool");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if ratio + 1e-9 < min_ratio {
         eprintln!(
             "speedup-gate: FAIL — parallel embed is only {ratio:.2}x the serial \
              median (threshold {min_ratio:.2}x)"
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     println!("speedup-gate: OK");
-    ExitCode::SUCCESS
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
+    Ok(ExitCode::SUCCESS)
 }

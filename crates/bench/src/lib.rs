@@ -10,14 +10,34 @@
 //!
 //! Criterion benches (`benches/`) cover construction cost (E4) and
 //! substrate micro-costs.
+//!
+//! The crate sits above the library and the server, never below them:
+//!
+//! - [`baseline`] — the `BENCH_*.json` perf baselines and the regression
+//!   comparator behind `bench-diff`;
+//! - [`loadgen`] — the closed- and open-loop load generator behind
+//!   `star-rings loadgen`;
+//! - [`audit`] — the differential correctness gate behind
+//!   `star-rings audit`, which cross-checks the embedder against the
+//!   exhaustive oracle, certificates and the prior-art baselines;
+//! - [`flags`] — the one `--flag [value]` parser of the `star-rings` CLI
+//!   and the tool binaries (`baseline`, `bench-diff`, `encoding-bench`,
+//!   `oracle-bench`, `speedup-gate`).
 
+pub mod audit;
 pub mod baseline;
-pub mod jsonv;
+pub mod flags;
+pub mod loadgen;
+
+/// [`star_obs::json`] under its old path, still imported by `perfbench`.
+pub use star_obs::json as jsonv;
 
 use std::fmt::Display;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+
+use star_obs::json::Json;
 
 /// A simple aligned table that renders to the terminal and to CSV.
 #[derive(Debug, Clone)]
@@ -87,45 +107,16 @@ impl Table {
     /// `{"title":…,"headers":[…],"rows":[[…],…]}`. Cells stay strings
     /// (they are display-formatted), so the output is schema-stable.
     pub fn to_json(&self) -> String {
-        fn push_json_string(out: &mut String, s: &str) {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => {
-                        use std::fmt::Write as _;
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        fn push_str_array(out: &mut String, items: &[String]) {
-            out.push('[');
-            for (i, s) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_string(out, s);
-            }
-            out.push(']');
-        }
-        let mut out = String::from("{\"title\":");
-        push_json_string(&mut out, &self.title);
-        out.push_str(",\"headers\":");
-        push_str_array(&mut out, &self.headers);
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str_array(&mut out, row);
-        }
-        out.push_str("]}");
-        out
+        let strings = |cells: &[String]| Json::Arr(cells.iter().cloned().map(Json::from).collect());
+        Json::Obj(vec![
+            ("title".to_string(), Json::from(self.title.clone())),
+            ("headers".to_string(), strings(&self.headers)),
+            (
+                "rows".to_string(),
+                Json::Arr(self.rows.iter().map(|row| strings(row)).collect()),
+            ),
+        ])
+        .to_string()
     }
 
     /// Writes the table as JSON under `target/experiments/<slug>.json`

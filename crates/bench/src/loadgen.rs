@@ -30,7 +30,7 @@
 //! JSONL line each, joinable against server flight-recorder dumps.
 //!
 //! The summary reuses the committed `BENCH_*.json` schema
-//! ([`star_bench::baseline`]) so the existing `bench-diff` tooling can
+//! ([`crate::baseline`]) so the existing `bench-diff` tooling can
 //! compare loadgen runs. Field mapping (documented here because the
 //! schema predates the server): `oracle_hit_rate` carries the **server
 //! cache hit rate** (fetched via a final `stats` request), and the
@@ -52,16 +52,16 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
-use star_bench::baseline::{Baseline, BaselineCase};
-use star_bench::jsonv::Json;
+use star_obs::json::Json;
 use star_obs::LocalHistogram;
 use star_perm::{Aut, Perm};
-
-use crate::client::{
+use star_serve::client::{
     certified_embed_request, embed_request, plain_request, with_proto_v2, with_return_ring,
     with_trace_id, Client,
 };
-use crate::stream::fetch_verified;
+use star_serve::stream::fetch_verified;
+
+use crate::baseline::{Baseline, BaselineCase};
 
 /// Load-generator configuration (the CLI's `loadgen` flags).
 #[derive(Debug, Clone)]
@@ -1512,7 +1512,7 @@ mod tests {
         assert_eq!(case.pool_items_per_worker, 0.0);
         // The serialized form must satisfy the committed schema, rate
         // included.
-        let parsed = star_bench::baseline::Baseline::from_json(&baseline.to_json()).unwrap();
+        let parsed = crate::baseline::Baseline::from_json(&baseline.to_json()).unwrap();
         assert_eq!(parsed.cases[0].name, "loadgen/mixed/c4");
         assert!((parsed.cases[0].per_conn_rate - 13.0).abs() < 1e-12);
     }
@@ -1542,7 +1542,7 @@ mod tests {
         assert!(baseline.cases[1].median_ns > baseline.cases[0].median_ns);
         assert!(baseline.cases[1].p95_ns >= baseline.cases[1].median_ns);
         // Still schema-valid.
-        let parsed = star_bench::baseline::Baseline::from_json(&baseline.to_json()).unwrap();
+        let parsed = crate::baseline::Baseline::from_json(&baseline.to_json()).unwrap();
         assert_eq!(parsed.cases.len(), 2);
     }
 

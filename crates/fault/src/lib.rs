@@ -27,5 +27,5 @@ pub mod gen;
 pub mod schedule;
 
 pub use error::FaultError;
-pub use ring_check::{fold_checksum, RingCheck, RingError, RingSummary, CHECKSUM_BASIS};
+pub use ring_check::{fnv64, fold_checksum, RingCheck, RingError, RingSummary, CHECKSUM_BASIS};
 pub use set::FaultSet;

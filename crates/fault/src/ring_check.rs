@@ -33,6 +33,19 @@ pub fn fold_checksum(mut hash: u64, rank: u32) -> u64 {
     hash
 }
 
+/// FNV-1a 64 over raw bytes: the integrity checksum of v2 chunk frames
+/// and oracle store records. [`fold_checksum`] is the same hash over the
+/// little-endian bytes of rank words.
+#[inline]
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut hash = CHECKSUM_BASIS;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x100000001b3);
+    }
+    hash
+}
+
 /// Why a ring or path failed its check. Indices are ring positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RingError {

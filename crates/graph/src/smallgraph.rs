@@ -13,7 +13,7 @@
 //! remaining vertices, and unreachable-target cutoff), which is exact and
 //! fast at these sizes.
 
-use star_perm::{factorial, Perm};
+use star_perm::factorial;
 
 use crate::Pattern;
 
@@ -68,13 +68,6 @@ impl SmallGraph {
             self.adj[u as usize].push(v);
             self.adj[v as usize].push(u);
         }
-    }
-
-    /// The induced subgraph of an embedded `S_r`, with vertex ids equal to
-    /// **local ranks** (see [`Pattern::to_local`]).
-    pub fn from_pattern(p: &Pattern) -> Self {
-        let r = p.r();
-        Self::from_star(r)
     }
 
     /// `S_n` materialized with vertex ids equal to Lehmer ranks. Intended
@@ -413,21 +406,10 @@ impl SmallGraph {
     }
 }
 
-/// Convenience: the rank-indexed blocked array for a set of faulty vertices
-/// of `S_n` (ids must be Lehmer ranks, as produced by
-/// [`SmallGraph::from_star`]).
-pub fn blocked_from_perms(n: usize, faulty: &[Perm]) -> Vec<bool> {
-    let mut blocked = vec![false; factorial(n) as usize];
-    for f in faulty {
-        assert_eq!(f.n(), n);
-        blocked[f.rank() as usize] = true;
-    }
-    blocked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use star_perm::Perm;
 
     fn s4() -> SmallGraph {
         SmallGraph::from_star(4)

@@ -14,6 +14,10 @@
 //! * **Export** ([`fn@snapshot`]) — a point-in-time [`Snapshot`] renders to
 //!   Prometheus text, JSON, or a pretty table.
 //!
+//! [`json`] is the workspace's one JSON module — value, parser,
+//! serializer and string escaper — shared by these emitters, the
+//! `star-serve` wire protocol and the `star-bench` baselines.
+//!
 //! Everything is gated: with metrics and tracing disabled and no capture
 //! active, [`fn@span`] and [`Counter::incr`] cost a couple of relaxed
 //! atomic loads. Metrics default **on** (atomic counters are nearly
@@ -45,7 +49,7 @@
 
 pub mod flightrec;
 pub mod hist;
-mod json;
+pub mod json;
 pub mod profile;
 pub mod registry;
 pub mod sink;

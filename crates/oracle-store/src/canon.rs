@@ -64,7 +64,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use star_perm::cycles::CycleStructure;
-use star_perm::{factorial, Aut, Perm, MAX_N};
+use star_perm::{Aut, Perm, MAX_N};
 
 /// Largest `n` for which the exact automorphism search runs.
 pub const MAX_EXACT_N: usize = 9;
@@ -478,15 +478,11 @@ impl Canonicalizer {
     }
 }
 
-/// The orbit size upper bound `n!·(n-1)!` — exposed for docs/tests.
-pub fn aut_order(n: usize) -> u64 {
-    factorial(n) * factorial(n - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use star_perm::factorial;
 
     fn ranks_of(n: usize, digits: &[u64]) -> Vec<u32> {
         digits

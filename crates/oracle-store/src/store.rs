@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use star_fault::{FaultSet, RingCheck};
+use star_fault::{fnv64, FaultSet, RingCheck};
 use star_perm::{delta::RingDelta, factorial, Perm};
 
 use crate::key::OracleKey;
@@ -70,16 +70,6 @@ const START_LEN: usize = 8;
 const CHECKSUM_LEN: usize = 8;
 /// Upper bound accepted for `ring_len` when parsing (12! vertices).
 const MAX_RING_LEN: u32 = 479_001_600;
-
-/// FNV-1a 64-bit, the workspace-standard content checksum here.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 #[derive(Clone, Copy, Debug)]
 struct Loc {

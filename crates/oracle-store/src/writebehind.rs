@@ -180,4 +180,37 @@ mod tests {
         assert_eq!(store.get_delta(&key), Some(Ok((*ring).clone())));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn a_failed_flush_is_counted_and_a_later_worker_persists_the_ring() {
+        let write_errors = || {
+            star_obs::snapshot()
+                .counter("oracle.store.write_errors")
+                .unwrap_or(0)
+        };
+        let dir = tmpdir("write-error");
+        let store = Arc::new(Store::open(&dir).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+        let ring = walk(6);
+        let key = OracleKey::from_parts(4, vec![2], 0, 0);
+        let before = write_errors();
+        // The worker loop runs on this thread, so a panic in the failed
+        // flush fails the test.
+        let (tx, rx) = mpsc::channel::<Item>();
+        tx.send((key.clone(), Arc::clone(&ring))).unwrap();
+        drop(tx);
+        run(&store, &rx);
+        assert!(
+            write_errors() > before,
+            "the failed segment write is counted"
+        );
+        assert!(!store.contains(&key), "a failed write indexes nothing");
+
+        std::fs::create_dir_all(&dir).unwrap();
+        let wb = WriteBehind::start(Arc::clone(&store));
+        wb.submit(key.clone(), Arc::clone(&ring));
+        wb.shutdown();
+        assert_eq!(store.get_delta(&key), Some(Ok((*ring).clone())));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use star_bench::jsonv::Json;
+use star_obs::json::Json;
 
 use crate::proto::{is_binary_frame, read_frame, write_frame, ChunkFrame, FrameRead};
 
@@ -123,44 +123,6 @@ impl Client {
     pub fn call(&mut self, request: &Json) -> Result<Json, String> {
         self.send(request)?;
         self.recv(Duration::from_secs(30))
-    }
-
-    /// One round trip that may answer with a v2 stream: the JSON header
-    /// (or plain/error response) is returned, and every binary chunk is
-    /// handed to `sink` as it arrives — the ring is never materialized
-    /// here. When the server answered with ordinary JSON (v1 fallback,
-    /// errors, or a v2 response without a ring), `sink` is simply never
-    /// called. Requests must not be pipelined around a streaming call:
-    /// chunk frames carry no correlation id.
-    pub fn call_streaming(
-        &mut self,
-        request: &Json,
-        patience: Duration,
-        sink: &mut dyn FnMut(ChunkFrame) -> Result<(), String>,
-    ) -> Result<Json, String> {
-        self.send(request)?;
-        let header = match self.recv_any(patience)? {
-            Received::Doc(doc) => doc,
-            Received::Chunk(_) => return Err("chunk frame before the stream header".to_string()),
-        };
-        let streamed = header.get("encoding").and_then(Json::as_str) == Some("delta-v2");
-        if !streamed {
-            return Ok(header);
-        }
-        loop {
-            match self.recv_any(patience)? {
-                Received::Chunk(chunk) => {
-                    let last = chunk.last;
-                    sink(chunk)?;
-                    if last {
-                        return Ok(header);
-                    }
-                }
-                Received::Doc(_) => {
-                    return Err("JSON frame inside a v2 chunk stream".to_string());
-                }
-            }
-        }
     }
 
     /// Sends raw bytes as a frame — for tests that need to violate the

@@ -1,8 +1,8 @@
 //! Deterministic wire-protocol fuzzer for star-serve.
 //!
 //! Drives a live server with hostile input — malformed frames, truncated
-//! JSON, cap-boundary and oversized length prefixes, mid-frame
-//! disconnects — and checks one **crash-free invariant**: whatever the
+//! JSON, nesting past the parser's depth limit, cap-boundary and
+//! oversized length prefixes, mid-frame disconnects — and checks one **crash-free invariant**: whatever the
 //! bytes, the server either answers a well-formed error response or
 //! hangs up the offending connection, and a fresh connection's `health`
 //! probe still succeeds afterwards. No panic, no hang, no protocol
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use star_bench::jsonv::Json;
+use star_obs::json::Json;
 
 use crate::client::{plain_request, Client};
 use crate::proto::MAX_FRAME;
@@ -66,15 +66,23 @@ enum Case {
     /// disconnects mid-frame. The server must drop the connection, not
     /// hang a handler thread.
     TruncatedBody,
+    /// A frame of `[` nested far past
+    /// [`MAX_DEPTH`](star_obs::json::MAX_DEPTH): a parse error, not
+    /// a stack overflow that takes the server down.
+    DeepNesting,
 }
 
-const CASES: [Case; 6] = [
+/// Bytes in a [`Case::DeepNesting`] frame.
+const DEEP_NESTING_BYTES: usize = 100_000;
+
+const CASES: [Case; 7] = [
     Case::GarbageFrame,
     Case::NonsenseJson,
     Case::TruncatedJson,
     Case::EmptyFrame,
     Case::OversizedPrefix,
     Case::TruncatedBody,
+    Case::DeepNesting,
 ];
 
 fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
@@ -150,6 +158,10 @@ pub fn run(config: &FuzzConfig) -> Result<FuzzReport, String> {
                     && conn.send_unframed(&fragment).is_ok();
                 client = None; // drop mid-frame
                 (ok, true)
+            }
+            Case::DeepNesting => {
+                let doc = "[".repeat(DEEP_NESTING_BYTES);
+                (conn.send_raw(doc.as_bytes()).is_ok(), false)
             }
         };
         if !sent {

@@ -36,18 +36,15 @@
 //!   spare index)`; embeds are deterministic, so hits are exact.
 //! - [`server`] — accept loop, connection handlers, worker pool,
 //!   deadline enforcement, graceful drain.
-//! - [`client`] — a small blocking client used by tests and the load
-//!   generator.
+//! - [`client`] — a small blocking client used by tests and by
+//!   `star-bench`'s load generator.
 //! - [`stream`] — chunk-by-chunk verification of v2 ring streams
 //!   (adjacency, fault avoidance, duplicates, the STARRING-CERT
 //!   checksum) in O(n!) bits of state.
-//! - [`loadgen`] — closed-loop load generator emitting `BENCH_*.json`
-//!   summaries.
 
 pub mod cache;
 pub mod client;
 pub mod fuzz;
-pub mod loadgen;
 pub mod proto;
 pub mod queue;
 pub mod server;
@@ -55,7 +52,6 @@ pub mod slo;
 pub mod stream;
 
 pub use client::Client;
-pub use loadgen::{Arrivals, LoadgenConfig, LoadgenReport, Mix, WireProto};
 pub use server::{request_shutdown, run, ServeConfig, ServeSummary};
 pub use slo::SloConfig;
 pub use stream::{fetch_verified, StreamSummary, StreamVerifier};

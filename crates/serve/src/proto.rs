@@ -62,8 +62,8 @@
 
 use std::io::{self, Read, Write};
 
-use star_bench::jsonv::Json;
-use star_fault::FaultSet;
+use star_fault::{fnv64, FaultSet};
+use star_obs::json::Json;
 use star_perm::Perm;
 use star_ring::EmbedOptions;
 
@@ -628,17 +628,6 @@ pub const MAX_CHUNK_VERTICES: u32 = 1 << 21;
 /// `true` iff a frame body is a binary v2 chunk rather than JSON.
 pub fn is_binary_frame(body: &[u8]) -> bool {
     body.len() >= CHUNK_MAGIC.len() && body[..CHUNK_MAGIC.len()] == CHUNK_MAGIC
-}
-
-/// FNV-1a over raw bytes (the chunk-frame integrity checksum; the
-/// STARRING-CERT checksum is the same function over rank words).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// One binary streamed-response chunk: a self-contained ring segment

@@ -43,8 +43,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use star_bench::jsonv::Json;
 use star_fault::RingCheck;
+use star_obs::json::Json;
 use star_oracle::{Canon, Canonicalizer, Store, WriteBehind};
 use star_perm::Perm;
 use star_ring::{embed_many_with_options, embed_with_options, EmbedOptions};

@@ -18,8 +18,8 @@
 
 use std::time::Duration;
 
-use star_bench::jsonv::Json;
 use star_fault::{FaultSet, RingCheck, RingError};
+use star_obs::json::Json;
 
 use crate::client::{Client, Received};
 use crate::proto::ChunkFrame;

@@ -15,8 +15,10 @@
 //! followed by `verify ring.txt` round-trips.
 
 use std::io::{BufRead, Write};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+use star_rings::bench::flags::{ensure, Flags};
 use star_rings::fault::{gen, FaultSet};
 use star_rings::graph::{diameter, StarGraph};
 use star_rings::perm::{delta::RingDelta, factorial, Parity, Perm};
@@ -241,42 +243,19 @@ fn parse_faults(n: usize, args: &[String]) -> Result<(FaultSet, bool), String> {
     let mut random = 0usize;
     let mut worst = 0usize;
     let mut print = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--fault" => {
-                i += 1;
-                let p = parse_perm(n, args.get(i).ok_or("--fault needs a value")?)?;
+                let p = parse_perm(n, flags.value_str()?)?;
                 faults.add_vertex(p).map_err(|e| e.to_string())?;
             }
-            "--random" => {
-                i += 1;
-                random = args
-                    .get(i)
-                    .ok_or("--random needs a count")?
-                    .parse()
-                    .map_err(|_| "--random count must be an integer")?;
-            }
-            "--worst" => {
-                i += 1;
-                worst = args
-                    .get(i)
-                    .ok_or("--worst needs a count")?
-                    .parse()
-                    .map_err(|_| "--worst count must be an integer")?;
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer")?;
-            }
+            "--random" => random = flags.value()?,
+            "--worst" => worst = flags.value()?,
+            "--seed" => seed = flags.value()?,
             "--print" => print = true,
-            other => return Err(format!("unknown option `{other}`")),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
     if random > 0 {
         let extra = gen::random_vertex_faults(n, random, seed).map_err(|e| e.to_string())?;
@@ -336,79 +315,33 @@ struct TraceOpts {
 fn parse_trace_opts(args: &[String]) -> Result<(TraceOpts, Vec<String>), String> {
     let mut opts = TraceOpts::default();
     let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--stats" => opts.stats = true,
             "--trace" => opts.trace = true,
-            "--trace-json" => {
-                i += 1;
-                opts.trace_json =
-                    Some(args.get(i).ok_or("--trace-json needs a file path")?.clone());
-            }
-            "--format" => {
-                i += 1;
-                let f = args.get(i).ok_or("--format needs a value")?.clone();
-                if !matches!(f.as_str(), "pretty" | "prom" | "json") {
-                    return Err(format!("--format must be pretty, prom or json, not `{f}`"));
-                }
-                opts.format = Some(f);
-            }
-            "--threads" => {
-                i += 1;
-                let t: usize = args
-                    .get(i)
-                    .ok_or("--threads needs a count")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer (0 = auto)")?;
-                opts.threads = Some(t);
-            }
-            "--profile-out" => {
-                i += 1;
-                opts.profile_out = Some(
-                    args.get(i)
-                        .ok_or("--profile-out needs a file path")?
-                        .clone(),
-                );
-            }
+            "--trace-json" => opts.trace_json = Some(flags.value()?),
+            "--format" => opts.format = Some(flags.value()?),
+            "--threads" => opts.threads = Some(flags.value()?),
+            "--profile-out" => opts.profile_out = Some(flags.value()?),
             "--flightrec" => opts.flightrec = true,
-            "--flightrec-out" => {
-                i += 1;
-                opts.flightrec = true;
-                opts.flightrec_out = Some(
-                    args.get(i)
-                        .ok_or("--flightrec-out needs a file path")?
-                        .clone(),
-                );
-            }
-            "--watch" => {
-                i += 1;
-                let secs: f64 = args
-                    .get(i)
-                    .ok_or("--watch needs a period in seconds")?
-                    .parse()
-                    .map_err(|_| "--watch period must be a number of seconds")?;
-                if !(0.0..=3600.0).contains(&secs) {
-                    return Err("--watch period must be in 0..=3600 seconds".to_string());
-                }
-                opts.watch = Some(secs);
-            }
-            "--frames" => {
-                i += 1;
-                let k: u64 = args
-                    .get(i)
-                    .ok_or("--frames needs a count")?
-                    .parse()
-                    .map_err(|_| "--frames must be an integer")?;
-                if k == 0 {
-                    return Err("--frames must be at least 1".to_string());
-                }
-                opts.frames = Some(k);
-            }
+            "--flightrec-out" => opts.flightrec_out = Some(flags.value()?),
+            "--watch" => opts.watch = Some(flags.value()?),
+            "--frames" => opts.frames = Some(flags.value()?),
             other => rest.push(other.to_string()),
         }
-        i += 1;
     }
+    opts.flightrec |= opts.flightrec_out.is_some();
+    if let Some(f) = opts.format.as_deref() {
+        let known = matches!(f, "pretty" | "prom" | "json");
+        ensure(
+            known,
+            &format!("--format must be pretty, prom or json, not `{f}`"),
+        )?;
+    }
+    let watch_ok = opts.watch.is_none_or(|secs| (0.0..=3600.0).contains(&secs));
+    ensure(watch_ok, "--watch period must be in 0..=3600 seconds")?;
+    ensure(opts.frames != Some(0), "--frames must be at least 1")?;
     Ok((opts, rest))
 }
 
@@ -546,15 +479,12 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let n = parse_n(args)?;
     let mut out_path: Option<String> = None;
     let mut forwarded = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--out" {
-            i += 1;
-            out_path = Some(args.get(i).ok_or("--out needs a file path")?.clone());
-        } else {
-            forwarded.push(args[i].clone());
+    let mut flags = Flags::new(&args[1..]);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--out" => out_path = Some(flags.value()?),
+            other => forwarded.push(other.to_string()),
         }
-        i += 1;
     }
     let (opts, rest) = parse_trace_opts(&forwarded)?;
     if opts.stats || opts.format.is_some() || opts.profile_out.is_some() || opts.watch.is_some() {
@@ -707,105 +637,41 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut flightrec_out: Option<String> = None;
     let mut slo_ms: Option<u64> = None;
     let mut slo_budget: Option<f64> = None;
-    let mut slo_dump: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                config.addr = args.get(i).ok_or("--addr needs host:port")?.clone();
-            }
-            "--threads" => {
-                i += 1;
-                config.threads = args
-                    .get(i)
-                    .ok_or("--threads needs a count")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer (0 = auto)")?;
-            }
-            "--queue" => {
-                i += 1;
-                config.queue_capacity = args
-                    .get(i)
-                    .ok_or("--queue needs a size")?
-                    .parse()
-                    .map_err(|_| "--queue must be an integer")?;
-            }
+    let mut slo_dump: Option<PathBuf> = None;
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--addr" => config.addr = flags.value()?,
+            "--threads" => config.threads = flags.value()?,
+            "--queue" => config.queue_capacity = flags.value()?,
             "--cache-mb" => {
-                i += 1;
-                let mb: usize = args
-                    .get(i)
-                    .ok_or("--cache-mb needs a size in MiB")?
-                    .parse()
-                    .map_err(|_| "--cache-mb must be an integer")?;
-                config.cache_bytes = mb << 20;
+                let mb: usize = flags.value()?;
+                config.cache_bytes = mb
+                    .checked_mul(1 << 20)
+                    .ok_or(format!("--cache-mb {mb} MiB overflows the byte count"))?;
             }
-            "--deadline-ms" => {
-                i += 1;
-                let ms: u64 = args
-                    .get(i)
-                    .ok_or("--deadline-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--deadline-ms must be an integer")?;
-                config.default_deadline_ms = Some(ms);
-            }
+            "--deadline-ms" => config.default_deadline_ms = Some(flags.value()?),
             "--verify" => config.verify_responses = true,
             "--proto" => {
-                i += 1;
-                config.max_proto = match args.get(i).map(String::as_str) {
-                    Some("v1") => star_rings::serve::proto::PROTO_V1,
-                    Some("v2") => star_rings::serve::proto::PROTO_V2,
+                config.max_proto = match flags.value_str()? {
+                    "v1" => star_rings::serve::proto::PROTO_V1,
+                    "v2" => star_rings::serve::proto::PROTO_V2,
                     _ => return Err("--proto must be v1 or v2".to_string()),
-                };
+                }
             }
-            "--oracle-path" => {
-                i += 1;
-                config.oracle_path = Some(std::path::PathBuf::from(
-                    args.get(i).ok_or("--oracle-path needs a directory")?,
-                ));
-            }
+            "--oracle-path" => config.oracle_path = Some(flags.value()?),
             "--flightrec" => flightrec = true,
-            "--flightrec-out" => {
-                i += 1;
-                flightrec = true;
-                flightrec_out = Some(
-                    args.get(i)
-                        .ok_or("--flightrec-out needs a file path")?
-                        .clone(),
-                );
-            }
-            "--slo-ms" => {
-                i += 1;
-                let ms: u64 = args
-                    .get(i)
-                    .ok_or("--slo-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--slo-ms must be an integer")?;
-                if ms == 0 {
-                    return Err("--slo-ms must be at least 1".to_string());
-                }
-                slo_ms = Some(ms);
-            }
-            "--slo-budget" => {
-                i += 1;
-                let b: f64 = args
-                    .get(i)
-                    .ok_or("--slo-budget needs a fraction")?
-                    .parse()
-                    .map_err(|_| "--slo-budget must be a number")?;
-                if !(b > 0.0 && b <= 1.0) {
-                    return Err("--slo-budget must be in (0, 1]".to_string());
-                }
-                slo_budget = Some(b);
-            }
-            "--slo-dump" => {
-                i += 1;
-                slo_dump = Some(args.get(i).ok_or("--slo-dump needs a file path")?.clone());
-            }
-            other => return Err(format!("unknown option `{other}`")),
+            "--flightrec-out" => flightrec_out = Some(flags.value()?),
+            "--slo-ms" => slo_ms = Some(flags.value()?),
+            "--slo-budget" => slo_budget = Some(flags.value()?),
+            "--slo-dump" => slo_dump = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
+    flightrec |= flightrec_out.is_some();
+    ensure(slo_ms != Some(0), "--slo-ms must be at least 1")?;
+    let budget_ok = slo_budget.is_none_or(|b| b > 0.0 && b <= 1.0);
+    ensure(budget_ok, "--slo-budget must be in (0, 1]")?;
     match slo_ms {
         Some(ms) => {
             let mut slo =
@@ -813,7 +679,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             if let Some(b) = slo_budget {
                 slo.budget = b;
             }
-            slo.dump_path = slo_dump.map(std::path::PathBuf::from);
+            slo.dump_path = slo_dump;
             config.slo = Some(slo);
             // A breach snapshot is only useful if events are being
             // recorded — the watchdog implies the flight recorder.
@@ -836,87 +702,33 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
-    let mut config = star_rings::serve::LoadgenConfig::default();
+    use star_rings::bench::loadgen::{Arrivals, LoadgenConfig, Mix, WireProto};
+    let mut config = LoadgenConfig::default();
     let mut out_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                config.addr = args.get(i).ok_or("--addr needs host:port")?.clone();
-            }
-            "--conns" => {
-                i += 1;
-                config.conns = args
-                    .get(i)
-                    .ok_or("--conns needs a count")?
-                    .parse()
-                    .map_err(|_| "--conns must be an integer")?;
-                if config.conns == 0 {
-                    return Err("--conns must be at least 1".to_string());
-                }
-            }
-            "--rps" => {
-                i += 1;
-                config.rps = args
-                    .get(i)
-                    .ok_or("--rps needs a rate")?
-                    .parse()
-                    .map_err(|_| "--rps must be an integer (0 = unthrottled)")?;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--addr" => config.addr = flags.value()?,
+            "--conns" => config.conns = flags.value()?,
+            "--rps" => config.rps = flags.value()?,
             "--duration" => {
-                i += 1;
-                let secs: f64 = args
-                    .get(i)
-                    .ok_or("--duration needs seconds")?
-                    .parse()
-                    .map_err(|_| "--duration must be a number of seconds")?;
-                if !(0.0..=3600.0).contains(&secs) {
-                    return Err("--duration must be in 0..=3600 seconds".to_string());
-                }
+                let secs: f64 = flags.value()?;
+                let in_range = (0.0..=3600.0).contains(&secs);
+                ensure(in_range, "--duration must be in 0..=3600 seconds")?;
                 config.duration = std::time::Duration::from_secs_f64(secs);
             }
-            "--mix" => {
-                i += 1;
-                config.mix =
-                    star_rings::serve::Mix::parse(args.get(i).ok_or("--mix needs a value")?)?;
-            }
-            "--arrivals" => {
-                i += 1;
-                config.arrivals = star_rings::serve::Arrivals::parse(
-                    args.get(i).ok_or("--arrivals needs a value")?,
-                )?;
-            }
-            "--trace-out" => {
-                i += 1;
-                config.trace_out = Some(std::path::PathBuf::from(
-                    args.get(i).ok_or("--trace-out needs a file path")?,
-                ));
-            }
-            "--seed" => {
-                i += 1;
-                config.seed = args
-                    .get(i)
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer")?;
-            }
-            "--proto" => {
-                i += 1;
-                config.proto = star_rings::serve::WireProto::parse(
-                    args.get(i).ok_or("--proto needs a value")?,
-                )?;
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).ok_or("--out needs a file path")?.clone());
-            }
+            "--mix" => config.mix = Mix::parse(flags.value_str()?)?,
+            "--arrivals" => config.arrivals = Arrivals::parse(flags.value_str()?)?,
+            "--trace-out" => config.trace_out = Some(flags.value()?),
+            "--seed" => config.seed = flags.value()?,
+            "--proto" => config.proto = WireProto::parse(flags.value_str()?)?,
+            "--out" => out_path = Some(flags.value()?),
             "--verify" => config.verify = true,
-            other => return Err(format!("unknown option `{other}`")),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
-    let report = star_rings::serve::loadgen::run(&config)?;
+    ensure(config.conns >= 1, "--conns must be at least 1")?;
+    let report = star_rings::bench::loadgen::run(&config)?;
     eprint!("{}", report.render_summary());
     let json = report.to_baseline().to_json();
     match &out_path {
@@ -953,43 +765,17 @@ fn cmd_obs_overhead(args: &[String]) -> Result<(), String> {
     let mut n = 8usize;
     let mut samples = 15usize;
     let mut max_pct = 5.0f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                n = args
-                    .get(i)
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "--n must be an integer")?;
-                if !(4..=10).contains(&n) {
-                    return Err("--n must be in 4..=10".to_string());
-                }
-            }
-            "--samples" => {
-                i += 1;
-                samples = args
-                    .get(i)
-                    .ok_or("--samples needs a count")?
-                    .parse()
-                    .map_err(|_| "--samples must be an integer")?;
-                if samples == 0 {
-                    return Err("--samples must be at least 1".to_string());
-                }
-            }
-            "--max-pct" => {
-                i += 1;
-                max_pct = args
-                    .get(i)
-                    .ok_or("--max-pct needs a percentage")?
-                    .parse()
-                    .map_err(|_| "--max-pct must be a number")?;
-            }
-            other => return Err(format!("unknown option `{other}`")),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--n" => n = flags.value()?,
+            "--samples" => samples = flags.value()?,
+            "--max-pct" => max_pct = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
+    ensure((4..=10).contains(&n), "--n must be in 4..=10")?;
+    ensure(samples >= 1, "--samples must be at least 1")?;
     let faults =
         gen::random_vertex_faults(n, n.saturating_sub(3), 0xB0B).map_err(|e| e.to_string())?;
     // The serving path canonicalizes every request before embedding, so
@@ -1076,67 +862,32 @@ fn cmd_oracle(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Pulls the required `--path <dir>` plus any extra flags a subcommand
-/// declares; unknown flags error.
-fn parse_oracle_flags(
-    args: &[String],
-    mut extra: impl FnMut(&str, &str) -> Result<bool, String>,
-) -> Result<std::path::PathBuf, String> {
-    let mut path: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--path" {
-            i += 1;
-            path = Some(std::path::PathBuf::from(
-                args.get(i).ok_or("--path needs a directory")?,
-            ));
-        } else {
-            let value = args.get(i + 1).map(String::as_str).unwrap_or("");
-            if extra(flag, value)? {
-                i += 1;
-            } else {
-                return Err(format!("unknown option `{flag}`"));
-            }
-        }
-        i += 1;
-    }
-    path.ok_or("--path <dir> is required".to_string())
+/// Opens the store named by a subcommand's required `--path <dir>`.
+fn open_store(path: Option<PathBuf>) -> Result<(PathBuf, star_rings::oracle::Store), String> {
+    let path = path.ok_or("--path <dir> is required")?;
+    let store = star_rings::oracle::Store::open(&path)
+        .map_err(|e| format!("oracle store {}: {e}", path.display()))?;
+    Ok((path, store))
 }
 
 fn cmd_oracle_warm(args: &[String]) -> Result<(), String> {
+    let mut path = None;
     let mut max_n = 7usize;
     let mut count = 32usize;
     let mut seed = 0u64;
-    let path = parse_oracle_flags(args, |flag, value| match flag {
-        "--n" => {
-            max_n = value
-                .parse()
-                .map_err(|_| "--n must be an integer".to_string())?;
-            if !(4..=9).contains(&max_n) {
-                return Err("--n must be in 4..=9".to_string());
-            }
-            Ok(true)
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--path" => path = Some(flags.value()?),
+            "--n" => max_n = flags.value()?,
+            "--count" => count = flags.value()?,
+            "--seed" => seed = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
-        "--count" => {
-            count = value
-                .parse()
-                .map_err(|_| "--count must be an integer".to_string())?;
-            if count == 0 {
-                return Err("--count must be at least 1".to_string());
-            }
-            Ok(true)
-        }
-        "--seed" => {
-            seed = value
-                .parse()
-                .map_err(|_| "--seed must be an integer".to_string())?;
-            Ok(true)
-        }
-        _ => Ok(false),
-    })?;
-    let store = star_rings::oracle::Store::open(&path)
-        .map_err(|e| format!("oracle store {}: {e}", path.display()))?;
+    }
+    ensure((4..=9).contains(&max_n), "--n must be in 4..=9")?;
+    ensure(count >= 1, "--count must be at least 1")?;
+    let (path, store) = open_store(path)?;
     let t0 = std::time::Instant::now();
     let mut written = 0usize;
     let mut skipped = 0usize;
@@ -1189,9 +940,15 @@ fn cmd_oracle_warm(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_oracle_stats(args: &[String]) -> Result<(), String> {
-    let path = parse_oracle_flags(args, |_, _| Ok(false))?;
-    let store = star_rings::oracle::Store::open(&path)
-        .map_err(|e| format!("oracle store {}: {e}", path.display()))?;
+    let mut path = None;
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--path" => path = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
+        }
+    }
+    let (path, store) = open_store(path)?;
     let stats = store.stats();
     println!(
         "oracle store {}\n\
@@ -1209,18 +966,17 @@ fn cmd_oracle_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_oracle_verify(args: &[String]) -> Result<(), String> {
+    let mut path = None;
     let mut limit = 0usize;
-    let path = parse_oracle_flags(args, |flag, value| match flag {
-        "--limit" => {
-            limit = value
-                .parse()
-                .map_err(|_| "--limit must be an integer (0 = all)".to_string())?;
-            Ok(true)
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--path" => path = Some(flags.value()?),
+            "--limit" => limit = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
-        _ => Ok(false),
-    })?;
-    let store = star_rings::oracle::Store::open(&path)
-        .map_err(|e| format!("oracle store {}: {e}", path.display()))?;
+    }
+    let (_, store) = open_store(path)?;
     let t0 = std::time::Instant::now();
     let report = store.verify(limit);
     println!(
@@ -1246,63 +1002,33 @@ fn cmd_oracle_verify(args: &[String]) -> Result<(), String> {
 /// the differential correctness gate. Exits nonzero on any mismatch, soak
 /// violation, or fuzz-invariant failure.
 fn cmd_audit(args: &[String]) -> Result<(), String> {
-    let mut config = star_rings::verify::audit::AuditConfig::default();
+    let mut config = star_rings::bench::audit::AuditConfig::default();
     let mut soak = 200usize;
     let mut fuzz_iters = 96usize;
     let mut out_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                config.max_n = args
-                    .get(i)
-                    .ok_or("--n needs a value")?
-                    .parse()
-                    .map_err(|_| "--n must be an integer")?;
-                if !(4..=6).contains(&config.max_n) {
-                    return Err("--n must be in 4..=6 (the oracle-checkable range)".to_string());
-                }
-            }
-            "--seeds" => {
-                i += 1;
-                config.seeds = args
-                    .get(i)
-                    .ok_or("--seeds needs a count")?
-                    .parse()
-                    .map_err(|_| "--seeds must be an integer")?;
-            }
-            "--soak" => {
-                i += 1;
-                soak = args
-                    .get(i)
-                    .ok_or("--soak needs a count")?
-                    .parse()
-                    .map_err(|_| "--soak must be an integer (0 disables)")?;
-            }
-            "--fuzz" => {
-                i += 1;
-                fuzz_iters = args
-                    .get(i)
-                    .ok_or("--fuzz needs a count")?
-                    .parse()
-                    .map_err(|_| "--fuzz must be an integer (0 disables)")?;
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).ok_or("--out needs a file path")?.clone());
-            }
-            other => return Err(format!("unknown option `{other}`")),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--n" => config.max_n = flags.value()?,
+            "--seeds" => config.seeds = flags.value()?,
+            "--soak" => soak = flags.value()?,
+            "--fuzz" => fuzz_iters = flags.value()?,
+            "--out" => out_path = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
+    let checkable = (4..=6).contains(&config.max_n);
+    ensure(
+        checkable,
+        "--n must be in 4..=6 (the oracle-checkable range)",
+    )?;
 
     let mut failures: Vec<String> = Vec::new();
     let mut cases: Vec<star_rings::bench::baseline::BaselineCase> = Vec::new();
 
     // 1. Differential sweep.
     let t0 = std::time::Instant::now();
-    let report = star_rings::verify::audit::run(&config);
+    let report = star_rings::bench::audit::run(&config);
     eprintln!(
         "audit: differential sweep — {} scenarios across n=4..={}, {} mismatches ({:.2}s)",
         report.scenarios(),
@@ -1343,7 +1069,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     if soak > 0 {
         let t0 = std::time::Instant::now();
         let (mismatches, (local, global, refused)) =
-            star_rings::verify::audit::soak_repairs(6, soak, 0xC0FFEE);
+            star_rings::bench::audit::soak_repairs(6, soak, 0xC0FFEE);
         let dt = t0.elapsed();
         eprintln!(
             "audit: chaos soak — {soak} injections at n=6 ({local} local, {global} global, \
@@ -1452,29 +1178,13 @@ fn cmd_degrade(args: &[String]) -> Result<(), String> {
     let n = parse_n(args)?;
     let mut failures = n.saturating_sub(3);
     let mut seed = 0u64;
-    let rest = &args[1..];
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--failures" => {
-                i += 1;
-                failures = rest
-                    .get(i)
-                    .ok_or("--failures needs a count")?
-                    .parse()
-                    .map_err(|_| "--failures must be an integer")?;
-            }
-            "--seed" => {
-                i += 1;
-                seed = rest
-                    .get(i)
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer")?;
-            }
-            other => return Err(format!("unknown option `{other}`")),
+    let mut flags = Flags::new(&args[1..]);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--failures" => failures = flags.value()?,
+            "--seed" => seed = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
     if failures > n.saturating_sub(3) {
         return Err(format!("at most n-3 = {} failures supported", n - 3));

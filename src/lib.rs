@@ -17,16 +17,18 @@
 //! - [`verify`] — ring/path validity and optimality checkers.
 //! - [`sim`] — ring-workload simulation on faulty star networks.
 //! - [`obs`] — structured tracing and metrics (spans, counters,
-//!   histograms) used by every layer above.
+//!   histograms) used by every layer above, and the workspace's one JSON
+//!   module ([`obs::json`]).
 //! - [`pool`] — the shared work pool: order-preserving parallel maps and
 //!   the process-wide thread-count knob ([`pool::set_threads`], surfaced
 //!   as `--threads` on the CLI).
-//! - [`mod@bench`] — perf baselines (`BENCH_*.json`), the regression
-//!   comparator, and the vendored JSON codec ([`bench::jsonv`]).
+//! - [`mod@bench`] — the harness above the library and the server: perf
+//!   baselines (`BENCH_*.json`), the regression comparator, the load
+//!   generator (`star-rings loadgen`), the differential audit
+//!   (`star-rings audit`) and the command-line flag parser.
 //! - [`serve`] — the networked embedding service: TCP server with a
-//!   length-prefixed JSON protocol, bounded request queue, sharded LRU
-//!   result cache, and a closed-loop load generator (`star-rings serve` /
-//!   `star-rings loadgen`).
+//!   length-prefixed JSON protocol, bounded request queue and sharded LRU
+//!   result cache (`star-rings serve`).
 //! - [`oracle`] — the symmetry-canonical embedding oracle: an
 //!   `Aut(S_n)`-canonicalizer that folds fault scenarios onto orbit
 //!   representatives, plus a crash-safe disk store of canonical rings

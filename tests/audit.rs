@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use star_rings::bench::jsonv::Json;
+use star_rings::obs::json::Json;
 use star_rings::serve::client::{certified_embed_request, embed_request, plain_request};
 use star_rings::serve::proto::MAX_FRAME;
 use star_rings::serve::Client;
@@ -216,19 +216,19 @@ fn frame_length_boundaries_over_the_wire() {
 #[test]
 fn loadgen_verify_round_trip() {
     let server = Server::start(&["--threads", "2", "--verify"]);
-    let config = star_rings::serve::LoadgenConfig {
+    let config = star_rings::bench::loadgen::LoadgenConfig {
         addr: server.addr.clone(),
         conns: 2,
         rps: 0,
         duration: Duration::from_millis(600),
-        mix: star_rings::serve::Mix::Embed,
+        mix: star_rings::bench::loadgen::Mix::Embed,
         seed: 7,
         verify: true,
-        arrivals: star_rings::serve::Arrivals::Closed,
+        arrivals: star_rings::bench::loadgen::Arrivals::Closed,
         trace_out: None,
-        proto: star_rings::serve::WireProto::V1,
+        proto: star_rings::bench::loadgen::WireProto::V1,
     };
-    let report = star_rings::serve::loadgen::run(&config).expect("loadgen runs");
+    let report = star_rings::bench::loadgen::run(&config).expect("loadgen runs");
     assert!(report.ok > 0, "no successful responses");
     assert!(
         report.certs_checked > 0,

@@ -226,6 +226,7 @@ fn every_subcommand_exits_one_on_bad_arguments() {
         &["serve", "--bogus"][..],
         &["serve", "--queue"][..],
         &["serve", "--addr", "not-an-address"][..],
+        &["serve", "--cache-mb", "17592186044416"][..],
         &["loadgen", "--conns", "0"][..],
         &["loadgen", "--mix", "chaotic"][..],
         &["loadgen", "--duration", "forever"][..],

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use star_rings::bench::jsonv::Json;
 use star_rings::fault::FaultSet;
+use star_rings::obs::json::Json;
 use star_rings::oracle::{canonicalize, Store};
 use star_rings::perm::{delta::RingDelta, Aut, Perm};
 use star_rings::ring::{embed_longest_ring, EmbedOptions};

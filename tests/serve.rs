@@ -5,8 +5,8 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use star_rings::bench::jsonv::Json;
 use star_rings::fault::FaultSet;
+use star_rings::obs::json::Json;
 use star_rings::serve::client::{
     certified_embed_request, embed_request, plain_request, with_proto_v2, with_return_ring,
     Received,
@@ -239,6 +239,20 @@ fn garbage_frames_get_bad_request() {
     let response = other.recv(Duration::from_secs(10)).unwrap();
     assert_eq!(get_str(&response, "error"), "bad_request");
     assert!(other.recv(Duration::from_secs(10)).is_err(), "hangup");
+}
+
+/// A frame of 100,000 `[` is a parse error past the parser's depth
+/// limit, not a stack overflow that aborts the server: it is answered
+/// `bad_request` and the same connection keeps serving.
+#[test]
+fn a_deeply_nested_frame_gets_bad_request_and_the_connection_survives() {
+    let server = Server::start(&["--threads", "1"]);
+    let mut client = server.connect();
+    client.send_raw("[".repeat(100_000).as_bytes()).unwrap();
+    let response = client.recv(Duration::from_secs(10)).unwrap();
+    assert_eq!(get_str(&response, "error"), "bad_request", "{response}");
+    let health = client.call(&plain_request("deep", "health")).unwrap();
+    assert!(is_ok(&health), "{health}");
 }
 
 #[cfg(unix)]

@@ -12,9 +12,9 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use star_rings::bench::jsonv::Json;
+use star_rings::bench::loadgen::{self, Arrivals, LoadgenConfig, Mix, WireProto};
+use star_rings::obs::json::Json;
 use star_rings::serve::client::{embed_request, with_trace_id};
-use star_rings::serve::loadgen::{self, Arrivals, LoadgenConfig, Mix, WireProto};
 use star_rings::serve::{Client, ServeConfig, SloConfig};
 
 /// The flight recorder, its dump path, and `request_shutdown` are all
