@@ -29,6 +29,8 @@ use star_perm::factorial;
 
 use star_verify::{certificate, check_ring, exhaustive};
 
+use crate::baseline::percentile;
+
 /// Sweep configuration.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
@@ -105,14 +107,6 @@ impl AuditReport {
     pub fn clean(&self) -> bool {
         self.mismatches.is_empty()
     }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Runs the differential sweep.

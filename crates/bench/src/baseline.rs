@@ -65,7 +65,41 @@ pub struct Baseline {
     pub cases: Vec<BaselineCase>,
 }
 
+impl BaselineCase {
+    /// A case from wall-clock samples in any order: their median and
+    /// p95, no pool fan-out and no request rate.
+    pub fn from_samples(
+        name: String,
+        n: usize,
+        mode: &str,
+        mut wall_ns: Vec<u64>,
+        oracle_hit_rate: f64,
+    ) -> BaselineCase {
+        wall_ns.sort_unstable();
+        BaselineCase {
+            name,
+            n,
+            mode: mode.to_string(),
+            samples: wall_ns.len(),
+            median_ns: percentile(&wall_ns, 0.5),
+            p95_ns: percentile(&wall_ns, 0.95),
+            oracle_hit_rate,
+            pool_items_per_worker: 0.0,
+            per_conn_rate: 0.0,
+        }
+    }
+}
+
 impl Baseline {
+    /// `cases` stamped with the wall clock.
+    pub fn stamped(cases: Vec<BaselineCase>) -> Baseline {
+        let created_ms = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0);
+        Baseline { created_ms, cases }
+    }
+
     /// Serializes to the committed `BENCH_*.json` format (pretty, one
     /// case per line, so diffs stay reviewable).
     pub fn to_json(&self) -> String {
@@ -227,9 +261,14 @@ fn no_verify() -> EmbedOptions {
     }
 }
 
-fn percentile(sorted_ns: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)]
+/// The `p`-quantile (`0.0..=1.0`) of ascending samples, nearest rank;
+/// 0 when there are none.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Runs one matrix cell: `samples` no-verify embeds of the full-budget
@@ -239,7 +278,7 @@ fn percentile(sorted_ns: &[u64], p: f64) -> u64 {
 pub fn run_case(name: &str, n: usize, mode: &str, samples: usize) -> BaselineCase {
     let faults = gen::worst_case_same_partite(n, n - 3, Parity::Even, 42).unwrap();
     let snap0 = star_obs::snapshot();
-    let mut wall_ns: Vec<u64> = (0..samples)
+    let wall_ns: Vec<u64> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
             let ring = embed_with_options(n, &faults, &no_verify()).unwrap();
@@ -248,30 +287,23 @@ pub fn run_case(name: &str, n: usize, mode: &str, samples: usize) -> BaselineCas
             ns
         })
         .collect();
-    wall_ns.sort_unstable();
     let snap1 = star_obs::snapshot();
     let delta =
         |name: &str| -> u64 { snap1.counter(name).unwrap_or(0) - snap0.counter(name).unwrap_or(0) };
     let (hits, misses) = (delta("oracle.hit"), delta("oracle.miss"));
     let (items, workers) = (delta("pool.items"), delta("pool.workers"));
+    let oracle_hit_rate = if hits + misses == 0 {
+        1.0
+    } else {
+        hits as f64 / (hits + misses) as f64
+    };
     BaselineCase {
-        name: name.to_string(),
-        n,
-        mode: mode.to_string(),
-        samples,
-        median_ns: percentile(&wall_ns, 0.5),
-        p95_ns: percentile(&wall_ns, 0.95),
-        oracle_hit_rate: if hits + misses == 0 {
-            1.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        },
         pool_items_per_worker: if workers == 0 {
             0.0
         } else {
             items as f64 / workers as f64
         },
-        per_conn_rate: 0.0,
+        ..BaselineCase::from_samples(name.to_string(), n, mode, wall_ns, oracle_hit_rate)
     }
 }
 
@@ -305,11 +337,7 @@ pub fn run_matrix(samples: usize) -> Baseline {
         }
     }
     star_pool::set_threads(0);
-    let created_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    Baseline { created_ms, cases }
+    Baseline::stamped(cases)
 }
 
 /// `YYYY-MM-DD` (UTC) for a Unix-epoch millisecond stamp — used to name

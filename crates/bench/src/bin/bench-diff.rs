@@ -32,6 +32,7 @@ fn cli() -> Result<ExitCode, String> {
                     "bench-diff <base.json> <current.json> [--threshold PCT] [--warn-only]",
                 ))
             }
+            unknown if unknown.starts_with('-') => return Err(flags.unknown()),
             file => files.push(file),
         }
     }

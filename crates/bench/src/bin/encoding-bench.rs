@@ -34,7 +34,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use star_bench::baseline::{Baseline, BaselineCase};
+use star_bench::baseline::{percentile, Baseline, BaselineCase};
 use star_bench::flags::{ensure, exit_code, usage, Flags};
 use star_fault::{gen, FaultSet};
 use star_perm::{factorial, Aut};
@@ -88,26 +88,6 @@ fn cli() -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn percentile(sorted_ns: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)]
-}
-
-fn case(name: String, n: usize, mode: &str, mut wall_ns: Vec<u64>) -> BaselineCase {
-    wall_ns.sort_unstable();
-    BaselineCase {
-        name,
-        n,
-        mode: mode.to_string(),
-        samples: wall_ns.len(),
-        median_ns: percentile(&wall_ns, 0.5),
-        p95_ns: percentile(&wall_ns, 0.95),
-        oracle_hit_rate: 0.0,
-        pool_items_per_worker: 0.0,
-        per_conn_rate: 0.0,
-    }
-}
-
 fn median(wall_ns: &[u64]) -> u64 {
     let mut w = wall_ns.to_vec();
     w.sort_unstable();
@@ -121,6 +101,7 @@ fn mib_per_s(bytes: usize, ns: u64) -> f64 {
 fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
     let mut cases = Vec::new();
     for n in 7..=n_max {
+        let case = |name, mode, wall| BaselineCase::from_samples(name, n, mode, wall, 0.0);
         // One worst-case-budget ring per dimension; the encodings are
         // measured on the same ring so the comparison is apples to
         // apples.
@@ -153,12 +134,7 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
             "encoding-bench:   json_encode  {:>8.1} MiB/s",
             mib_per_s(json_bytes, median(&wall))
         );
-        cases.push(case(
-            format!("encoding/json_encode/n{n}"),
-            n,
-            "encode",
-            wall,
-        ));
+        cases.push(case(format!("encoding/json_encode/n{n}"), "encode", wall));
 
         let wall: Vec<u64> = (0..samples)
             .map(|_| {
@@ -173,12 +149,7 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
             "encoding-bench:   delta_encode {:>8.1} MiB/s (of JSON-equivalent bytes)",
             mib_per_s(json_bytes, median(&wall))
         );
-        cases.push(case(
-            format!("encoding/delta_encode/n{n}"),
-            n,
-            "encode",
-            wall,
-        ));
+        cases.push(case(format!("encoding/delta_encode/n{n}"), "encode", wall));
 
         let wall: Vec<u64> = (0..samples)
             .map(|_| {
@@ -193,12 +164,7 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
             "encoding-bench:   delta_decode {:>8.1} MiB/s (of JSON-equivalent bytes)",
             mib_per_s(json_bytes, median(&wall))
         );
-        cases.push(case(
-            format!("encoding/delta_decode/n{n}"),
-            n,
-            "decode",
-            wall,
-        ));
+        cases.push(case(format!("encoding/delta_decode/n{n}"), "decode", wall));
 
         let frames: Vec<Vec<u8>> = chunk_stream(&delta, 0, DEFAULT_CHUNK_VERTICES)?
             .iter()
@@ -214,7 +180,7 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
                 ns
             })
             .collect();
-        cases.push(case(format!("verify/stream/n{n}"), n, "verify", wall));
+        cases.push(case(format!("verify/stream/n{n}"), "verify", wall));
 
         // The last automorphism of Stab_1 relabels dimension d as n - d.
         let aut = Aut::from_ranks(n, 0x5EED, factorial(n - 1) - 1);
@@ -236,12 +202,7 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
                 ns
             })
             .collect();
-        cases.push(case(
-            format!("verify/stream_mapped/n{n}"),
-            n,
-            "verify",
-            wall,
-        ));
+        cases.push(case(format!("verify/stream_mapped/n{n}"), "verify", wall));
 
         let wall: Vec<u64> = (0..samples)
             .map(|_| {
@@ -253,7 +214,7 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
                 ns
             })
             .collect();
-        cases.push(case(format!("verify/check_ring/n{n}"), n, "verify", wall));
+        cases.push(case(format!("verify/check_ring/n{n}"), "verify", wall));
 
         // The size win is the point of the protocol: hold the line.
         if n == n_max && (delta_bytes as f64) > json_bytes as f64 / 20.0 {
@@ -263,11 +224,7 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
             ));
         }
     }
-    let created_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    Ok(Baseline { created_ms, cases })
+    Ok(Baseline::stamped(cases))
 }
 
 /// The client's side of a v2 ring stream: parse every frame and fold it

@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use star_bench::baseline::{Baseline, BaselineCase};
+use star_bench::baseline::{percentile, Baseline, BaselineCase};
 use star_bench::flags::{ensure, exit_code, usage, Flags};
 use star_fault::{gen, FaultSet};
 use star_oracle::{canonicalize, Canon, Canonicalizer, OracleKey, Store};
@@ -75,26 +75,6 @@ fn cli() -> Result<ExitCode, String> {
         );
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn percentile(sorted_ns: &[u64], p: f64) -> u64 {
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)]
-}
-
-fn case(name: String, n: usize, mode: &str, mut wall_ns: Vec<u64>) -> BaselineCase {
-    wall_ns.sort_unstable();
-    BaselineCase {
-        name,
-        n,
-        mode: mode.to_string(),
-        samples: wall_ns.len(),
-        median_ns: percentile(&wall_ns, 0.5),
-        p95_ns: percentile(&wall_ns, 0.95),
-        oracle_hit_rate: 1.0,
-        pool_items_per_worker: 0.0,
-        per_conn_rate: 0.0,
-    }
 }
 
 /// The server's map-back: a canonical-frame delta into the caller's
@@ -151,6 +131,7 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
         .map_err(|e| e.to_string())?;
 
     let mut cases = Vec::new();
+    let case = |name, mode, wall| BaselineCase::from_samples(name, n, mode, wall, 1.0);
 
     // literal_hit: memoized canonicalization + witness map-back of the
     // in-memory canonical delta (the LRU-hit path; no disk).
@@ -166,7 +147,7 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
             ns
         })
         .collect();
-    cases.push(case(format!("oracle/literal_hit/n{n}"), n, "hit", wall));
+    cases.push(case(format!("oracle/literal_hit/n{n}"), "hit", wall));
 
     // canonical_hit: fresh orbit-mate each sample — cold canonical
     // search + validated delta read from the store + witness map-back.
@@ -186,7 +167,7 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
             ns
         })
         .collect();
-    cases.push(case(format!("oracle/canonical_hit/n{n}"), n, "hit", wall));
+    cases.push(case(format!("oracle/canonical_hit/n{n}"), "hit", wall));
 
     // cold_miss: cold canonical search + the embed itself (the
     // write-behind persist is off the request path and not charged).
@@ -208,7 +189,7 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
             ns
         })
         .collect();
-    cases.push(case(format!("oracle/cold_miss/n{n}"), n, "miss", wall));
+    cases.push(case(format!("oracle/cold_miss/n{n}"), "miss", wall));
 
     // store_read: the disk layer alone — lookup, checksum, key and
     // delta validation.
@@ -239,12 +220,8 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
         record_bytes,
         median_read,
     );
-    cases.push(case(format!("oracle/store_read/n{n}"), n, "store", wall));
+    cases.push(case(format!("oracle/store_read/n{n}"), "store", wall));
 
     let _ = std::fs::remove_dir_all(&dir);
-    let created_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    Ok(Baseline { created_ms, cases })
+    Ok(Baseline::stamped(cases))
 }

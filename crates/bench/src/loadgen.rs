@@ -17,12 +17,17 @@
 //! Each connection precommits to an arrival schedule (seeded Poisson
 //! process, or a bursty on/off schedule with the same average rate) and
 //! sends at those times regardless of how the server is doing; a
-//! separate receiver thread matches responses by `id`. Latency is
+//! separate receiver thread settles the responses. Latency is
 //! measured **from the scheduled send time** into a fixed-size
 //! log-bucket histogram ([`star_obs::LocalHistogram`]), so queueing
 //! delay the server inflicts on a punctual client is charged to the
 //! server — coordinated omission is eliminated by construction, and
 //! p99.9 comes from bucket counts rather than a per-sample vector.
+//!
+//! Both loops draw and record requests the same way and read each
+//! connection through one [`star_serve::stream::ResponseReader`], so
+//! `--proto v2|mixed` works under either; a v2 request's latency runs
+//! to its last verified chunk.
 //!
 //! Every request carries a client-generated `trace_id`; with
 //! `--trace-out` the per-request outcomes (scheduled time, latency,
@@ -44,7 +49,6 @@
 //! `loadgen/{arrivals}/{mix}/c{conns}` plus a `/tail` case carrying
 //! p99 (as `median_ns`) and p99.9 (as `p95_ns`).
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -52,6 +56,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
+use star_fault::FaultSet;
 use star_obs::json::Json;
 use star_obs::LocalHistogram;
 use star_perm::{Aut, Perm};
@@ -59,9 +64,9 @@ use star_serve::client::{
     certified_embed_request, embed_request, plain_request, with_proto_v2, with_return_ring,
     with_trace_id, Client,
 };
-use star_serve::stream::fetch_verified;
+use star_serve::stream::{Response, ResponseReader};
 
-use crate::baseline::{Baseline, BaselineCase};
+use crate::baseline::{percentile, Baseline, BaselineCase};
 
 /// Load-generator configuration (the CLI's `loadgen` flags).
 #[derive(Debug, Clone)]
@@ -86,8 +91,7 @@ pub struct LoadgenConfig {
     /// default), `v2` (negotiate streamed generator-delta rings and
     /// verify every chunk incrementally), or `mixed` (per-request coin
     /// flip — exercises a server answering both on interleaved
-    /// connections). Closed-loop only: chunk frames carry no
-    /// correlation id for the open-loop receiver to match.
+    /// connections).
     pub proto: WireProto,
     /// Audit mode (`--verify`): request a STARRING-CERT certificate on
     /// every embed and re-verify it client-side (full re-derivation via
@@ -191,6 +195,8 @@ impl WireProto {
         }
     }
 
+    /// The `--proto` spelling (only the parse round-trip test needs it).
+    #[cfg(test)]
     fn name(self) -> &'static str {
         match self {
             WireProto::V1 => "v1",
@@ -335,14 +341,10 @@ pub struct LoadgenReport {
 
 impl LoadgenReport {
     fn percentile(&self, p: f64) -> u64 {
-        if let Some(hist) = &self.hist {
-            return hist.quantile(p);
+        match &self.hist {
+            Some(hist) => hist.quantile(p),
+            None => percentile(&self.latencies_ns, p),
         }
-        if self.latencies_ns.is_empty() {
-            return 0;
-        }
-        let idx = ((self.latencies_ns.len() as f64 - 1.0) * p).round() as usize;
-        self.latencies_ns[idx.min(self.latencies_ns.len() - 1)]
     }
 
     fn samples(&self) -> usize {
@@ -358,10 +360,6 @@ impl LoadgenReport {
     /// arrivals name and a `/tail` case (p99 as `median_ns`, p99.9 as
     /// `p95_ns`).
     pub fn to_baseline(&self) -> Baseline {
-        let created_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
         let name = match self.arrivals {
             Arrivals::Closed => format!("loadgen/{}/c{}", self.mix.name(), self.conns),
             open => format!(
@@ -376,31 +374,23 @@ impl LoadgenReport {
         } else {
             self.rps / self.conns as f64
         };
-        let mut cases = vec![BaselineCase {
-            name: name.clone(),
+        // `median_ns`/`p95_ns` carry the quantiles `mid`/`high`.
+        let case = |name, mid, high| BaselineCase {
+            name,
             n: 0,
             mode: self.mix.name().to_string(),
             samples: self.samples(),
-            median_ns: self.percentile(0.5),
-            p95_ns: self.percentile(0.95),
+            median_ns: self.percentile(mid),
+            p95_ns: self.percentile(high),
             oracle_hit_rate: self.cache_hit_rate,
             pool_items_per_worker: 0.0,
             per_conn_rate,
-        }];
+        };
+        let mut cases = vec![case(name.clone(), 0.5, 0.95)];
         if self.arrivals.is_open() {
-            cases.push(BaselineCase {
-                name: format!("{name}/tail"),
-                n: 0,
-                mode: self.mix.name().to_string(),
-                samples: self.samples(),
-                median_ns: self.percentile(0.99),
-                p95_ns: self.percentile(0.999),
-                oracle_hit_rate: self.cache_hit_rate,
-                pool_items_per_worker: 0.0,
-                per_conn_rate,
-            });
+            cases.push(case(format!("{name}/tail"), 0.99, 0.999));
         }
-        Baseline { created_ms, cases }
+        Baseline::stamped(cases)
     }
 
     /// Human-readable summary block (stderr companion to the JSON).
@@ -498,12 +488,10 @@ fn random_perm(rng: &mut StdRng, n: usize) -> Perm {
     Perm::from_digits(n, packed)
 }
 
-/// A random fault list for `n`, full budget, identity excluded (the
+/// `count` distinct random faults for `n`, identity excluded (the
 /// embedder handles faulted starts, but keeping the pool uniform makes
 /// run-to-run comparisons cleaner).
-fn random_faults(rng: &mut StdRng, n: usize) -> Vec<String> {
-    let budget = n.saturating_sub(3);
-    let count = rng.random_range(0..=budget);
+fn distinct_faults(rng: &mut StdRng, n: usize, count: usize) -> Vec<String> {
     let mut out: Vec<String> = Vec::with_capacity(count);
     while out.len() < count {
         let p = random_perm(rng, n);
@@ -513,6 +501,12 @@ fn random_faults(rng: &mut StdRng, n: usize) -> Vec<String> {
         }
     }
     out
+}
+
+/// A random fault list for `n` of any size within the budget `n - 3`.
+fn random_faults(rng: &mut StdRng, n: usize) -> Vec<String> {
+    let count = rng.random_range(0..=n.saturating_sub(3));
+    distinct_faults(rng, n, count)
 }
 
 /// Pre-built scenario pool for the `cached` mix: a few fault sets per
@@ -534,20 +528,9 @@ fn scenario_pool(seed: u64) -> Vec<(usize, Vec<String>)> {
 /// (`n!·(n-1)!` automorphisms per scenario).
 fn automorphic_pool(seed: u64) -> Vec<(usize, Vec<String>)> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA07_0B17);
-    let mut pool = Vec::new();
-    for n in 5..=7usize {
-        let budget = n - 3;
-        let mut faults: Vec<String> = Vec::with_capacity(budget);
-        while faults.len() < budget {
-            let p = random_perm(&mut rng, n);
-            let s = p.to_string();
-            if p != Perm::identity(n) && !faults.contains(&s) {
-                faults.push(s);
-            }
-        }
-        pool.push((n, faults));
-    }
-    pool
+    (5..=7usize)
+        .map(|n| (n, distinct_faults(&mut rng, n, n - 3)))
+        .collect()
 }
 
 /// The mix's scenario pool (see [`scenario_pool`] / [`automorphic_pool`]).
@@ -588,12 +571,11 @@ struct ConnTally {
     trace_lines: Vec<String>,
 }
 
-impl ConnTally {
-    fn count_rejection(&mut self, code: String) {
-        match self.rejected.iter_mut().find(|(c, _)| *c == code) {
-            Some((_, count)) => *count += 1,
-            None => self.rejected.push((code, 1)),
-        }
+/// Adds `count` answers rejected with `code` to a per-code tally.
+fn add_rejections(rejected: &mut Vec<(String, u64)>, code: String, count: u64) {
+    match rejected.iter_mut().find(|(c, _)| *c == code) {
+        Some((_, total)) => *total += count,
+        None => rejected.push((code, count)),
     }
 }
 
@@ -627,68 +609,6 @@ fn check_certificate(response: &Json, n: usize, fault_count: usize) -> Result<()
     Ok(())
 }
 
-/// One request drawn from the mix. Returns the body (without trace id)
-/// and, for embeds, the `(n, faults)` that certificate and stream
-/// verification need.
-fn gen_request(
-    config: &LoadgenConfig,
-    rng: &mut StdRng,
-    pool: &[(usize, Vec<String>)],
-    id: &str,
-) -> (Json, Option<(usize, Vec<String>)>) {
-    let build_embed = |id: &str, n: usize, faults: &[String]| {
-        let body = if config.verify {
-            certified_embed_request(id, n, faults, None)
-        } else {
-            embed_request(id, n, faults, None)
-        };
-        (body, Some((n, faults.to_vec())))
-    };
-    match config.mix {
-        Mix::Embed => {
-            let n = rng.random_range(5..=9usize);
-            let faults = random_faults(rng, n);
-            build_embed(id, n, &faults)
-        }
-        Mix::Cached => {
-            let (n, faults) = &pool[rng.random_range(0..pool.len())];
-            build_embed(id, *n, faults)
-        }
-        Mix::Mixed => match rng.random_range(0..100u64) {
-            0..=74 => {
-                let (n, faults) = &pool[rng.random_range(0..pool.len())];
-                build_embed(id, *n, faults)
-            }
-            75..=84 => {
-                let n = rng.random_range(5..=7usize);
-                let faults = random_faults(rng, n);
-                build_embed(id, n, &faults)
-            }
-            85..=94 => (plain_request(id, "health"), None),
-            _ => (plain_request(id, "stats"), None),
-        },
-        Mix::Automorphic => {
-            let (n, base) = &pool[rng.random_range(0..pool.len())];
-            let faults = orbit_sample(rng, *n, base);
-            build_embed(id, *n, &faults)
-        }
-    }
-}
-
-/// Rebuilds an embed request's fault set from its generated string
-/// form — the stream verifier re-checks fault avoidance vertex by
-/// vertex, so it needs the actual faults, not just their count.
-fn fault_set_from(n: usize, faults: &[String]) -> Result<star_fault::FaultSet, String> {
-    let perms: Result<Vec<Perm>, String> = faults
-        .iter()
-        .map(|f| {
-            f.parse::<Perm>()
-                .map_err(|e| format!("bad fault `{f}`: {e}"))
-        })
-        .collect();
-    star_fault::FaultSet::from_vertices(n, perms?).map_err(|e| e.to_string())
-}
-
 /// One `--trace-out` JSONL line.
 fn trace_line(
     trace: u128,
@@ -715,17 +635,169 @@ fn trace_line(
     line
 }
 
+/// A request on its way, as both loops record it.
+struct Pending {
+    id: String,
+    trace: u128,
+    /// `(n, fault count)` of an embed, for the `--verify` certificate
+    /// check.
+    embed: Option<(usize, usize)>,
+    /// When it was sent (closed loop) or due (open loop): its latency
+    /// runs from here.
+    sched: Instant,
+}
+
+/// The connection's next request, drawn from the mix the same way by
+/// both loops: its body with a trace id and, for an embed under
+/// `--proto v2|mixed`, the v2 negotiation. Returns the body, the fault
+/// set its v2 stream is verified against, and the request's record.
+fn next_request(
+    config: &LoadgenConfig,
+    rng: &mut StdRng,
+    pool: &[(usize, Vec<String>)],
+    id: String,
+    sched: Instant,
+) -> (Json, Option<FaultSet>, Pending) {
+    let pooled = |rng: &mut StdRng| pool[rng.random_range(0..pool.len())].clone();
+    let fresh = |rng: &mut StdRng, n_max: usize| {
+        let n = rng.random_range(5..=n_max);
+        (n, random_faults(rng, n))
+    };
+    let (kind, embed) = match config.mix {
+        Mix::Embed => ("embed", Some(fresh(rng, 9))),
+        Mix::Cached => ("embed", Some(pooled(rng))),
+        Mix::Mixed => match rng.random_range(0..100u64) {
+            0..=74 => ("embed", Some(pooled(rng))),
+            75..=84 => ("embed", Some(fresh(rng, 7))),
+            85..=94 => ("health", None),
+            _ => ("stats", None),
+        },
+        Mix::Automorphic => {
+            let (n, base) = &pool[rng.random_range(0..pool.len())];
+            ("embed", Some((*n, orbit_sample(rng, *n, base))))
+        }
+    };
+    let body = match &embed {
+        Some((n, faults)) if config.verify => certified_embed_request(&id, *n, faults, None),
+        Some((n, faults)) => embed_request(&id, *n, faults, None),
+        None => plain_request(&id, kind),
+    };
+    let trace = gen_trace_id(rng);
+    let mut body = with_trace_id(body, trace);
+    // Only embeds negotiate v2 (health/stats responses never stream);
+    // `mixed` draws from the connection's deterministic RNG stream.
+    let use_v2 = embed.is_some()
+        && match config.proto {
+            WireProto::V1 => false,
+            WireProto::V2 => true,
+            WireProto::Mixed => rng.next_u64() & 1 == 1,
+        };
+    let mut faults = None;
+    if let (true, Some((n, list))) = (use_v2, &embed) {
+        body = with_proto_v2(with_return_ring(body), 0, None);
+        // The stream verifier re-checks fault avoidance vertex by vertex,
+        // so it needs the actual faults, not just their count.
+        let perms = list
+            .iter()
+            .map(|f| f.parse().expect("pool perms are valid"));
+        faults = Some(FaultSet::from_vertices(*n, perms).expect("the mixes draw distinct faults"));
+    }
+    let embed = embed.map(|(n, list)| (n, list.len()));
+    let req = Pending {
+        id,
+        trace,
+        embed,
+        sched,
+    };
+    (body, faults, req)
+}
+
+/// Records one settled request; the only place either loop classifies
+/// an answer: ok (plus the `--verify` checks), rejected by its error
+/// code, or a protocol error — then its `--trace-out` line.
+fn record(
+    config: &LoadgenConfig,
+    tally: &mut ConnTally,
+    start: Instant,
+    req: Option<Pending>,
+    response: Response,
+) {
+    let Some(req) = req else {
+        // A frame that answers no request of this connection.
+        tally.protocol_errors += 1;
+        return;
+    };
+    let latency_ns = req.sched.elapsed().as_nanos() as u64;
+    let outcome = match &response {
+        Ok((doc, summary)) if doc.get("ok") == Some(&Json::Bool(true)) => {
+            tally.ok += 1;
+            match &mut tally.hist {
+                Some(hist) => hist.record(latency_ns),
+                None => tally.latencies_ns.push(latency_ns),
+            }
+            if summary.is_some() {
+                tally.v2_streams += 1;
+                tally.v2_chunks += doc.get("chunks").and_then(Json::as_u64).unwrap_or(0);
+            }
+            // A stream was already checked against the header's
+            // cert_checksum; what is left is the paper's length
+            // guarantee. A v1 answer carries the whole certificate.
+            let checked = match summary {
+                _ if !config.verify => None,
+                Some(s) if s.at_guarantee => Some(Ok(())),
+                Some(s) => Some(Err(format!(
+                    "streamed ring length {} below the n! - 2|F_v| guarantee",
+                    s.ring_len
+                ))),
+                None => req.embed.map(|(n, k)| check_certificate(doc, n, k)),
+            };
+            match checked {
+                Some(Ok(())) => tally.certs_checked += 1,
+                Some(Err(reason)) => {
+                    tally.cert_failures += 1;
+                    eprintln!("loadgen: certificate check failed ({}): {reason}", req.id);
+                }
+                None => {}
+            }
+            "ok".to_string()
+        }
+        Ok((doc, _)) if doc.get("ok") == Some(&Json::Bool(false)) => {
+            let code = doc
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string();
+            add_rejections(&mut tally.rejected, code.clone(), 1);
+            code
+        }
+        _ => {
+            if let Err(reason) = &response {
+                eprintln!("loadgen: response to {} failed: {reason}", req.id);
+            }
+            tally.protocol_errors += 1;
+            "protocol_error".to_string()
+        }
+    };
+    if config.trace_out.is_some() {
+        let sched_ns = req.sched.saturating_duration_since(start).as_nanos() as u64;
+        let doc = response.as_ref().ok().map(|(doc, _)| doc);
+        let line = trace_line(req.trace, &req.id, sched_ns, latency_ns, &outcome, doc);
+        tally.trace_lines.push(line);
+    }
+}
+
 /// Closed-loop connection worker: send, wait, record, repeat.
 fn run_conn(
     config: &LoadgenConfig,
     conn_index: usize,
+    mut rng: StdRng,
     pool: &[(usize, Vec<String>)],
     start: Instant,
     stop_at: Instant,
     issued: &AtomicU64,
 ) -> Result<ConnTally, String> {
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(conn_index as u64 * 0x9e37));
     let mut client = Client::connect(&config.addr, Duration::from_secs(5))?;
+    let mut reader = ResponseReader::default();
     let mut tally = ConnTally::default();
     // Pace each connection at rps/conns when a target rate is set.
     let pace = if config.rps > 0 {
@@ -747,118 +819,38 @@ fn run_conn(
         }
         req_no += 1;
         let id = format!("c{conn_index}-{req_no}");
-        let (request, expected_embed) = gen_request(config, &mut rng, pool, &id);
-        let trace = gen_trace_id(&mut rng);
-        let mut request = with_trace_id(request, trace);
-        // Decide the wire protocol for this request. Only embeds
-        // negotiate v2 (health/stats responses never stream); Mixed
-        // draws from the connection's deterministic RNG stream.
-        let use_v2 = expected_embed.is_some()
-            && match config.proto {
-                WireProto::V1 => false,
-                WireProto::V2 => true,
-                WireProto::Mixed => rng.next_u64() & 1 == 1,
-            };
-        let fault_set = if use_v2 {
-            let (n, faults) = expected_embed.as_ref().expect("use_v2 implies embed");
-            request = with_proto_v2(with_return_ring(request), 0, None);
-            Some(fault_set_from(*n, faults)?)
-        } else {
-            None
-        };
+        let (body, faults, mut req) = next_request(config, &mut rng, pool, id, Instant::now());
         issued.fetch_add(1, Ordering::Relaxed);
-        let t0 = Instant::now();
-        let result = match &fault_set {
-            Some(faults) => fetch_verified(&mut client, &request, Duration::from_secs(30), faults),
-            None => client.call(&request).map(|response| (response, None)),
-        };
-        match result {
-            Ok((response, summary)) => {
-                let elapsed_ns = t0.elapsed().as_nanos() as u64;
-                let outcome = match response.get("ok") {
-                    Some(Json::Bool(true)) => {
-                        tally.ok += 1;
-                        tally.latencies_ns.push(elapsed_ns);
-                        if let Some(summary) = &summary {
-                            tally.v2_streams += 1;
-                            tally.v2_chunks +=
-                                response.get("chunks").and_then(Json::as_u64).unwrap_or(0);
-                            if config.verify {
-                                // fetch_verified already compared the
-                                // stream against the header's
-                                // cert_checksum; what's left is the
-                                // paper's length guarantee.
-                                if summary.at_guarantee {
-                                    tally.certs_checked += 1;
-                                } else {
-                                    tally.cert_failures += 1;
-                                    eprintln!(
-                                        "loadgen: stream check failed ({id}): ring length {} \
-                                         below the n! - 2|F_v| guarantee",
-                                        summary.ring_len
-                                    );
-                                }
-                            }
-                        } else if let (true, false, Some((n, faults))) =
-                            (config.verify, use_v2, expected_embed.as_ref())
-                        {
-                            match check_certificate(&response, *n, faults.len()) {
-                                Ok(()) => tally.certs_checked += 1,
-                                Err(reason) => {
-                                    tally.cert_failures += 1;
-                                    eprintln!("loadgen: certificate check failed ({id}): {reason}");
-                                }
-                            }
-                        }
-                        "ok".to_string()
-                    }
-                    Some(Json::Bool(false)) => {
-                        let code = response
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown")
-                            .to_string();
-                        tally.count_rejection(code.clone());
-                        code
-                    }
-                    _ => {
-                        tally.protocol_errors += 1;
-                        "protocol_error".to_string()
-                    }
-                };
-                if config.trace_out.is_some() {
-                    let sched_ns = t0.saturating_duration_since(start).as_nanos() as u64;
-                    tally.trace_lines.push(trace_line(
-                        trace,
-                        &id,
-                        sched_ns,
-                        elapsed_ns,
-                        &outcome,
-                        Some(&response),
-                    ));
+        reader.expect(Some(req.id.clone()), faults, ());
+        // Service time runs from the send, not from building the request.
+        req.sched = Instant::now();
+        // Read until this request settles. The reader skips a failed
+        // stream's leftover chunks; a frame that answers no request of
+        // ours is recorded as a protocol error.
+        let mut req = Some(req);
+        let read = client.send(&body).and_then(|()| {
+            while req.is_some() {
+                for (tag, response) in reader.push(client.recv_any(Duration::from_secs(30))?) {
+                    let settled = tag.and_then(|()| req.take());
+                    record(config, &mut tally, start, settled, response);
                 }
             }
-            Err(reason) => {
-                tally.protocol_errors += 1;
-                if use_v2 {
-                    // A failed stream (verification or transport) leaves
-                    // unread chunk frames on the socket; reconnect
-                    // rather than desync every later response.
-                    eprintln!("loadgen: v2 stream failed ({id}): {reason}");
-                    client = Client::connect(&config.addr, Duration::from_secs(5))?;
+            Ok(())
+        });
+        if let Err(transport) = read {
+            record(config, &mut tally, start, req, Err(transport));
+            // A transport error ends the connection: carry on over a new
+            // one, or stop and keep what this one measured.
+            match Client::connect(&config.addr, Duration::from_secs(5)) {
+                Ok(fresh) => (client, reader) = (fresh, ResponseReader::default()),
+                Err(e) => {
+                    eprintln!("loadgen: reconnect failed: {e}");
+                    break;
                 }
             }
         }
     }
     Ok(tally)
-}
-
-/// A request in flight on an open-loop connection, keyed by its `id`.
-struct PendingReq {
-    sched: Instant,
-    sched_ns: u64,
-    trace: u128,
-    expected_embed: Option<(usize, Vec<String>)>,
 }
 
 /// How long the open-loop receiver keeps draining responses after the
@@ -867,22 +859,23 @@ struct PendingReq {
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// Open-loop connection worker: this thread sends on the precommitted
-/// schedule; a scoped receiver thread matches responses by `id` and
-/// records latency from the *scheduled* send time.
+/// schedule; a scoped receiver thread reads the answers through one
+/// [`ResponseReader`] and records latency from the *scheduled* send time.
 fn run_conn_open(
     config: &LoadgenConfig,
     conn_index: usize,
+    mut rng: StdRng,
     pool: &[(usize, Vec<String>)],
     start: Instant,
     stop_at: Instant,
     issued: &AtomicU64,
 ) -> Result<ConnTally, String> {
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(conn_index as u64 * 0x9e37));
     let mut receiver = Client::connect(&config.addr, Duration::from_secs(5))?;
     receiver.set_read_timeout(Duration::from_millis(50))?;
     let mut sender = receiver.try_clone()?;
     let lambda = config.rps as f64 / config.conns.max(1) as f64;
-    let pending: Mutex<HashMap<String, PendingReq>> = Mutex::new(HashMap::new());
+    let reader: Mutex<ResponseReader<Pending>> = Mutex::new(ResponseReader::default());
+    let lock = || reader.lock().unwrap_or_else(|e| e.into_inner());
     let sends_done = AtomicBool::new(false);
     let send_errors = AtomicU64::new(0);
 
@@ -894,87 +887,30 @@ fn run_conn_open(
             };
             let mut drain_deadline: Option<Instant> = None;
             loop {
-                {
-                    let p = pending.lock().unwrap_or_else(|e| e.into_inner());
-                    if sends_done.load(Ordering::Acquire) {
-                        if p.is_empty() {
-                            break;
-                        }
-                        let deadline =
-                            *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
-                        if Instant::now() > deadline {
-                            tally.unanswered += p.len() as u64;
-                            break;
-                        }
+                // `sends_done` first: once it reads true, every request
+                // the sender expects is already in the reader.
+                if sends_done.load(Ordering::Acquire) {
+                    let open = lock().unsettled() as u64;
+                    let deadline =
+                        *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
+                    if open == 0 || Instant::now() > deadline {
+                        tally.unanswered += open;
+                        break;
                     }
                 }
-                let response = match receiver.recv(Duration::from_millis(50)) {
-                    Ok(r) => r,
+                let frame = match receiver.recv_any(Duration::from_millis(50)) {
+                    Ok(frame) => frame,
                     Err(e) if e.contains("timed out") => continue,
                     Err(_) => {
-                        // Connection lost: everything still pending is gone.
+                        // Connection lost: everything still unsettled is gone.
                         tally.protocol_errors += 1;
-                        tally.unanswered +=
-                            pending.lock().unwrap_or_else(|e| e.into_inner()).len() as u64;
+                        tally.unanswered += lock().unsettled() as u64;
                         break;
                     }
                 };
-                let Some(req) = response.get("id").and_then(Json::as_str).and_then(|id| {
-                    pending
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(id)
-                        .map(|req| (id.to_string(), req))
-                }) else {
-                    tally.protocol_errors += 1;
-                    continue;
-                };
-                let (id, req) = req;
-                let latency_ns = Instant::now()
-                    .saturating_duration_since(req.sched)
-                    .as_nanos() as u64;
-                let outcome = match response.get("ok") {
-                    Some(Json::Bool(true)) => {
-                        tally.ok += 1;
-                        tally
-                            .hist
-                            .as_mut()
-                            .expect("hist set above")
-                            .record(latency_ns);
-                        if let (true, Some((n, faults))) = (config.verify, &req.expected_embed) {
-                            match check_certificate(&response, *n, faults.len()) {
-                                Ok(()) => tally.certs_checked += 1,
-                                Err(reason) => {
-                                    tally.cert_failures += 1;
-                                    eprintln!("loadgen: certificate check failed ({id}): {reason}");
-                                }
-                            }
-                        }
-                        "ok".to_string()
-                    }
-                    Some(Json::Bool(false)) => {
-                        let code = response
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown")
-                            .to_string();
-                        tally.count_rejection(code.clone());
-                        code
-                    }
-                    _ => {
-                        tally.protocol_errors += 1;
-                        "protocol_error".to_string()
-                    }
-                };
-                if config.trace_out.is_some() {
-                    tally.trace_lines.push(trace_line(
-                        req.trace,
-                        &id,
-                        req.sched_ns,
-                        latency_ns,
-                        &outcome,
-                        Some(&response),
-                    ));
+                let settled = lock().push(frame);
+                for (req, response) in settled {
+                    record(config, &mut tally, start, req, response);
                 }
             }
             tally
@@ -996,24 +932,11 @@ fn run_conn_open(
             }
             req_no += 1;
             let id = format!("c{conn_index}-{req_no}");
-            let (request, expected_embed) = gen_request(config, &mut rng, pool, &id);
-            let trace = gen_trace_id(&mut rng);
-            let request = with_trace_id(request, trace);
-            pending.lock().unwrap_or_else(|e| e.into_inner()).insert(
-                id.clone(),
-                PendingReq {
-                    sched,
-                    sched_ns: (offset.max(0.0) * 1e9) as u64,
-                    trace,
-                    expected_embed,
-                },
-            );
+            let (body, faults, req) = next_request(config, &mut rng, pool, id.clone(), sched);
+            lock().expect(Some(id.clone()), faults, req);
             issued.fetch_add(1, Ordering::Relaxed);
-            if sender.send(&request).is_err() {
-                pending
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&id);
+            if sender.send(&body).is_err() {
+                lock().withdraw(&id);
                 send_errors.fetch_add(1, Ordering::Relaxed);
                 break;
             }
@@ -1049,13 +972,6 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
             config.arrivals.name()
         ));
     }
-    if config.arrivals.is_open() && config.proto != WireProto::V1 {
-        return Err(format!(
-            "--proto {} needs closed-loop arrivals: v2 chunk frames carry no id for the \
-             open-loop receiver to match",
-            config.proto.name()
-        ));
-    }
     let pool = pool_for(config.mix, config.seed);
     let started = Instant::now();
     let stop_at = started + config.duration;
@@ -1065,11 +981,12 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
             .map(|i| {
                 let pool = &pool;
                 let issued = &issued;
+                let rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64 * 0x9e37));
                 s.spawn(move || {
                     if config.arrivals.is_open() {
-                        run_conn_open(config, i, pool, started, stop_at, issued)
+                        run_conn_open(config, i, rng, pool, started, stop_at, issued)
                     } else {
-                        run_conn(config, i, pool, started, stop_at, issued)
+                        run_conn(config, i, rng, pool, started, stop_at, issued)
                     }
                 })
             })
@@ -1131,10 +1048,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
                 report.v2_chunks += t.v2_chunks;
                 trace_lines.extend(t.trace_lines);
                 for (code, count) in t.rejected {
-                    match report.rejected.iter_mut().find(|(c, _)| *c == code) {
-                        Some((_, total)) => *total += count,
-                        None => report.rejected.push((code, count)),
-                    }
+                    add_rejections(&mut report.rejected, code, count);
                 }
             }
             Err(e) => {
@@ -1160,31 +1074,21 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
             .map_err(|e| format!("write --trace-out {}: {e}", path.display()))?;
     }
 
-    // One last stats round trip for the server-side cache hit rate.
+    // One last stats round trip for the server-side cache hit rate and
+    // the oracle's hit taxonomy.
     if let Ok(mut client) = Client::connect(&config.addr, Duration::from_secs(5)) {
         if let Ok(stats) = client.call(&plain_request("loadgen-final", "stats")) {
-            let cache = stats.get("cache");
-            let hits = cache
-                .and_then(|c| c.get("hits"))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            let misses = cache
-                .and_then(|c| c.get("misses"))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            if hits + misses > 0.0 {
-                report.cache_hit_rate = hits / (hits + misses);
-            }
-            let oracle = stats.get("oracle");
-            let field = |name: &str| {
-                oracle
-                    .and_then(|o| o.get(name))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
+            let field = |block: &str, name: &str| {
+                let value = stats.get(block).and_then(|b| b.get(name));
+                value.and_then(Json::as_u64).unwrap_or(0)
             };
-            report.oracle_literal_hits = field("literal_hits");
-            report.oracle_canonical_hits = field("canonical_hits");
-            report.oracle_misses = field("misses");
+            let (hits, misses) = (field("cache", "hits"), field("cache", "misses"));
+            if hits + misses > 0 {
+                report.cache_hit_rate = hits as f64 / (hits + misses) as f64;
+            }
+            report.oracle_literal_hits = field("oracle", "literal_hits");
+            report.oracle_canonical_hits = field("oracle", "canonical_hits");
+            report.oracle_misses = field("oracle", "misses");
         }
     }
     Ok(report)
@@ -1435,28 +1339,39 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_with_v2_proto_is_rejected() {
-        // Chunk frames carry no correlation id, so the open-loop
-        // receiver thread cannot match them to pending requests.
-        for proto in [WireProto::V2, WireProto::Mixed] {
-            let config = LoadgenConfig {
-                arrivals: Arrivals::Poisson,
-                rps: 100,
-                proto,
-                ..LoadgenConfig::default()
-            };
-            let err = run(&config).unwrap_err();
-            assert!(err.contains("closed-loop"), "{err}");
+    fn next_request_negotiates_v2_on_embeds_only_and_carries_their_faults() {
+        let config = LoadgenConfig {
+            mix: Mix::Mixed,
+            proto: WireProto::Mixed,
+            ..LoadgenConfig::default()
+        };
+        let pool = pool_for(config.mix, config.seed);
+        let mut rng = StdRng::seed_from_u64(3);
+        let (mut v1_embeds, mut v2_embeds) = (0, 0);
+        for i in 0..200 {
+            let id = format!("c0-{i}");
+            let (body, faults, req) = next_request(&config, &mut rng, &pool, id, Instant::now());
+            let is_embed = body.get("kind").and_then(Json::as_str) == Some("embed");
+            assert_eq!(is_embed, req.embed.is_some(), "{body}");
+            assert!(body.get("trace_id").is_some(), "{body}");
+            match faults {
+                Some(faults) => {
+                    v2_embeds += 1;
+                    assert_eq!(body.get("proto").and_then(Json::as_u64), Some(2), "{body}");
+                    assert_eq!(body.get("return_ring"), Some(&Json::Bool(true)), "{body}");
+                    let (n, fault_count) = req.embed.expect("only embeds stream");
+                    assert_eq!((faults.n(), faults.vertices().len()), (n, fault_count));
+                }
+                None => {
+                    v1_embeds += usize::from(is_embed);
+                    assert!(body.get("proto").is_none(), "{body}");
+                }
+            }
         }
-    }
-
-    #[test]
-    fn fault_set_round_trips_from_generated_strings() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let faults = random_faults(&mut rng, 7);
-        let set = fault_set_from(7, &faults).unwrap();
-        assert_eq!(set.vertices().len(), faults.len());
-        assert!(fault_set_from(7, &["not a perm".to_string()]).is_err());
+        assert!(
+            v1_embeds > 0 && v2_embeds > 0,
+            "{v1_embeds} v1, {v2_embeds} v2"
+        );
     }
 
     #[test]

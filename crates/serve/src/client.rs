@@ -1,11 +1,11 @@
 //! Minimal blocking client for the star-serve protocol.
 //!
-//! One [`Client`] wraps one TCP connection and issues requests
-//! synchronously: write a frame, read a frame. The load generator keeps
-//! a `Client` per connection thread; integration tests use it to drive
-//! a server under test.
+//! One [`Client`] wraps one TCP connection: write a frame, read a
+//! frame. The load generator keeps a `Client` per connection and reads
+//! its responses through [`crate::stream::ResponseReader`]; integration
+//! tests use it to drive a server under test.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -70,30 +70,17 @@ impl Client {
         write_frame(&mut self.stream, body.as_bytes()).map_err(|e| format!("send: {e}"))
     }
 
-    /// Reads the next response frame, retrying through read timeouts for
-    /// up to `patience`.
+    /// Reads the next response frame, which must be JSON, retrying
+    /// through read timeouts for up to `patience`.
     pub fn recv(&mut self, patience: Duration) -> Result<Json, String> {
-        let start = std::time::Instant::now();
-        loop {
-            match read_frame(&mut self.stream) {
-                Ok(FrameRead::Frame(bytes)) => {
-                    let text = std::str::from_utf8(&bytes)
-                        .map_err(|e| format!("response not UTF-8: {e}"))?;
-                    return Json::parse(text).map_err(|e| format!("response not JSON: {e}"));
-                }
-                Ok(FrameRead::Idle) => {
-                    if start.elapsed() > patience {
-                        return Err("timed out waiting for response".to_string());
-                    }
-                }
-                Ok(FrameRead::Eof) => return Err("server closed the connection".to_string()),
-                Err(e) => return Err(format!("recv: {e}")),
-            }
+        match self.recv_any(patience)? {
+            Received::Doc(doc) => Ok(doc),
+            Received::Chunk(_) => Err("response is a v2 chunk frame, not JSON".to_string()),
         }
     }
 
-    /// Reads the next frame of either kind: a JSON document or a binary
-    /// v2 chunk.
+    /// Reads the next frame of either kind — a JSON document or a binary
+    /// v2 chunk — retrying through read timeouts for up to `patience`.
     pub fn recv_any(&mut self, patience: Duration) -> Result<Received, String> {
         let start = std::time::Instant::now();
         loop {
@@ -134,13 +121,6 @@ impl Client {
     /// Writes raw bytes directly to the socket, bypassing framing.
     pub fn send_unframed(&mut self, bytes: &[u8]) -> Result<(), String> {
         self.stream.write_all(bytes).map_err(|e| e.to_string())
-    }
-
-    /// Reads until EOF (used after the server hangs up on us).
-    pub fn drain(&mut self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.stream.read_to_end(&mut buf).ok();
-        buf
     }
 }
 

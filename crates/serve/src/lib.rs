@@ -40,7 +40,8 @@
 //!   `star-bench`'s load generator.
 //! - [`stream`] — chunk-by-chunk verification of v2 ring streams
 //!   (adjacency, fault avoidance, duplicates, the STARRING-CERT
-//!   checksum) in O(n!) bits of state.
+//!   checksum) in O(n!) bits of state, and the one response reader
+//!   every client reads a connection through.
 
 pub mod cache;
 pub mod client;

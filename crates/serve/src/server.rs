@@ -54,7 +54,7 @@ use crate::proto::{
     attach_trace, chunk_stream, encode_response_body, error_response, error_response_traced,
     ok_response, oversize_error_response, read_frame, ring_to_json, write_frame, ChunkFrame,
     ErrorCode, FrameRead, Request, RequestBody, RingDelta, ServerTiming, DEFAULT_CHUNK_VERTICES,
-    PROTO_V1, PROTO_V2,
+    PROTO_V2,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::slo::{Outcome, SloConfig, Watchdog};
@@ -126,12 +126,6 @@ pub struct ServeConfig {
     /// misses consult the disk store before embedding, and fresh embeds
     /// are written behind. `None` = in-memory cache only.
     pub oracle_path: Option<PathBuf>,
-    /// Highest protocol version to honor (`--proto`): [`PROTO_V2`]
-    /// (default) streams embed responses to v2-negotiating clients;
-    /// [`PROTO_V1`] forces JSON responses even when a client asks for v2
-    /// (the header simply lacks `encoding: delta-v2`, so well-behaved
-    /// clients fall back).
-    pub max_proto: u8,
 }
 
 impl Default for ServeConfig {
@@ -151,7 +145,6 @@ impl Default for ServeConfig {
             verify_responses: false,
             slo: None,
             oracle_path: None,
-            max_proto: PROTO_V2,
         }
     }
 }
@@ -384,7 +377,6 @@ struct Ctx {
     default_deadline: Option<Duration>,
     queue_capacity: usize,
     verify_responses: bool,
-    max_proto: u8,
     slo: Option<Watchdog>,
     active_conns: AtomicUsize,
     served: AtomicU64,
@@ -438,7 +430,6 @@ pub fn run(config: ServeConfig) -> Result<ServeSummary, String> {
         default_deadline: config.default_deadline_ms.map(Duration::from_millis),
         queue_capacity: config.queue_capacity,
         verify_responses: config.verify_responses,
-        max_proto: config.max_proto,
         slo: config.slo.map(Watchdog::new),
         active_conns: AtomicUsize::new(0),
         served: AtomicU64::new(0),
@@ -450,14 +441,9 @@ pub fn run(config: ServeConfig) -> Result<ServeSummary, String> {
     println!("star-serve listening on {local}");
     std::io::stdout().flush().ok();
     eprintln!(
-        "star-serve: {workers} workers, queue {}, cache {} MiB{}{}{}",
+        "star-serve: {workers} workers, queue {}, cache {} MiB{}{}",
         config.queue_capacity,
         config.cache_bytes >> 20,
-        if config.max_proto <= PROTO_V1 {
-            ", proto v1 only"
-        } else {
-            ""
-        },
         if config.verify_responses {
             ", verify on"
         } else {
@@ -898,9 +884,8 @@ fn handle_job(ctx: &Ctx, job: Job) {
             return_ring,
             return_certificate,
         } => {
-            // v2 is honored only when both sides agree: the request
-            // asked for it and the server's `--proto` cap allows it.
-            let stream = (job.request.proto >= PROTO_V2 && ctx.max_proto >= PROTO_V2).then(|| {
+            // A request that asks for v2 gets its ring streamed.
+            let stream = (job.request.proto >= PROTO_V2).then(|| {
                 (
                     job.request.cursor,
                     job.request.chunk_vertices.unwrap_or(DEFAULT_CHUNK_VERTICES),
@@ -1092,41 +1077,49 @@ fn store_lookup(ctx: &Ctx, key: &CacheKey) -> Option<Arc<RingDelta>> {
     }
 }
 
-/// Embeds one scenario through the canonical oracle: LRU first, then the
-/// disk store, then a fresh embed (cached and written behind in the
-/// canonical frame). Returns `(caller-frame delta, cached)` or the
-/// embedder's error message. Everything past the embedder works on the
-/// generator-delta encoding; vertices are only expanded where a response
-/// actually carries them.
-fn embed_cached(
+/// Looks a scenario up through the canonical oracle: the LRU, then the
+/// disk store. A hit returns the ring in the caller's frame; a miss is
+/// counted and returns the canonical form and key that [`oracle_admit`]
+/// files the fresh embed under.
+fn oracle_lookup(
     ctx: &Ctx,
     n: usize,
     faults: &star_fault::FaultSet,
     options: &EmbedOptions,
-) -> Result<(Arc<RingDelta>, bool), String> {
+) -> Result<Arc<RingDelta>, (Arc<Canon>, CacheKey)> {
     let (canon, literal_repeat) = canonicalize_scenario(ctx, n, faults);
     let key = key_for(&canon, options);
-    if let Some(delta_c) = ctx.cache.get(&key) {
-        classify_hit(ctx, literal_repeat);
-        return Ok((map_back(delta_c, &canon), true));
+    match ctx.cache.get(&key).or_else(|| store_lookup(ctx, &key)) {
+        Some(delta_c) => {
+            classify_hit(ctx, literal_repeat);
+            Ok(map_back(delta_c, &canon))
+        }
+        None => {
+            ctx.obs.oracle_miss.incr(1);
+            Err((canon, key))
+        }
     }
-    if let Some(delta_c) = store_lookup(ctx, &key) {
-        classify_hit(ctx, literal_repeat);
-        return Ok((map_back(delta_c, &canon), true));
-    }
-    ctx.obs.oracle_miss.incr(1);
-    let vertices = embed_with_options(n, faults, options)
-        .map_err(|e| e.to_string())?
-        .into_vertices();
+}
+
+/// Admits a freshly embedded ring: delta-encodes it once in the
+/// caller's frame (dropping the vertices), caches its canonical-frame
+/// image under `key` and writes that behind. Returns the caller-frame
+/// delta.
+fn oracle_admit(
+    ctx: &Ctx,
+    canon: &Canon,
+    key: CacheKey,
+    vertices: Vec<Perm>,
+) -> Result<Arc<RingDelta>, String> {
     let delta = Arc::new(
         RingDelta::encode(&vertices)
             .map_err(|e| format!("embedded ring does not delta-encode: {e}"))?,
     );
     drop(vertices);
-    let delta_c = map_to_canonical(&delta, &canon);
+    let delta_c = map_to_canonical(&delta, canon);
     ctx.cache.insert(key.clone(), Arc::clone(&delta_c));
     persist_behind(ctx, &key, &delta_c);
-    Ok((delta, false))
+    Ok(delta)
 }
 
 fn embed_members(n: usize, ring_len: u64, cached: bool) -> Vec<(String, Json)> {
@@ -1172,8 +1165,17 @@ fn serve_embed(
     stream: Option<(u64, u32)>,
     timing: &mut ServerTiming,
 ) -> Reply {
+    // Through the canonical oracle: a hit, else a fresh embed admitted
+    // to it. Everything past the embedder works on the generator-delta
+    // encoding; vertices are only expanded where a response carries them.
     let embed_start = Instant::now();
-    let embedded = embed_cached(ctx, n, faults, options);
+    let embedded = match oracle_lookup(ctx, n, faults, options) {
+        Ok(delta) => Ok((delta, true)),
+        Err((canon, key)) => embed_with_options(n, faults, options)
+            .map_err(|e| e.to_string())
+            .and_then(|ring| oracle_admit(ctx, &canon, key, ring.into_vertices()))
+            .map(|delta| (delta, false)),
+    };
     timing.embed_us = micros(embed_start.elapsed());
     let (delta, cached) = match embedded {
         Ok(pair) => pair,
@@ -1279,54 +1281,33 @@ fn serve_batch(
 ) -> Json {
     let embed_start = Instant::now();
     enum Slot {
-        Ready(Arc<RingDelta>, bool),
+        Ready(Arc<RingDelta>),
         Pending(usize),
         Bad(String),
     }
     let mut misses: Vec<star_fault::FaultSet> = Vec::new();
-    let mut miss_canon: Vec<Arc<Canon>> = Vec::new();
+    let mut miss_keys: Vec<(Arc<Canon>, CacheKey)> = Vec::new();
     let mut slots: Vec<Slot> = scenarios
         .iter()
         .map(|scenario| match scenario {
             Err(msg) => Slot::Bad(msg.clone()),
-            Ok(faults) => {
-                let (canon, literal_repeat) = canonicalize_scenario(ctx, n, faults);
-                let key = key_for(&canon, options);
-                if let Some(delta_c) = ctx.cache.get(&key) {
-                    classify_hit(ctx, literal_repeat);
-                    return Slot::Ready(map_back(delta_c, &canon), true);
+            Ok(faults) => match oracle_lookup(ctx, n, faults, options) {
+                Ok(delta) => Slot::Ready(delta),
+                Err(miss) => {
+                    misses.push(faults.clone());
+                    miss_keys.push(miss);
+                    Slot::Pending(misses.len() - 1)
                 }
-                if let Some(delta_c) = store_lookup(ctx, &key) {
-                    classify_hit(ctx, literal_repeat);
-                    return Slot::Ready(map_back(delta_c, &canon), true);
-                }
-                ctx.obs.oracle_miss.incr(1);
-                misses.push(faults.clone());
-                miss_canon.push(canon);
-                Slot::Pending(misses.len() - 1)
-            }
+            },
         })
         .collect();
     let embedded = embed_many_with_options(n, &misses, options);
-    // Delta-encode each fresh ring once (caller frame), populate the
-    // canonical cache/store, and keep the caller-frame delta for the
-    // per-item responses below.
-    let miss_results: Vec<Result<Arc<RingDelta>, String>> = miss_canon
-        .iter()
-        .zip(&embedded)
-        .map(|(canon, result)| match result {
-            Err(e) => Err(e.to_string()),
-            Ok(ring) => {
-                let delta = Arc::new(
-                    RingDelta::encode(ring.vertices())
-                        .map_err(|e| format!("embedded ring does not delta-encode: {e}"))?,
-                );
-                let delta_c = map_to_canonical(&delta, canon);
-                let key = key_for(canon, options);
-                ctx.cache.insert(key.clone(), Arc::clone(&delta_c));
-                persist_behind(ctx, &key, &delta_c);
-                Ok(delta)
-            }
+    let miss_results: Vec<Result<Arc<RingDelta>, String>> = miss_keys
+        .into_iter()
+        .zip(embedded)
+        .map(|((canon, key), result)| {
+            let ring = result.map_err(|e| e.to_string())?;
+            oracle_admit(ctx, &canon, key, ring.into_vertices())
         })
         .collect();
     timing.embed_us = micros(embed_start.elapsed());
@@ -1348,7 +1329,7 @@ fn serve_batch(
         .zip(scenarios)
         .map(|(slot, scenario)| {
             let (delta, cached) = match slot {
-                Slot::Ready(delta, cached) => (delta, cached),
+                Slot::Ready(delta) => (delta, true),
                 Slot::Pending(i) => match &miss_results[i] {
                     Ok(delta) => (Arc::clone(delta), false),
                     Err(e) => {

@@ -122,10 +122,6 @@ fn usage() {
          \x20                         before sending (answers `verify_failed`\n\
          \x20                         instead of shipping a bad ring) and attach\n\
          \x20                         a STARRING-CERT certificate to embeds\n\
-         \x20     --proto <v>         highest wire protocol to negotiate: v1 | v2\n\
-         \x20                         (default v2). v2 clients get rings back as\n\
-         \x20                         streamed generator-delta chunks; v1 pins\n\
-         \x20                         JSON-only responses\n\
          \x20     --flightrec         record accept/reject/deadline events; flushed\n\
          \x20                         to disk on graceful shutdown (SIGINT drains)\n\
          \x20     --flightrec-out <f> dump file for --flightrec (implies it)\n\
@@ -170,7 +166,7 @@ fn usage() {
          \x20     --proto <p>         v1 | v2 | mixed (default v1). v2 asks for\n\
          \x20                         rings back as delta chunk streams and\n\
          \x20                         verifies every chunk incrementally; mixed\n\
-         \x20                         coin-flips per request (closed loop only)\n\
+         \x20                         coin-flips per request\n\
          \x20 star-rings audit [OPTIONS]                  differential correctness gate:\n\
          \x20                                             seeded sweeps cross-checking the\n\
          \x20                                             embedder against the exhaustive\n\
@@ -652,13 +648,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
             "--deadline-ms" => config.default_deadline_ms = Some(flags.value()?),
             "--verify" => config.verify_responses = true,
-            "--proto" => {
-                config.max_proto = match flags.value_str()? {
-                    "v1" => star_rings::serve::proto::PROTO_V1,
-                    "v2" => star_rings::serve::proto::PROTO_V2,
-                    _ => return Err("--proto must be v1 or v2".to_string()),
-                }
-            }
             "--oracle-path" => config.oracle_path = Some(flags.value()?),
             "--flightrec" => flightrec = true,
             "--flightrec-out" => flightrec_out = Some(flags.value()?),

@@ -237,3 +237,37 @@ fn loadgen_verify_round_trip() {
     assert_eq!(report.cert_failures, 0, "certificate failures: {report:?}");
     assert_eq!(report.protocol_errors, 0, "protocol errors: {report:?}");
 }
+
+/// Open-loop `loadgen --proto v2|mixed --verify`: the receiver reads
+/// each connection through one response reader, which attaches chunk
+/// frames to the last header, so every streamed ring is verified and
+/// every request is answered.
+#[test]
+fn loadgen_open_loop_v2_round_trip() {
+    use star_rings::bench::loadgen::{run, Arrivals, LoadgenConfig, Mix, WireProto};
+    let server = Server::start(&["--threads", "2"]);
+    for proto in [WireProto::V2, WireProto::Mixed] {
+        let config = LoadgenConfig {
+            addr: server.addr.clone(),
+            conns: 2,
+            rps: 40,
+            duration: Duration::from_millis(1_500),
+            mix: Mix::Automorphic,
+            arrivals: Arrivals::Poisson,
+            seed: 11,
+            verify: true,
+            trace_out: None,
+            proto,
+        };
+        let report = run(&config).expect("loadgen runs");
+        assert!(report.ok > 0, "{proto:?}: no successful responses");
+        assert!(
+            report.v2_streams > 0,
+            "{proto:?}: no v2 streams: {report:?}"
+        );
+        assert!(report.certs_checked > 0, "{proto:?}: {report:?}");
+        assert_eq!(report.cert_failures, 0, "{proto:?}: {report:?}");
+        assert_eq!(report.protocol_errors, 0, "{proto:?}: {report:?}");
+        assert_eq!(report.unanswered, 0, "{proto:?}: {report:?}");
+    }
+}

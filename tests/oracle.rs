@@ -172,6 +172,69 @@ fn orbit_mate_hits_canonically_and_maps_back_to_the_literal_frame() {
     assert_eq!(get_u64(oracle, "misses"), 1, "{stats}");
 }
 
+/// A one-scenario `embed_batch` for `S_6`; returns the batch's item.
+fn batch_item(client: &mut Client, id: &str, faults: &[String]) -> Json {
+    let scenario = Json::Arr(faults.iter().map(|f| Json::from(f.as_str())).collect());
+    let request = Json::Obj(vec![
+        ("kind".to_string(), Json::from("embed_batch")),
+        ("id".to_string(), Json::from(id)),
+        ("n".to_string(), Json::from(6u64)),
+        ("return_ring".to_string(), Json::Bool(true)),
+        ("scenarios".to_string(), Json::Arr(vec![scenario])),
+    ]);
+    let response = client.call(&request).unwrap();
+    assert!(is_ok(&response), "{response}");
+    response.get("items").and_then(Json::as_arr).expect("items")[0].clone()
+}
+
+/// An orbit-mate of an `S_6` fault list under a seeded automorphism.
+fn orbit_mate6(faults: &[String], seed: u64) -> Vec<String> {
+    let aut = Aut::from_ranks(6, seed, seed.rotate_left(17));
+    let mates: Vec<String> = faults
+        .iter()
+        .map(|f| aut.apply(&f.parse::<Perm>().unwrap()).to_string())
+        .collect();
+    assert_ne!(mates, faults, "automorphism should move the fault list");
+    mates
+}
+
+/// Single and batch embeds file rings under one canonical cache: a
+/// batch miss serves a single embed of an orbit-mate, and a single
+/// embed's miss serves a batch item of an orbit-mate.
+#[test]
+fn single_and_batch_embeds_share_the_canonical_cache() {
+    let server = Server::start(&["--threads", "2"]);
+    let mut client = server.connect();
+
+    // Batch first: a miss, then a single embed of an orbit-mate hits.
+    let f1 = vec!["213456".to_string(), "321456".to_string()];
+    let item = batch_item(&mut client, "b1", &f1);
+    assert!(is_ok(&item), "{item}");
+    assert_eq!(item.get("cached"), Some(&Json::Bool(false)), "{item}");
+    assert_ring_valid(6, &item, &f1);
+    let f1_mate = orbit_mate6(&f1, 0x5eed_cafe);
+    let single = client.call(&embed_with_ring("s1", 6, &f1_mate)).unwrap();
+    assert!(is_ok(&single), "{single}");
+    assert_eq!(single.get("cached"), Some(&Json::Bool(true)), "{single}");
+    assert_ring_valid(6, &single, &f1_mate);
+
+    // Single first: a miss (three faults: another orbit), then a batch
+    // item of an orbit-mate hits.
+    let f2 = vec![
+        "231456".to_string(),
+        "124356".to_string(),
+        "654321".to_string(),
+    ];
+    let single = client.call(&embed_with_ring("s2", 6, &f2)).unwrap();
+    assert!(is_ok(&single), "{single}");
+    assert_eq!(single.get("cached"), Some(&Json::Bool(false)), "{single}");
+    let f2_mate = orbit_mate6(&f2, 0x0dd_ba11);
+    let item = batch_item(&mut client, "b2", &f2_mate);
+    assert!(is_ok(&item), "{item}");
+    assert_eq!(item.get("cached"), Some(&Json::Bool(true)), "{item}");
+    assert_ring_valid(6, &item, &f2_mate);
+}
+
 #[cfg(unix)]
 #[test]
 fn warmed_store_serves_canonical_hits_across_restart() {

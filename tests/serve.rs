@@ -547,28 +547,6 @@ fn v1_and_v2_clients_interleave_on_one_server() {
     }
 }
 
-/// `serve --proto v1` pins the server to JSON: a client asking for v2
-/// falls back transparently (the header simply lacks `encoding`, so
-/// `fetch_verified` treats the response as plain JSON).
-#[test]
-fn proto_v1_server_ignores_v2_negotiation() {
-    let server = Server::start(&["--threads", "1", "--proto", "v1"]);
-    let mut client = server.connect();
-    let (faults, fault_set) = seeded_faults(5, 1, 3);
-    let request = with_proto_v2(
-        with_return_ring(embed_request("fallback", 5, &faults, None)),
-        0,
-        None,
-    );
-    let (response, summary) =
-        fetch_verified(&mut client, &request, Duration::from_secs(30), &fault_set).unwrap();
-    assert!(is_ok(&response), "{response}");
-    assert!(summary.is_none(), "a v1-pinned server must not stream");
-    assert!(response.get("encoding").is_none(), "{response}");
-    let ring = response.get("ring").and_then(Json::as_arr).unwrap();
-    assert_eq!(ring.len() as u64, get_u64(&response, "ring_len"));
-}
-
 /// Satellite regression: inline health/stats answers must never land in
 /// the embed latency histogram (they would drag its percentiles toward
 /// zero) — they get their own `serve.latency.inline` histogram and
