@@ -19,7 +19,7 @@
 //! vertex and the final block's endpoints are automatically compatible.
 //!
 //! The same walk generalizes to rings over arbitrary block sequences
-//! ([`ring_through_blocks`]), optionally with one *hole* block that is only
+//! (`ring_through_blocks`), optionally with one *hole* block that is only
 //! partially traversed — the engine behind the Latifi–Bagherzadeh
 //! baseline and the laceable-based Hamiltonian cycle.
 
@@ -166,7 +166,7 @@ pub struct Hole {
 ///
 /// This is the generic engine behind the laceable Hamiltonian cycle and
 /// the Latifi–Bagherzadeh construction. Returns the full vertex sequence.
-pub fn ring_through_blocks(
+pub(crate) fn ring_through_blocks(
     blocks: &[Pattern],
     hole: Option<&Hole>,
 ) -> Result<Vec<Perm>, BaselineError> {

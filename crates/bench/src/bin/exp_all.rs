@@ -13,6 +13,8 @@ const EXPERIMENTS: &[&str] = &[
     "exp_e7_simulation",
     "exp_e8_resilience",
     "exp_e9_frontier",
+    "exp_e11_parallel",
+    "exp_e12_overhead",
     "exp_a1_ablation",
 ];
 

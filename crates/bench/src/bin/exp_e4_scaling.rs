@@ -1,8 +1,6 @@
 //! E4 — constructiveness: the embedding is computed in time roughly linear
 //! in the output (`~ n!`), so the theorem is usable as an algorithm, not
-//! just an existence proof. (Criterion micro-benchmarks live in
-//! `benches/embed.rs`; this binary prints the human-readable scaling
-//! table.)
+//! just an existence proof.
 
 use std::time::Instant;
 

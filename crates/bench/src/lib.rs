@@ -8,9 +8,6 @@
 //! "reproduction" is of its quantitative claims; EXPERIMENTS.md records
 //! claimed vs measured for every experiment.
 //!
-//! Criterion benches (`benches/`) cover construction cost (E4) and
-//! substrate micro-costs.
-//!
 //! The crate sits above the library and the server, never below them:
 //!
 //! - [`baseline`] — the `BENCH_*.json` perf baselines and the regression
@@ -91,7 +88,7 @@ impl Table {
 
     /// Writes the table as CSV under `target/experiments/<slug>.csv` and
     /// returns the path.
-    pub fn write_csv(&self, slug: &str) -> std::io::Result<PathBuf> {
+    pub(crate) fn write_csv(&self, slug: &str) -> std::io::Result<PathBuf> {
         let dir = experiments_dir();
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{slug}.csv"));
@@ -121,7 +118,7 @@ impl Table {
 
     /// Writes the table as JSON under `target/experiments/<slug>.json`
     /// and returns the path.
-    pub fn write_json(&self, slug: &str) -> std::io::Result<PathBuf> {
+    pub(crate) fn write_json(&self, slug: &str) -> std::io::Result<PathBuf> {
         let dir = experiments_dir();
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{slug}.json"));

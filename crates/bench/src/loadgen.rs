@@ -51,7 +51,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -571,6 +571,36 @@ struct ConnTally {
     trace_lines: Vec<String>,
 }
 
+impl ConnTally {
+    /// Counts one `--verify` check, naming the request when it fails.
+    fn count_check(&mut self, id: &str, checked: Result<(), String>) {
+        match checked {
+            Ok(()) => self.certs_checked += 1,
+            Err(reason) => {
+                self.cert_failures += 1;
+                eprintln!("loadgen: certificate check failed ({id}): {reason}");
+            }
+        }
+    }
+}
+
+/// A v1 answer whose certificate `--verify` still has to check against
+/// its request. The open loop hands it to its connection's verifier
+/// thread, so the check is not charged to the answers read after it.
+struct CertCheck {
+    id: String,
+    doc: Json,
+    n: usize,
+    fault_count: usize,
+}
+
+impl CertCheck {
+    fn run(self, tally: &mut ConnTally) {
+        let checked = check_certificate(&self.doc, self.n, self.fault_count);
+        tally.count_check(&self.id, checked);
+    }
+}
+
 /// Adds `count` answers rejected with `code` to a per-code tally.
 fn add_rejections(rejected: &mut Vec<(String, u64)>, code: String, count: u64) {
     match rejected.iter_mut().find(|(c, _)| *c == code) {
@@ -714,20 +744,24 @@ fn next_request(
 
 /// Records one settled request; the only place either loop classifies
 /// an answer: ok (plus the `--verify` checks), rejected by its error
-/// code, or a protocol error — then its `--trace-out` line.
+/// code, or a protocol error — then its `--trace-out` line. Latency runs
+/// to `arrived`, when the answer's last frame was read. A v1 answer's
+/// certificate check is returned, not run, for the caller to schedule.
 fn record(
     config: &LoadgenConfig,
     tally: &mut ConnTally,
     start: Instant,
+    arrived: Instant,
     req: Option<Pending>,
     response: Response,
-) {
+) -> Option<CertCheck> {
     let Some(req) = req else {
         // A frame that answers no request of this connection.
         tally.protocol_errors += 1;
-        return;
+        return None;
     };
-    let latency_ns = req.sched.elapsed().as_nanos() as u64;
+    let latency_ns = arrived.saturating_duration_since(req.sched).as_nanos() as u64;
+    let mut certificate = None;
     let outcome = match &response {
         Ok((doc, summary)) if doc.get("ok") == Some(&Json::Bool(true)) => {
             tally.ok += 1;
@@ -742,22 +776,17 @@ fn record(
             // A stream was already checked against the header's
             // cert_checksum; what is left is the paper's length
             // guarantee. A v1 answer carries the whole certificate.
-            let checked = match summary {
-                _ if !config.verify => None,
-                Some(s) if s.at_guarantee => Some(Ok(())),
-                Some(s) => Some(Err(format!(
-                    "streamed ring length {} below the n! - 2|F_v| guarantee",
-                    s.ring_len
-                ))),
-                None => req.embed.map(|(n, k)| check_certificate(doc, n, k)),
-            };
-            match checked {
-                Some(Ok(())) => tally.certs_checked += 1,
-                Some(Err(reason)) => {
-                    tally.cert_failures += 1;
-                    eprintln!("loadgen: certificate check failed ({}): {reason}", req.id);
-                }
-                None => {}
+            match summary {
+                _ if !config.verify => {}
+                Some(s) if s.at_guarantee => tally.count_check(&req.id, Ok(())),
+                Some(s) => tally.count_check(
+                    &req.id,
+                    Err(format!(
+                        "streamed ring length {} below the n! - 2|F_v| guarantee",
+                        s.ring_len
+                    )),
+                ),
+                None => certificate = req.embed,
             }
             "ok".to_string()
         }
@@ -783,6 +812,15 @@ fn record(
         let doc = response.as_ref().ok().map(|(doc, _)| doc);
         let line = trace_line(req.trace, &req.id, sched_ns, latency_ns, &outcome, doc);
         tally.trace_lines.push(line);
+    }
+    match (certificate, response) {
+        (Some((n, fault_count)), Ok((doc, _))) => Some(CertCheck {
+            id: req.id,
+            doc,
+            n,
+            fault_count,
+        }),
+        _ => None,
     }
 }
 
@@ -830,15 +868,28 @@ fn run_conn(
         let mut req = Some(req);
         let read = client.send(&body).and_then(|()| {
             while req.is_some() {
-                for (tag, response) in reader.push(client.recv_any(Duration::from_secs(30))?) {
+                let frame = client.recv_any(Duration::from_secs(30))?;
+                let arrived = Instant::now();
+                for (tag, response) in reader.push(frame) {
                     let settled = tag.and_then(|()| req.take());
-                    record(config, &mut tally, start, settled, response);
+                    if let Some(check) =
+                        record(config, &mut tally, start, arrived, settled, response)
+                    {
+                        check.run(&mut tally);
+                    }
                 }
             }
             Ok(())
         });
         if let Err(transport) = read {
-            record(config, &mut tally, start, req, Err(transport));
+            record(
+                config,
+                &mut tally,
+                start,
+                Instant::now(),
+                req,
+                Err(transport),
+            );
             // A transport error ends the connection: carry on over a new
             // one, or stop and keep what this one measured.
             match Client::connect(&config.addr, Duration::from_secs(5)) {
@@ -858,9 +909,17 @@ fn run_conn(
 /// overload; only a wedged server leaves requests unanswered).
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
+/// How many v1 answers may wait for an open-loop connection's
+/// certificate verifier. A full queue blocks the receiver, so a client
+/// that cannot keep up shows in latency, not in memory (an n = 9
+/// certificate is 2.4 MB).
+const CERT_BACKLOG: usize = 16;
+
 /// Open-loop connection worker: this thread sends on the precommitted
 /// schedule; a scoped receiver thread reads the answers through one
-/// [`ResponseReader`] and records latency from the *scheduled* send time.
+/// [`ResponseReader`] and records latency from the *scheduled* send time
+/// to the answer's arrival; a scoped verifier thread checks the v1
+/// certificates `--verify` asks for.
 fn run_conn_open(
     config: &LoadgenConfig,
     conn_index: usize,
@@ -878,9 +937,19 @@ fn run_conn_open(
     let lock = || reader.lock().unwrap_or_else(|e| e.into_inner());
     let sends_done = AtomicBool::new(false);
     let send_errors = AtomicU64::new(0);
+    let (cert_tx, cert_rx) = mpsc::sync_channel::<CertCheck>(CERT_BACKLOG);
 
     let mut tally = std::thread::scope(|s| {
+        let verifier = s.spawn(move || {
+            let mut checked = ConnTally::default();
+            for check in cert_rx {
+                check.run(&mut checked);
+            }
+            checked
+        });
         let recv_handle = s.spawn(|| {
+            // Owned here: the verifier stops once the receiver is done.
+            let cert_tx = cert_tx;
             let mut tally = ConnTally {
                 hist: Some(LocalHistogram::new()),
                 ..ConnTally::default()
@@ -908,9 +977,14 @@ fn run_conn_open(
                         break;
                     }
                 };
+                let arrived = Instant::now();
                 let settled = lock().push(frame);
                 for (req, response) in settled {
-                    record(config, &mut tally, start, req, response);
+                    if let Some(check) = record(config, &mut tally, start, arrived, req, response) {
+                        // Fails only if the verifier died; its join
+                        // below reports that.
+                        let _ = cert_tx.send(check);
+                    }
                 }
             }
             tally
@@ -943,10 +1017,17 @@ fn run_conn_open(
             offset = next_arrival(config.arrivals, &mut rng, offset, lambda);
         }
         sends_done.store(true, Ordering::Release);
-        recv_handle.join().unwrap_or_else(|_| ConnTally {
+        let mut tally = recv_handle.join().unwrap_or_else(|_| ConnTally {
             protocol_errors: 1,
             ..ConnTally::default()
-        })
+        });
+        let checked = verifier.join().unwrap_or_else(|_| ConnTally {
+            cert_failures: 1,
+            ..ConnTally::default()
+        });
+        tally.certs_checked += checked.certs_checked;
+        tally.cert_failures += checked.cert_failures;
+        tally
     });
     tally.protocol_errors += send_errors.load(Ordering::Relaxed);
     Ok(tally)

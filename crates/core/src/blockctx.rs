@@ -101,7 +101,7 @@ impl BlockCtx {
     /// byte-identical to
     /// `block.from_local(&Perm::unrank(4, rank as u32).unwrap())`.
     #[inline]
-    pub fn lift_rank(&self, rank: u8) -> Perm {
+    pub(crate) fn lift_rank(&self, rank: u8) -> Perm {
         let digits = &self.s4[rank as usize];
         let mut buf = self.template;
         for k in 0..4 {

@@ -62,15 +62,8 @@ impl EmbeddedRing {
         factorial(self.n) - self.vertices.len() as u64
     }
 
-    /// The ring as compact Lehmer ranks (4 bytes per vertex instead of a
-    /// full `Perm`) — the storage format for checkpointing large rings.
-    pub fn to_ranks(&self) -> Vec<u32> {
-        self.vertices.iter().map(Perm::rank).collect()
-    }
-
-    /// Rebuilds a ring from Lehmer ranks (inverse of
-    /// [`EmbeddedRing::to_ranks`]). The caller is responsible for the
-    /// sequence actually being a ring; run `star-verify::check_ring` on
+    /// Rebuilds a ring from Lehmer ranks. The caller is responsible for
+    /// the sequence actually being a ring; run `star-verify::check_ring` on
     /// anything untrusted.
     pub fn from_ranks(n: usize, ranks: &[u32]) -> Result<Self, star_perm::PermError> {
         let vertices = ranks
@@ -118,7 +111,7 @@ mod tests {
     #[test]
     fn rank_roundtrip() {
         let ring = small_ring();
-        let ranks = ring.to_ranks();
+        let ranks: Vec<u32> = ring.vertices().iter().map(Perm::rank).collect();
         assert_eq!(ranks.len(), 24);
         let back = EmbeddedRing::from_ranks(4, &ranks).unwrap();
         assert_eq!(back, ring);

@@ -34,7 +34,7 @@
 //! allocation-free [`crate::blockctx::BlockCtx`]. Blocks are independent
 //! given the endpoints, so large rings fan the fill out over `star-pool`
 //! in contiguous chunks of whole blocks; the bytes written are identical
-//! for every worker count. [`expand_structured`], for the repair
+//! for every worker count. `expand_structured`, for the repair
 //! machinery, cuts the same arena into per-block [`BlockSegment`]s.
 
 use star_fault::FaultSet;
@@ -118,7 +118,7 @@ pub fn expand(
 
 /// [`expand`]'s ring cut into per-block segments (their paths concatenate
 /// to exactly that ring), for the repair machinery.
-pub fn expand_structured(
+pub(crate) fn expand_structured(
     r4: &SuperRing,
     faults: &FaultSet,
     spare_pos: usize,

@@ -23,7 +23,7 @@ use crate::expand::BlockSegment;
 /// Asserts (debug builds only) that `ring` is a simple, healthy cycle of
 /// adjacent vertices with alternating permutation parity.
 #[inline]
-pub fn debug_assert_ring(n: usize, faults: &FaultSet, ring: &[Perm], context: &str) {
+pub(crate) fn debug_assert_ring(n: usize, faults: &FaultSet, ring: &[Perm], context: &str) {
     #[cfg(debug_assertions)]
     check_ring_impl(n, faults, ring, context);
     #[cfg(not(debug_assertions))]
@@ -35,7 +35,7 @@ pub fn debug_assert_ring(n: usize, faults: &FaultSet, ring: &[Perm], context: &s
 /// Asserts (debug builds only) that the concatenated segment paths form a
 /// valid ring. Used by the structured expand and repair paths.
 #[inline]
-pub fn debug_assert_segments(
+pub(crate) fn debug_assert_segments(
     n: usize,
     faults: &FaultSet,
     segments: &[BlockSegment],

@@ -45,8 +45,8 @@
 //!   `star-pool`), after which every block of every subsequent expansion
 //!   is answered in O(1) — batch sweeps call it once up front.
 //!
-//! Lifetime hit/miss/entry counters are exposed through [`cache_stats`];
-//! warming is counted separately (`oracle.warm`) so `misses` keeps
+//! Lifetime hit/miss/entry counters (`cache_stats`) feed the oracle
+//! figures of `embed_with_report`; warming is counted separately (`oracle.warm`) so `misses` keeps
 //! meaning "queries that ran the exact search".
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -99,8 +99,8 @@ pub struct CacheStats {
 type Slot = OnceLock<Option<Box<[u8]>>>;
 
 /// The dense canonical-`S_4` memo table. The embedder uses one
-/// process-global instance (see the free functions [`cache_stats`],
-/// [`warm`], [`block_path`]); benchmarks construct private instances to
+/// process-global instance (see the free functions [`warm`],
+/// [`block_path`]); benchmarks construct private instances to
 /// measure cold-table behavior without resetting global state.
 pub struct OracleTable {
     graph: SmallGraph,
@@ -278,7 +278,7 @@ impl OracleTable {
 
 /// Lifetime cache statistics of the global canonical-query table (see
 /// [`OracleTable::stats`] for the consistency contract).
-pub fn cache_stats() -> CacheStats {
+pub(crate) fn cache_stats() -> CacheStats {
     state().stats()
 }
 

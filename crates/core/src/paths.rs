@@ -16,13 +16,6 @@ use star_perm::Perm;
 
 use crate::{embed_with_options, EmbedError, EmbedOptions};
 
-/// A healthy path on `n! - 2|F_v|` vertices (`|F_v| <= n-3`): the embedded
-/// ring cut at an arbitrary edge.
-pub fn embed_longest_path(n: usize, faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
-    let ring = crate::embed_longest_ring(n, faults)?;
-    Ok(ring.into_vertices())
-}
-
 /// A healthy path on `n! - 2|F_v|` vertices **starting at** `anchor`.
 ///
 /// Retries a few alternative embeddings if the first ring sacrificed the
@@ -63,17 +56,6 @@ mod tests {
     use super::*;
     use star_fault::gen;
     use star_perm::factorial;
-
-    #[test]
-    fn path_has_ring_length_and_is_simple() {
-        let n = 6;
-        let faults = gen::random_vertex_faults(n, 3, 4).unwrap();
-        let path = embed_longest_path(n, &faults).unwrap();
-        assert_eq!(path.len() as u64, factorial(n) - 6);
-        for w in path.windows(2) {
-            assert!(w[0].is_adjacent(&w[1]));
-        }
-    }
 
     #[test]
     fn anchored_path_starts_where_asked() {

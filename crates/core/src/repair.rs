@@ -3,7 +3,7 @@
 //! The global construction is O(n!); but a *new* fault usually damages
 //! only one 4-vertex of the stored block structure. [`MaintainedRing`]
 //! keeps the [`expand::BlockSegment`] decomposition alive — owned
-//! per-block paths that [`expand::expand_structured`] cuts from the
+//! per-block paths that `expand::expand_structured` cuts from the
 //! expander's one ring — and, when a processor dies:
 //!
 //! 1. if the dead vertex is strictly inside one block's segment (not its

@@ -21,7 +21,7 @@ use crate::positions::select_positions;
 use crate::{expand, oracle, EmbedError};
 
 /// `n = 3`: the 6-cycle (no fault budget).
-pub fn embed_n3(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
+pub(crate) fn embed_n3(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
     debug_assert_eq!(faults.vertex_fault_count(), 0);
     let mut v = Perm::identity(3);
     let mut ring = vec![v];
@@ -34,7 +34,7 @@ pub fn embed_n3(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
 
 /// `n = 4`: exact search on `S_4` minus its faulty edges for the longest
 /// healthy cycle (`24 - 2|F_v|`, `|F_v| <= 1`; edge faults cost nothing).
-pub fn embed_n4(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
+pub(crate) fn embed_n4(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
     debug_assert!(faults.vertex_fault_count() <= 1);
     let g = oracle::local_s4(&BlockCtx::new(&Pattern::full(4)), faults);
     let mut blocked = vec![false; 24];
@@ -53,14 +53,10 @@ pub fn embed_n4(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
         .collect())
 }
 
-/// `n = 5`: the `K_5` construction with faulty 4-vertices kept apart.
-pub fn embed_n5(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
-    embed_n5_with(faults, 0, 0)
-}
-
-/// [`embed_n5`] with explicit spare-position index and seam salt (retry
-/// knobs for the mixed vertex+edge embedder).
-pub fn embed_n5_with(
+/// `n = 5`: the `K_5` construction with faulty 4-vertices kept apart,
+/// with explicit spare-position index and seam salt (retry knobs for the
+/// mixed vertex+edge embedder).
+pub(crate) fn embed_n5_with(
     faults: &FaultSet,
     spare_index: usize,
     salt: usize,
@@ -161,7 +157,7 @@ mod tests {
     fn n5_random_fault_pairs() {
         for seed in 0..20 {
             let faults = gen::random_vertex_faults(5, 2, seed).unwrap();
-            let ring = embed_n5(&faults).unwrap();
+            let ring = embed_n5_with(&faults, 0, 0).unwrap();
             assert_eq!(ring.len(), 116, "seed {seed}");
             verify_ring(&EmbeddedRing::new(5, ring), &faults).unwrap();
         }
@@ -169,10 +165,10 @@ mod tests {
 
     #[test]
     fn n5_single_and_zero_faults() {
-        let ring = embed_n5(&FaultSet::empty(5)).unwrap();
+        let ring = embed_n5_with(&FaultSet::empty(5), 0, 0).unwrap();
         assert_eq!(ring.len(), 120);
         let faults = FaultSet::from_vertices(5, [Perm::from_digits(5, 53412)]).unwrap();
-        let ring = embed_n5(&faults).unwrap();
+        let ring = embed_n5_with(&faults, 0, 0).unwrap();
         assert_eq!(ring.len(), 118);
     }
 }

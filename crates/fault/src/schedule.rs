@@ -64,12 +64,6 @@ impl FailureSchedule {
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
-
-    /// The cumulative fault set after `k` arrivals.
-    pub fn prefix_faults(&self, k: usize) -> crate::FaultSet {
-        crate::FaultSet::from_vertices(self.n, self.order[..k].iter().copied())
-            .expect("schedule entries are distinct")
-    }
 }
 
 /// `count` independent uniform failures.
@@ -145,7 +139,6 @@ mod tests {
         let b = a.star_move(2);
         let s = FailureSchedule::new(5, vec![a, b]).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.prefix_faults(1).vertex_fault_count(), 1);
         assert!(FailureSchedule::new(5, vec![a, a]).is_err());
         assert!(FailureSchedule::new(4, vec![a]).is_err());
     }

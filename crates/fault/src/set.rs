@@ -23,7 +23,7 @@ use crate::FaultError;
 /// let faults = FaultSet::from_vertices(4, [dead]).unwrap();
 /// assert!(faults.is_vertex_faulty(&dead));
 /// assert!(faults.is_vertex_healthy(&Perm::identity(4)));
-/// assert!(faults.within_budget()); // 1 <= 4 - 3
+/// assert_eq!(faults.total_fault_count(), 1); // the n - 3 = 1 budget
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultSet {
@@ -127,12 +127,6 @@ impl FaultSet {
         self.vertex_list.is_empty() && self.edge_list.is_empty()
     }
 
-    /// The paper's fault budget: `|F_v| + |F_e| <= n - 3`.
-    #[inline]
-    pub fn within_budget(&self) -> bool {
-        self.total_fault_count() + 3 <= self.n
-    }
-
     /// `true` iff `v` is a faulty processor.
     #[inline]
     pub fn is_vertex_faulty(&self, v: &Perm) -> bool {
@@ -197,16 +191,6 @@ impl FaultSet {
             .copied()
             .collect()
     }
-
-    /// `true` iff the pattern contains any fault (vertex, or edge fully
-    /// inside).
-    pub fn pattern_is_faulty(&self, pattern: &Pattern) -> bool {
-        self.vertex_list.iter().any(|v| pattern.contains(v))
-            || self
-                .edge_list
-                .iter()
-                .any(|e| pattern.contains(e.lo()) && pattern.contains(e.hi()))
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +205,6 @@ mod tests {
         assert_eq!(fs.vertex_fault_count(), 2);
         assert!(fs.is_vertex_faulty(&f1));
         assert!(fs.is_vertex_healthy(&Perm::identity(5)));
-        assert!(fs.within_budget()); // 2 <= 5 - 3
     }
 
     #[test]
@@ -250,16 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_threshold() {
-        let mut fs = FaultSet::empty(5);
-        for digits in [21345u64, 32145, 42315] {
-            fs.add_vertex(Perm::from_digits(5, digits)).unwrap();
-        }
-        // 3 faults > 5 - 3 = 2.
-        assert!(!fs.within_budget());
-    }
-
-    #[test]
     fn pattern_queries() {
         let p = Pattern::from_spec(&[0, 0, 0, 4, 5]).unwrap();
         let inside = Perm::from_digits(5, 21345);
@@ -267,7 +240,6 @@ mod tests {
         let fs = FaultSet::from_vertices(5, [inside, outside]).unwrap();
         assert_eq!(fs.vertex_faults_in(&p), vec![inside]);
         assert_eq!(fs.count_vertex_faults_in(&p), 1);
-        assert!(fs.pattern_is_faulty(&p));
 
         // Edge fully inside vs crossing.
         let e_in = Edge::new(inside, inside.star_move(1)).unwrap();

@@ -12,13 +12,13 @@ use star_perm::{factorial, Perm};
 /// Distance (in edges) from `src` to every vertex of `S_n`, indexed by
 /// Lehmer rank. `u32::MAX` marks unreachable vertices (never happens on the
 /// full graph, which is connected, but can when `blocked` is used).
-pub fn distances_from(n: usize, src: &Perm) -> Vec<u32> {
+pub(crate) fn distances_from(n: usize, src: &Perm) -> Vec<u32> {
     distances_from_avoiding(n, src, |_| false)
 }
 
 /// BFS distances avoiding vertices for which `blocked` returns `true`
 /// (faulty processors). The source must not be blocked.
-pub fn distances_from_avoiding<F>(n: usize, src: &Perm, blocked: F) -> Vec<u32>
+pub(crate) fn distances_from_avoiding<F>(n: usize, src: &Perm, blocked: F) -> Vec<u32>
 where
     F: Fn(&Perm) -> bool,
 {
@@ -51,18 +51,6 @@ pub fn eccentricity(n: usize, src: &Perm) -> u32 {
         .unwrap_or(0)
 }
 
-/// Number of vertices reachable from `src` avoiding `blocked` vertices
-/// (including `src` itself). Used for connectivity/resilience checks.
-pub fn reachable_count_avoiding<F>(n: usize, src: &Perm, blocked: F) -> usize
-where
-    F: Fn(&Perm) -> bool,
-{
-    distances_from_avoiding(n, src, blocked)
-        .into_iter()
-        .filter(|&d| d != u32::MAX)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,22 +76,5 @@ mod tests {
                 "diameter of S_{n}"
             );
         }
-    }
-
-    #[test]
-    fn blocking_disconnects_counted() {
-        // Blocking all neighbors of the source isolates it.
-        let src = Perm::identity(4);
-        let nbrs: Vec<Perm> = src.neighbors().collect();
-        let count = reachable_count_avoiding(4, &src, |v| nbrs.contains(v));
-        assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn full_graph_is_connected() {
-        assert_eq!(
-            reachable_count_avoiding(5, &Perm::identity(5), |_| false),
-            120
-        );
     }
 }

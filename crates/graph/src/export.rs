@@ -1,31 +1,13 @@
-//! Graphviz (DOT) export of star graphs and embedded rings.
+//! Graphviz (DOT) export of embedded rings.
 //!
 //! For small `n` it is genuinely useful to *look* at `S_n` with a ring
-//! highlighted; these writers emit standard DOT for `dot`/`neato`.
+//! highlighted; [`ring_to_dot`] emits standard DOT for `dot`/`neato`.
 
 use std::fmt::Write as _;
 
 use star_perm::Perm;
 
 use crate::StarGraph;
-
-/// Renders `S_n` as a DOT graph. `n <= 5` recommended (`S_5` already has
-/// 240 edges).
-pub fn star_to_dot(n: usize) -> String {
-    let g = StarGraph::new(n).expect("valid dimension");
-    let mut out = String::new();
-    let _ = writeln!(out, "graph s{n} {{");
-    let _ = writeln!(out, "  layout=neato; node [shape=circle, fontsize=9];");
-    for u in g.vertices() {
-        for v in g.neighbors(&u) {
-            if u.rank() < v.rank() {
-                let _ = writeln!(out, "  \"{u}\" -- \"{v}\";");
-            }
-        }
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Renders `S_n` with a ring overlay: ring edges bold/colored, faulty
 /// vertices filled red, off-ring healthy vertices gray.
@@ -70,15 +52,6 @@ pub fn ring_to_dot(n: usize, ring: &[Perm], faulty: &[Perm]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dot_output_is_structurally_complete() {
-        let dot = star_to_dot(4);
-        // 36 edges, one line each, plus wrapper lines.
-        assert_eq!(dot.matches(" -- ").count(), 36);
-        assert!(dot.starts_with("graph s4 {"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
 
     #[test]
     fn ring_overlay_marks_everything() {

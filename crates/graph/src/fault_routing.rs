@@ -39,17 +39,18 @@ impl Route {
 /// # Examples
 ///
 /// ```
-/// use star_graph::fault_routing::route_avoiding_vertices;
+/// use star_graph::fault_routing::route_avoiding;
 /// use star_perm::Perm;
 ///
 /// let u = Perm::identity(5);
 /// let v = u.star_move(3);
 /// // With the direct neighbor healthy the route is one hop...
-/// assert_eq!(route_avoiding_vertices(&u, &v, &[]).unwrap().hops(), 1);
+/// let direct = route_avoiding(&u, &v, |_| false, |_, _| false).unwrap();
+/// assert_eq!(direct.hops(), 1);
 /// // ...and a detour is found when intermediate processors die.
 /// let via = u.star_move(2);
 /// let far = Perm::from_digits(5, 54321);
-/// let route = route_avoiding_vertices(&u, &far, &[via]).unwrap();
+/// let route = route_avoiding(&u, &far, |w| *w == via, |_, _| false).unwrap();
 /// assert!(route.path.iter().all(|w| *w != via));
 /// ```
 pub fn route_avoiding<V, E>(
@@ -117,18 +118,14 @@ where
     None
 }
 
-/// Convenience wrapper for the common vertex-faults-only case. (The
-/// full-featured `FaultSet` lives in `star-fault`, which depends on this
-/// crate; callers there adapt their sets into the closure form of
-/// [`route_avoiding`].)
-pub fn route_avoiding_vertices(src: &Perm, dst: &Perm, faulty: &[Perm]) -> Option<Route> {
-    route_avoiding(src, dst, |v| faulty.contains(v), |_, _| false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfs;
+
+    fn route_avoiding_vertices(src: &Perm, dst: &Perm, faulty: &[Perm]) -> Option<Route> {
+        route_avoiding(src, dst, |v| faulty.contains(v), |_, _| false)
+    }
 
     #[test]
     fn matches_plain_distance_without_faults() {

@@ -57,12 +57,6 @@ impl StarGraph {
         v.n() == self.n
     }
 
-    /// `true` iff `u ~ v`.
-    #[inline]
-    pub fn is_edge(&self, u: &Perm, v: &Perm) -> bool {
-        self.contains(u) && u.is_adjacent(v)
-    }
-
     /// The neighbors of `v`, in dimension order.
     pub fn neighbors(&self, v: &Perm) -> impl Iterator<Item = Perm> + use<> {
         debug_assert!(self.contains(v));
@@ -107,16 +101,5 @@ mod tests {
         let g = StarGraph::new(4).unwrap();
         let total: usize = g.vertices().map(|v| g.neighbors(&v).count()).sum();
         assert_eq!(total as u64, 2 * g.edge_count());
-    }
-
-    #[test]
-    fn adjacency_is_symmetric_and_irreflexive() {
-        let g = StarGraph::new(4).unwrap();
-        for u in g.vertices() {
-            assert!(!g.is_edge(&u, &u));
-            for v in g.neighbors(&u) {
-                assert!(g.is_edge(&v, &u));
-            }
-        }
     }
 }

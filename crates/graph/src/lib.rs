@@ -32,9 +32,8 @@
 //! - [`smallgraph`] — exhaustive path/cycle search on explicitly
 //!   materialized small graphs (the 24-vertex `S_4` blocks, and exhaustive
 //!   optimality checks).
-//! - [`export`] — Graphviz DOT writers for small graphs and ring overlays.
+//! - [`export`] — a Graphviz DOT writer for ring overlays on small `S_n`.
 
-mod bipartite;
 mod distance;
 mod edge;
 mod error;
@@ -51,13 +50,10 @@ pub mod routing;
 pub mod smallgraph;
 pub mod supervertex;
 
-pub use bipartite::{partite_set, partite_set_sizes};
 pub use distance::distance;
 pub use edge::Edge;
 pub use error::GraphError;
 pub use graph::StarGraph;
 pub use pattern::{Pattern, SymbolSet};
-pub use properties::{
-    average_distance, diameter, distance_distribution, edge_count, girth, vertex_count,
-};
+pub use properties::{diameter, edge_count, girth, vertex_count};
 pub use ring::SuperRing;

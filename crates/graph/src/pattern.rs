@@ -165,7 +165,7 @@ impl Pattern {
 
     /// `true` iff position `pos` is a don't-care.
     #[inline]
-    pub fn is_free_position(&self, pos: usize) -> bool {
+    pub(crate) fn is_free_position(&self, pos: usize) -> bool {
         debug_assert!(pos < self.n as usize);
         self.sym[pos] == 0
     }

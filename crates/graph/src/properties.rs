@@ -31,27 +31,6 @@ pub fn girth(n: usize) -> Option<usize> {
     }
 }
 
-/// The distance distribution of `S_n` from any vertex (vertex-transitivity
-/// makes the base point irrelevant): entry `d` counts the vertices at
-/// distance exactly `d`. Computed by BFS; intended for `n <= 8`.
-pub fn distance_distribution(n: usize) -> Vec<u64> {
-    let dist = crate::bfs::distances_from(n, &star_perm::Perm::identity(n));
-    let mut counts = vec![0u64; diameter(n) + 1];
-    for d in dist {
-        counts[d as usize] += 1;
-    }
-    counts
-}
-
-/// The average inter-vertex distance of `S_n` (a latency figure of merit
-/// for the topology). BFS-based; intended for `n <= 8`.
-pub fn average_distance(n: usize) -> f64 {
-    let counts = distance_distribution(n);
-    let total: u64 = counts.iter().sum();
-    let weighted: u64 = counts.iter().enumerate().map(|(d, &c)| d as u64 * c).sum();
-    weighted as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,32 +45,6 @@ mod tests {
         assert_eq!(diameter(5), 6);
         assert_eq!(girth(3), Some(6));
         assert_eq!(girth(2), None);
-    }
-
-    #[test]
-    fn distance_distribution_known_values() {
-        // S_3 is a 6-cycle: 1, 2, 2, 1.
-        assert_eq!(distance_distribution(3), vec![1, 2, 2, 1]);
-        // S_4: 24 vertices, diameter 4; shells sum to 24 and start 1, 3
-        // (degree), ...
-        let d4 = distance_distribution(4);
-        assert_eq!(d4.iter().sum::<u64>(), 24);
-        assert_eq!(d4[0], 1);
-        assert_eq!(d4[1], 3);
-        assert_eq!(d4.len(), 5);
-        assert!(
-            d4.iter().all(|&c| c > 0),
-            "every shell up to the diameter is non-empty"
-        );
-    }
-
-    #[test]
-    fn average_distance_is_sane() {
-        let avg = average_distance(5);
-        assert!(avg > 1.0 && avg < diameter(5) as f64);
-        // Exact check against a hand-computed value for S_3 (6-cycle):
-        // (0 + 1+1 + 2+2 + 3) / 6 = 1.5.
-        assert!((average_distance(3) - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -98,14 +98,6 @@ impl SuperRing {
         self.patterns
     }
 
-    /// `dif` between ring positions `i` and `i+1` (cyclically).
-    pub fn dif_at(&self, i: usize) -> usize {
-        let len = self.patterns.len();
-        self.patterns[i % len]
-            .dif(&self.patterns[(i + 1) % len])
-            .expect("SuperRing invariant: consecutive patterns adjacent")
-    }
-
     /// `true` iff the ring covers a full partition of `S_n` into
     /// `r`-vertices (i.e. has `n!/r!` super-vertices; distinctness plus the
     /// shared don't-care structure then force a partition).
@@ -129,11 +121,6 @@ impl SuperRing {
             let q = v.dif(w).expect("ring adjacency");
             u.fixed_symbol(p).unwrap() != w.fixed_symbol(q).unwrap()
         })
-    }
-
-    /// Total number of `S_n` vertices covered by the ring's super-vertices.
-    pub fn covered_vertex_count(&self) -> u64 {
-        self.patterns.len() as u64 * factorial(self.r())
     }
 }
 
@@ -161,9 +148,6 @@ mod tests {
         assert_eq!(ring.len(), 4);
         assert!(ring.covers_partition());
         assert!(ring.satisfies_p2());
-        assert_eq!(ring.covered_vertex_count(), 24);
-        assert_eq!(ring.dif_at(0), 3);
-        assert_eq!(ring.dif_at(3), 3);
     }
 
     #[test]

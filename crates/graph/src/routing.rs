@@ -15,7 +15,7 @@ use star_perm::Perm;
 
 /// The sequence of star-move dimensions that sorts `w` to the identity
 /// optimally. Empty iff `w` is the identity.
-pub fn sorting_moves(w: &Perm) -> Vec<usize> {
+pub(crate) fn sorting_moves(w: &Perm) -> Vec<usize> {
     let n = w.n();
     let mut cur = *w;
     let mut moves = Vec::new();

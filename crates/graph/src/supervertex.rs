@@ -28,8 +28,6 @@ pub struct SuperEdge {
     a: Pattern,
     b: Pattern,
     dif: usize,
-    /// `a`'s pinned symbol at `dif`.
-    x: u8,
     /// `b`'s pinned symbol at `dif`.
     y: u8,
 }
@@ -45,7 +43,6 @@ impl SuperEdge {
             a,
             b,
             dif,
-            x: a.fixed_symbol(dif).expect("dif position is pinned in a"),
             y: b.fixed_symbol(dif).expect("dif position is pinned in b"),
         })
     }
@@ -56,15 +53,9 @@ impl SuperEdge {
         self.dif
     }
 
-    /// `a`'s pinned symbol at the dif position.
-    #[inline]
-    pub fn symbol_a(&self) -> u8 {
-        self.x
-    }
-
     /// `b`'s pinned symbol at the dif position.
     #[inline]
-    pub fn symbol_b(&self) -> u8 {
+    pub(crate) fn symbol_b(&self) -> u8 {
         self.y
     }
 
@@ -89,29 +80,6 @@ impl SuperEdge {
         debug_assert!(self.b.contains(&v));
         debug_assert!(u.is_adjacent(&v));
         v
-    }
-
-    /// All members of `a` that have a neighbor in `b` — `(r-1)!` of them.
-    pub fn cross_vertices(&self) -> Vec<Perm> {
-        self.a
-            .vertices()
-            .filter(|u| self.is_cross_vertex(u))
-            .collect()
-    }
-
-    /// All real edges of the super-edge as `(member of a, member of b)`
-    /// pairs.
-    pub fn real_edges(&self) -> Vec<(Perm, Perm)> {
-        self.cross_vertices()
-            .into_iter()
-            .map(|u| (u, self.partner(&u)))
-            .collect()
-    }
-
-    /// Number of real edges: `(r-1)!`.
-    #[inline]
-    pub fn real_edge_count(&self) -> u64 {
-        star_perm::factorial(self.a.r() - 1)
     }
 }
 
@@ -144,13 +112,11 @@ mod tests {
         let b = pat(&[0, 0, 1, 3]);
         let e = SuperEdge::between(a, b).unwrap();
         assert_eq!(e.dif(), 2);
-        assert_eq!(e.symbol_a(), 2);
         assert_eq!(e.symbol_b(), 1);
-        assert_eq!(e.real_edge_count(), 1);
-        let edges = e.real_edges();
-        assert_eq!(edges.len(), 1);
-        let (u, v) = edges[0];
-        assert!(a.contains(&u) && b.contains(&v));
+        let cross: Vec<Perm> = a.vertices().filter(|u| e.is_cross_vertex(u)).collect();
+        assert_eq!(cross.len(), 1);
+        let (u, v) = (cross[0], e.partner(&cross[0]));
+        assert!(b.contains(&v));
         assert!(u.is_adjacent(&v));
         assert_eq!(u.first(), 1);
     }
@@ -162,8 +128,11 @@ mod tests {
         let a = pat(&[0, 4, 0, 0, 5]);
         let b = pat(&[0, 2, 0, 0, 5]);
         let e = SuperEdge::between(a, b).unwrap();
-        let from_struct: std::collections::HashSet<(Perm, Perm)> =
-            e.real_edges().into_iter().collect();
+        let from_struct: std::collections::HashSet<(Perm, Perm)> = a
+            .vertices()
+            .filter(|u| e.is_cross_vertex(u))
+            .map(|u| (u, e.partner(&u)))
+            .collect();
         let mut brute = std::collections::HashSet::new();
         for u in a.vertices() {
             for v in b.vertices() {
@@ -173,7 +142,7 @@ mod tests {
             }
         }
         assert_eq!(from_struct, brute);
-        assert_eq!(brute.len() as u64, e.real_edge_count());
+        assert_eq!(brute.len(), 2);
     }
 
     #[test]

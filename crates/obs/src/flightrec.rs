@@ -58,7 +58,8 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 pub struct FlightEvent {
     /// Monotonic sequence number (process-wide order of recording).
     pub seq: u64,
-    /// Process-clock timestamp ([`process_clock_ns`]).
+    /// Process-clock timestamp: nanoseconds since the first
+    /// observability call in this process.
     pub at_ns: u64,
     /// Small monotonic id of the recording thread (same numbering as
     /// span records).
@@ -427,7 +428,7 @@ fn write_events(path: &Path, events: &[FlightEvent], reason: &str) -> std::io::R
 
 /// Human rendering of a slice of events, one line each:
 /// `#seq +1.5ms t1 [embed.expand] counter oracle.miss delta=1`.
-pub fn render_pretty(events: &[FlightEvent]) -> String {
+pub(crate) fn render_pretty(events: &[FlightEvent]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for ev in events {

@@ -139,7 +139,7 @@ impl fmt::Display for Json {
 
 /// Writes `s` to `out` as a JSON string literal, quotes included: the
 /// one escaper behind [`Json`]'s `Display` and every star-obs emitter.
-pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+pub(crate) fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
     for c in s.chars() {
         match c {

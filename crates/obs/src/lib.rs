@@ -18,10 +18,9 @@
 //! serializer and string escaper — shared by these emitters, the
 //! `star-serve` wire protocol and the `star-bench` baselines.
 //!
-//! Everything is gated: with metrics and tracing disabled and no capture
-//! active, [`fn@span`] and [`Counter::incr`] cost a couple of relaxed
-//! atomic loads. Metrics default **on** (atomic counters are nearly
-//! free), tracing defaults **off**.
+//! Metrics always record (a counter bump is one relaxed atomic RMW);
+//! tracing to sinks defaults **off** and is switched by
+//! [`set_trace_enabled`].
 //!
 //! # Metric families emitted by the workspace
 //!
@@ -62,13 +61,12 @@ pub use hist::{Histogram, HistogramSnapshot, LocalHistogram};
 pub use profile::{Profile, ProfileNode};
 pub use registry::{global, Counter, Hist, Registry};
 pub use sink::{
-    add_sink, clear_sinks, flush_sinks, format_ns, JsonlSink, RingBufferSink, Sink,
-    StderrPrettySink, SINK_ERROR_COUNTER,
+    add_sink, clear_sinks, flush_sinks, JsonlSink, RingBufferSink, Sink, StderrPrettySink,
+    SINK_ERROR_COUNTER,
 };
 pub use snapshot::Snapshot;
 pub use span::{
-    capture, metrics_enabled, process_clock_ns, set_metrics_enabled, set_trace_enabled, span,
-    trace_enabled, Capture, FieldValue, SpanGuard, SpanRecord,
+    capture, set_trace_enabled, span, trace_enabled, Capture, FieldValue, SpanGuard, SpanRecord,
 };
 pub use trace::{current_trace, format_trace, parse_trace, with_trace, TraceGuard};
 

@@ -113,7 +113,7 @@ impl Profile {
     }
 
     /// Total wall time of the root nodes (ns).
-    pub fn root_ns(&self) -> u64 {
+    pub(crate) fn root_ns(&self) -> u64 {
         self.nodes
             .iter()
             .filter(|n| n.depth == 0)

@@ -2,7 +2,7 @@
 //!
 //! Handles ([`Counter`], [`Hist`]) are cheap `Arc` clones — resolve once
 //! (e.g. into a `OnceLock`) on hot paths so recording is a single relaxed
-//! atomic RMW gated on [`crate::metrics_enabled`]. Names are
+//! atomic RMW. Names are
 //! dot-separated lowercase (`oracle.hit`, `embed.expand`); exporters
 //! sanitize them per format.
 
@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use crate::hist::Histogram;
 use crate::snapshot::Snapshot;
-use crate::span::metrics_enabled;
 
 fn read_lock<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|e| e.into_inner())
@@ -31,22 +30,17 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Adds `delta` (no-op while metrics are disabled). While the flight
-    /// recorder is on, the delta also accumulates into a per-thread
+    /// Adds `delta`. While the flight recorder is on, the delta also accumulates into a per-thread
     /// table and surfaces as an aggregated `counter` flight event (see
     /// [`crate::flightrec::COUNTER_FLUSH_EVERY`]).
     pub fn incr(&self, delta: u64) {
-        if metrics_enabled() {
-            self.cell.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(delta, Ordering::Relaxed);
         crate::flightrec::counter_delta(&self.name, delta);
     }
 
     /// Sets the value outright (for gauges reported through counters).
     pub fn set(&self, value: u64) {
-        if metrics_enabled() {
-            self.cell.store(value, Ordering::Relaxed);
-        }
+        self.cell.store(value, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -65,18 +59,13 @@ impl Counter {
 pub struct Hist(Arc<Histogram>);
 
 impl Hist {
-    /// Records a nanosecond sample (no-op while metrics are disabled).
+    /// Records a nanosecond sample.
     pub fn observe_ns(&self, ns: u64) {
-        if metrics_enabled() {
-            self.0.record(ns);
-        }
+        self.0.record(ns);
     }
 
     /// Times a closure and records its duration.
     pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        if !metrics_enabled() {
-            return f();
-        }
         let t0 = Instant::now();
         let out = f();
         self.0.record(t0.elapsed().as_nanos() as u64);
@@ -140,23 +129,12 @@ impl Registry {
     /// One-shot counter increment (resolves the handle each call; hot
     /// paths should cache a [`Counter`] instead).
     pub fn incr(&self, name: &str, delta: u64) {
-        if metrics_enabled() {
-            self.counter(name).incr(delta);
-        }
+        self.counter(name).incr(delta);
     }
 
     /// One-shot histogram observation.
     pub fn observe_ns(&self, name: &str, ns: u64) {
-        if metrics_enabled() {
-            self.histogram(name).observe_ns(ns);
-        }
-    }
-
-    /// Current value of `name` (0 when the counter does not exist).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        read_lock(&self.counters)
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
+        self.histogram(name).observe_ns(ns);
     }
 
     /// A point-in-time snapshot of every metric, sorted by name.
@@ -203,7 +181,7 @@ mod tests {
         let b = reg.counter("x");
         a.incr(2);
         b.incr(3);
-        assert_eq!(reg.counter_value("x"), 5);
+        assert_eq!(reg.counter("x").get(), 5);
     }
 
     #[test]
@@ -225,7 +203,7 @@ mod tests {
             }
         });
         assert_eq!(
-            reg.counter_value("concurrent.hits"),
+            reg.counter("concurrent.hits").get(),
             THREADS as u64 * PER_THREAD
         );
         let h = reg.histogram("concurrent.lat");

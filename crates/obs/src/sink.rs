@@ -200,7 +200,7 @@ impl Sink for StderrPrettySink {
 }
 
 /// Human-readable duration: `17ns`, `4.2µs`, `1.3ms`, `2.17s`.
-pub fn format_ns(ns: u64) -> String {
+pub(crate) fn format_ns(ns: u64) -> String {
     match ns {
         0..=999 => format!("{ns}ns"),
         1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),

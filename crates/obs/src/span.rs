@@ -4,16 +4,11 @@
 //! closes it. Spans nest per thread (a thread-local stack tracks parent
 //! ids and depth) and on close are fanned out to:
 //!
-//! * the global registry (duration histogram under the span's name) when
-//!   metrics are enabled;
+//! * the global registry (duration histogram under the span's name);
 //! * any registered [`crate::sink::Sink`]s when tracing is enabled;
 //! * the thread-local [`Capture`] buffer when one is active (how
 //!   `embed_with_report` collects a single embed's transcript without
 //!   global state).
-//!
-//! When all three are off, `span()` returns an inert guard after a single
-//! relaxed atomic load and a thread-local flag check — the "disabled
-//! path" the embedder benchmarks against.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -23,11 +18,10 @@ use std::time::Instant;
 use crate::registry;
 use crate::sink;
 
-const METRICS_BIT: u8 = 1;
-const TRACE_BIT: u8 = 2;
+const TRACE_BIT: u8 = 1;
 
-/// Global enable bits; metrics default on, tracing default off.
-static STATE: AtomicU8 = AtomicU8::new(METRICS_BIT);
+/// Global enable bits; tracing defaults off.
+static STATE: AtomicU8 = AtomicU8::new(0);
 
 /// Globally unique span ids (across threads).
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -45,17 +39,6 @@ thread_local! {
     static CAPTURE_BUF: RefCell<Vec<SpanRecord>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Are metric counters/histograms recording?
-pub fn metrics_enabled() -> bool {
-    STATE.load(Ordering::Relaxed) & METRICS_BIT != 0
-}
-
-/// Enables or disables metric recording (counters, histograms, span
-/// timing into the registry). On by default.
-pub fn set_metrics_enabled(on: bool) {
-    set_bit(METRICS_BIT, on);
-}
-
 /// Are closed spans forwarded to the registered sinks?
 pub fn trace_enabled() -> bool {
     STATE.load(Ordering::Relaxed) & TRACE_BIT != 0
@@ -63,27 +46,23 @@ pub fn trace_enabled() -> bool {
 
 /// Enables or disables span tracing to sinks. Off by default.
 pub fn set_trace_enabled(on: bool) {
-    set_bit(TRACE_BIT, on);
-}
-
-fn set_bit(bit: u8, on: bool) {
     if on {
-        STATE.fetch_or(bit, Ordering::Relaxed);
+        STATE.fetch_or(TRACE_BIT, Ordering::Relaxed);
     } else {
-        STATE.fetch_and(!bit, Ordering::Relaxed);
+        STATE.fetch_and(!TRACE_BIT, Ordering::Relaxed);
     }
 }
 
 /// Nanoseconds since the first observability call in this process.
 /// Monotonic; used as the `start_ns` origin of span records.
-pub fn process_clock_ns() -> u64 {
+pub(crate) fn process_clock_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// The innermost span currently open on this thread, or `""` — the
 /// "phase" the flight recorder stamps onto events.
-pub fn current_phase() -> &'static str {
+pub(crate) fn current_phase() -> &'static str {
     SPAN_STACK.with(|s| s.borrow().last().map_or("", |(_, name)| name))
 }
 
@@ -198,7 +177,8 @@ pub struct SpanRecord {
     pub name: &'static str,
     /// Small monotonic id of the opening thread.
     pub thread: u64,
-    /// Start offset on the process clock ([`process_clock_ns`]).
+    /// Start offset on the process clock (nanoseconds since the first
+    /// observability call in this process).
     pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
@@ -256,9 +236,8 @@ struct ActiveSpan {
 }
 
 /// RAII guard for an open span; closing (dropping) records it.
-/// Inert (all no-op) when observability is fully disabled.
 pub struct SpanGuard {
-    active: Option<Box<ActiveSpan>>,
+    active: Box<ActiveSpan>,
 }
 
 /// Opens a span named `name` on the current thread.
@@ -267,12 +246,6 @@ pub struct SpanGuard {
 /// (`embed.expand`); the registry histogram for the span's duration uses
 /// the same name.
 pub fn span(name: &'static str) -> SpanGuard {
-    let enabled = STATE.load(Ordering::Relaxed) != 0
-        || CAPTURING.with(Cell::get)
-        || crate::flightrec::enabled();
-    if !enabled {
-        return SpanGuard { active: None };
-    }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let (parent, depth) = SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
@@ -289,7 +262,7 @@ pub fn span(name: &'static str) -> SpanGuard {
         );
     }
     SpanGuard {
-        active: Some(Box::new(ActiveSpan {
+        active: Box::new(ActiveSpan {
             name,
             id,
             parent,
@@ -297,21 +270,14 @@ pub fn span(name: &'static str) -> SpanGuard {
             start_ns: process_clock_ns(),
             start: Instant::now(),
             fields: Vec::new(),
-        })),
+        }),
     }
 }
 
 impl SpanGuard {
-    /// Attaches a field to the span (no-op on an inert guard).
+    /// Attaches a field to the span.
     pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
-        if let Some(a) = self.active.as_mut() {
-            a.fields.push((key, value.into()));
-        }
-    }
-
-    /// The span id, when the span is live.
-    pub fn id(&self) -> Option<u64> {
-        self.active.as_ref().map(|a| a.id)
+        self.active.fields.push((key, value.into()));
     }
 
     /// Runs `f` inside this span, closing the span as soon as `f`
@@ -325,9 +291,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(a) = self.active.take() else {
-            return;
-        };
+        let a = &mut *self.active;
         let dur_ns = a.start.elapsed().as_nanos() as u64;
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
@@ -339,9 +303,7 @@ impl Drop for SpanGuard {
         if crate::flightrec::enabled() {
             crate::flightrec::record("span.close", a.name, &[("dur_ns", FieldValue::U64(dur_ns))]);
         }
-        if metrics_enabled() {
-            registry::global().histogram(a.name).inner().record(dur_ns);
-        }
+        registry::global().histogram(a.name).inner().record(dur_ns);
         let capturing = CAPTURING.with(Cell::get);
         let tracing = trace_enabled();
         if !capturing && !tracing {
@@ -355,7 +317,7 @@ impl Drop for SpanGuard {
             thread: THREAD_ID.with(|t| *t),
             start_ns: a.start_ns,
             dur_ns,
-            fields: a.fields,
+            fields: std::mem::take(&mut a.fields),
         };
         if tracing {
             sink::dispatch(&rec);

@@ -1,34 +1,21 @@
-//! End-to-end gating behavior. These tests flip the *global* enable
-//! flags, so they live in one integration binary and run as a single
+//! End-to-end gating behavior. These tests flip the *global* tracing
+//! flag, so they live in one integration binary and run as a single
 //! sequential test function (unit tests in the library run in a separate
 //! process and are unaffected).
 
 use std::sync::Arc;
 
 use star_obs::{
-    add_sink, capture, clear_sinks, counter, metrics_enabled, set_metrics_enabled,
-    set_trace_enabled, snapshot, span, trace_enabled, RingBufferSink,
+    add_sink, capture, clear_sinks, counter, set_trace_enabled, snapshot, span, trace_enabled,
+    RingBufferSink,
 };
 
 #[test]
 fn gating_controls_every_layer() {
-    // --- Defaults: metrics on, tracing off. ---
-    assert!(metrics_enabled());
+    // --- Default: tracing off. ---
     assert!(!trace_enabled());
 
-    // --- Fully disabled: spans are inert, counters frozen. ---
-    set_metrics_enabled(false);
-    let mut g = span("gate.disabled");
-    g.record("ignored", 1u64);
-    assert!(g.id().is_none(), "disabled span must not allocate an id");
-    drop(g);
-    counter("gate.ctr").incr(5);
-    set_metrics_enabled(true);
-    // The handle registers the name, but the increment must not land.
-    assert_eq!(snapshot().counter("gate.ctr"), Some(0));
-    assert!(snapshot().histogram("gate.disabled").is_none());
-
-    // --- Metrics re-enabled: spans time into histograms. ---
+    // --- Metrics: spans time into histograms. ---
     drop(span("gate.enabled"));
     assert_eq!(snapshot().histogram("gate.enabled").unwrap().count, 1);
     counter("gate.ctr").incr(5);
@@ -56,16 +43,10 @@ fn gating_controls_every_layer() {
     assert_eq!(spans[0].parent, Some(spans[1].id));
     clear_sinks();
 
-    // --- Capture works even with everything else off. ---
-    set_metrics_enabled(false);
+    // --- Capture works with tracing off. ---
     let cap = capture();
     drop(span("gate.captured"));
     let spans = cap.finish();
-    set_metrics_enabled(true);
     assert_eq!(spans.len(), 1);
     assert_eq!(spans[0].name, "gate.captured");
-    assert!(
-        snapshot().histogram("gate.captured").is_none(),
-        "capture alone must not touch the metrics registry"
-    );
 }

@@ -29,7 +29,7 @@ impl Write for BrokenWriter {
 }
 
 fn sink_errors() -> u64 {
-    global().counter_value(SINK_ERROR_COUNTER)
+    global().counter(SINK_ERROR_COUNTER).get()
 }
 
 #[test]

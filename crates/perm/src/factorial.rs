@@ -22,21 +22,6 @@ pub fn factorial(n: usize) -> u64 {
     FACTORIALS[n]
 }
 
-/// The falling factorial `n * (n-1) * ... * (n-k+1)` (`k` terms), i.e.
-/// `n!/(n-k)!`. This is the number of `r`-vertices produced when an
-/// `(i_1,...,i_k)`-partition refines `S_n` (Definition 3 of the paper).
-///
-/// # Panics
-/// Panics if `k > n` or `n > 20`.
-#[inline]
-pub fn falling_factorial(n: usize, k: usize) -> u64 {
-    assert!(
-        k <= n && n <= 20,
-        "falling_factorial({n}, {k}) out of range"
-    );
-    FACTORIALS[n] / FACTORIALS[n - k]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,21 +35,5 @@ mod tests {
             }
             assert_eq!(factorial(i), acc, "factorial({i})");
         }
-    }
-
-    #[test]
-    fn falling_factorial_basics() {
-        assert_eq!(falling_factorial(5, 0), 1);
-        assert_eq!(falling_factorial(5, 1), 5);
-        assert_eq!(falling_factorial(5, 2), 20);
-        assert_eq!(falling_factorial(5, 5), 120);
-        // Number of 4-vertices in S_7: 7!/4! = 210.
-        assert_eq!(falling_factorial(7, 3), 210);
-    }
-
-    #[test]
-    #[should_panic]
-    fn falling_factorial_rejects_k_above_n() {
-        let _ = falling_factorial(3, 4);
     }
 }

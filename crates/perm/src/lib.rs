@@ -47,6 +47,6 @@ pub mod packed;
 
 pub use aut::Aut;
 pub use error::PermError;
-pub use factorial::{factorial, falling_factorial, FACTORIALS};
+pub use factorial::{factorial, FACTORIALS};
 pub use parity::Parity;
 pub use perm::{Perm, MAX_N};

@@ -22,7 +22,7 @@ pub enum Parity {
 impl Parity {
     /// Parity from the number of transpositions (or inversions) mod 2.
     #[inline]
-    pub fn from_transposition_count(count: usize) -> Self {
+    pub(crate) fn from_transposition_count(count: usize) -> Self {
         if count.is_multiple_of(2) {
             Parity::Even
         } else {

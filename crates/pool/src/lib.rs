@@ -74,7 +74,7 @@ pub fn set_threads(threads: usize) {
 }
 
 /// The explicit thread override, if one is installed.
-pub fn configured_threads() -> Option<usize> {
+pub(crate) fn configured_threads() -> Option<usize> {
     match CONFIGURED.load(Ordering::Acquire) {
         0 => None,
         t => Some(t),
@@ -158,20 +158,22 @@ where
     // Worker w handles the contiguous range cuts[w]..cuts[w+1]; the
     // per-worker outputs concatenate back in input order.
     let cuts = chunk_cuts(n, workers);
-    let worker_outputs: Vec<Vec<R>> = crossbeam::thread::scope(|scope| {
+    let worker_outputs: Vec<Vec<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let inputs = &inputs[cuts[w]..cuts[w + 1]];
                 let f = &f;
-                scope.spawn(move |_| inputs.iter().map(f).collect::<Vec<R>>())
+                scope.spawn(move || inputs.iter().map(f).collect::<Vec<R>>())
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
-    })
-    .expect("sweep scope failed");
+    });
 
     let mut out = Vec::with_capacity(n);
     for chunk in worker_outputs {
@@ -234,8 +236,8 @@ where
         return f(&ctx, out);
     }
     record_run(chunks, out.len());
-    let ok = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(chunks);
+    // The scope joins every chunk and re-raises a chunk's panic.
+    std::thread::scope(|scope| {
         let mut rest = out;
         let mut consumed = 0usize;
         for c in 0..chunks {
@@ -245,7 +247,7 @@ where
             let abort = &abort;
             let start = consumed;
             consumed += mine.len();
-            handles.push(scope.spawn(move |_| {
+            scope.spawn(move || {
                 let ctx = ChunkCtx {
                     index: c,
                     start,
@@ -254,14 +256,10 @@ where
                 if !f(&ctx, mine) {
                     abort.store(true, Ordering::Relaxed);
                 }
-            }));
+            });
         }
-        for h in handles {
-            h.join().expect("fill worker panicked");
-        }
-    })
-    .is_ok();
-    ok && !abort.load(Ordering::Relaxed)
+    });
+    !abort.load(Ordering::Relaxed)
 }
 
 fn record_run(workers: usize, items: usize) {
@@ -284,6 +282,13 @@ fn record_run(workers: usize, items: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes the tests that install the process-wide override.
+    static OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_override() -> std::sync::MutexGuard<'static, ()> {
+        OVERRIDE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn sweep_preserves_order() {
@@ -320,6 +325,7 @@ mod tests {
 
     #[test]
     fn workers_for_honors_override_and_batching() {
+        let _override = lock_override();
         // Auto: small inputs stay serial, large ones batch.
         set_threads(0);
         assert_eq!(workers_for(10, 256), 1);
@@ -336,6 +342,7 @@ mod tests {
 
     #[test]
     fn workers_for_degenerate_boundaries() {
+        let _override = lock_override();
         // The exact boundaries that silently collapsed the bench path.
         set_threads(0);
         // items strictly below the batch minimum: serial.
@@ -417,6 +424,32 @@ mod tests {
     fn fill_chunks_rejects_bad_cuts() {
         let mut out = vec![0u8; 8];
         try_fill_chunks(&mut out, &[0, 4], |_, _| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep worker 1 failed")]
+    fn sweep_propagates_a_worker_panic() {
+        let _override = lock_override();
+        set_threads(2);
+        sweep(vec![0u32, 1], |&w| {
+            if w == 1 {
+                panic!("sweep worker {w} failed");
+            }
+            w
+        });
+    }
+
+    #[test]
+    #[should_panic]
+    fn fill_chunks_propagates_a_chunk_panic() {
+        let mut out = vec![0u8; 12];
+        try_fill_chunks(&mut out, &[0, 4, 8, 12], |ctx, s| {
+            if ctx.index == 1 {
+                panic!("fill chunk {} failed", ctx.index);
+            }
+            s.fill(1);
+            true
+        });
     }
 
     #[test]

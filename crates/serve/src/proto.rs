@@ -509,7 +509,11 @@ impl ServerTiming {
 /// Appends the tracing members (`trace_id`, `server_timing`) a queued
 /// response carries when the request asked to be traced. Centralized so
 /// success and failure paths emit the identical shape.
-pub fn attach_trace(members: &mut Vec<(String, Json)>, trace_id: u128, timing: &ServerTiming) {
+pub(crate) fn attach_trace(
+    members: &mut Vec<(String, Json)>,
+    trace_id: u128,
+    timing: &ServerTiming,
+) {
     members.push((
         "trace_id".to_string(),
         Json::from(star_obs::format_trace(trace_id)),
@@ -518,7 +522,7 @@ pub fn attach_trace(members: &mut Vec<(String, Json)>, trace_id: u128, timing: &
 }
 
 /// Builds a failure response.
-pub fn error_response(id: Option<&str>, code: ErrorCode, message: &str) -> Json {
+pub(crate) fn error_response(id: Option<&str>, code: ErrorCode, message: &str) -> Json {
     let mut members = vec![
         ("ok".to_string(), Json::Bool(false)),
         ("error".to_string(), Json::from(code.as_str())),
@@ -534,7 +538,7 @@ pub fn error_response(id: Option<&str>, code: ErrorCode, message: &str) -> Json 
 /// queued path (overload rejections, deadline misses, embed errors) of
 /// a traced request — the client's per-trace log keeps its timing
 /// breakdown even when the answer is an error.
-pub fn error_response_traced(
+pub(crate) fn error_response_traced(
     id: Option<&str>,
     code: ErrorCode,
     message: &str,
@@ -550,7 +554,7 @@ pub fn error_response_traced(
 
 /// Builds a success response from kind-specific members (prepends
 /// `ok`/`kind`, appends the echoed `id`).
-pub fn ok_response(id: Option<&str>, kind: &str, members: Vec<(String, Json)>) -> Json {
+pub(crate) fn ok_response(id: Option<&str>, kind: &str, members: Vec<(String, Json)>) -> Json {
     let mut out = vec![
         ("ok".to_string(), Json::Bool(true)),
         ("kind".to_string(), Json::from(kind)),
@@ -572,7 +576,7 @@ pub fn ring_to_json(vertices: &[Perm]) -> Json {
 /// encoded length so the caller can substitute a deterministic
 /// [`ErrorCode::ResponseTooLarge`] frame instead of tearing down (or
 /// silently corrupting) the connection.
-pub fn encode_response_body(doc: &Json) -> Result<Vec<u8>, usize> {
+pub(crate) fn encode_response_body(doc: &Json) -> Result<Vec<u8>, usize> {
     let body = doc.to_string().into_bytes();
     if body.len() > MAX_FRAME {
         Err(body.len())
@@ -585,7 +589,7 @@ pub fn encode_response_body(doc: &Json) -> Result<Vec<u8>, usize> {
 /// same trace members, a stable error code and a message that names the
 /// actual and permitted sizes (both are functions of the request, so
 /// retries see byte-identical frames).
-pub fn oversize_error_response(
+pub(crate) fn oversize_error_response(
     id: Option<&str>,
     encoded_len: usize,
     trace: Option<(u128, &ServerTiming)>,

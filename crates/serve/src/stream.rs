@@ -80,11 +80,6 @@ impl StreamVerifier {
         self.check.len()
     }
 
-    /// `true` once a chunk flagged `last` has been consumed.
-    pub fn is_complete(&self) -> bool {
-        self.saw_last_chunk
-    }
-
     /// Consumes one chunk: the stream checks (no chunk after the last,
     /// cursor continuity, the declared length, the last flag), then every
     /// vertex through the ring check.
@@ -365,7 +360,6 @@ mod tests {
             v.feed(c).unwrap();
         }
         assert_eq!(v.position(), 10);
-        assert!(!v.is_complete());
         // Resume from the verifier's cursor on a fresh stream.
         for c in &chunk_stream(&delta, v.position(), 5).unwrap() {
             v.feed(c).unwrap();

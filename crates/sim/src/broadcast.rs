@@ -19,10 +19,6 @@ use crate::network::FaultyStarNetwork;
 #[derive(Debug, Clone)]
 pub struct BroadcastTree {
     root: Perm,
-    /// parent[rank] = parent's rank; u32::MAX for unreached or the root.
-    parent: Vec<u32>,
-    /// depth[rank]; u32::MAX for unreached.
-    depth: Vec<u32>,
     reached: usize,
     max_depth: u32,
 }
@@ -33,7 +29,6 @@ impl BroadcastTree {
         assert!(net.is_alive(root), "broadcast root must be alive");
         let n = net.n();
         let total = factorial(n) as usize;
-        let mut parent = vec![u32::MAX; total];
         let mut depth = vec![u32::MAX; total];
         let mut queue = VecDeque::new();
         depth[root.rank() as usize] = 0;
@@ -46,7 +41,6 @@ impl BroadcastTree {
                 let r = v.rank() as usize;
                 if depth[r] == u32::MAX && net.can_send(&u, &v) {
                     depth[r] = du + 1;
-                    parent[r] = u.rank();
                     max_depth = max_depth.max(du + 1);
                     reached += 1;
                     queue.push_back(v);
@@ -55,8 +49,6 @@ impl BroadcastTree {
         }
         BroadcastTree {
             root: *root,
-            parent,
-            depth,
             reached,
             max_depth,
         }
@@ -80,29 +72,6 @@ impl BroadcastTree {
     /// Messages sent (one per non-root reached processor).
     pub fn messages(&self) -> usize {
         self.reached - 1
-    }
-
-    /// Depth of a specific processor, `None` if unreached.
-    pub fn depth_of(&self, v: &Perm) -> Option<u32> {
-        match self.depth[v.rank() as usize] {
-            u32::MAX => None,
-            d => Some(d),
-        }
-    }
-
-    /// The tree path from `v` back to the root, `None` if unreached.
-    pub fn path_to_root(&self, v: &Perm) -> Option<Vec<Perm>> {
-        self.depth_of(v)?;
-        let n = self.root.n();
-        let mut path = vec![*v];
-        let mut cur = v.rank();
-        while cur != self.root.rank() {
-            let p = self.parent[cur as usize];
-            debug_assert_ne!(p, u32::MAX);
-            path.push(Perm::unrank(n, p).expect("parent rank"));
-            cur = p;
-        }
-        Some(path)
     }
 }
 
@@ -142,28 +111,6 @@ mod tests {
         // With only 3 faults in S_6 the healthy part stays connected
         // (connectivity is n-1 = 5).
         assert_eq!(tree.reached() as u64, factorial(n) - 3);
-        for f in faults.vertices() {
-            assert_eq!(tree.depth_of(f), None);
-        }
-    }
-
-    #[test]
-    fn tree_paths_are_real_and_shortest_in_rounds() {
-        let n = 5;
-        let net = FaultyStarNetwork::new(n, FaultSet::empty(n));
-        let root = Perm::identity(n);
-        let tree = BroadcastTree::build(&net, &root);
-        let far = Perm::from_digits(5, 54321);
-        let path = tree.path_to_root(&far).unwrap();
-        assert_eq!(path.len() as u32 - 1, tree.depth_of(&far).unwrap());
-        for w in path.windows(2) {
-            assert!(w[0].is_adjacent(&w[1]));
-        }
-        // BFS depth equals graph distance when nothing is faulty.
-        assert_eq!(
-            tree.depth_of(&far).unwrap() as usize,
-            star_graph::distance(&root, &far)
-        );
     }
 
     #[test]

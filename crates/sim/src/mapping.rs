@@ -74,13 +74,8 @@ impl RingMapping {
 
     /// Link cost of the hop `i -> i+1 (mod len)`.
     #[inline]
-    pub fn hop_cost(&self, i: usize) -> u64 {
+    pub(crate) fn hop_cost(&self, i: usize) -> u64 {
         self.hop_cost[i]
-    }
-
-    /// Total link cost of one full circulation.
-    pub fn circulation_cost(&self) -> u64 {
-        self.hop_cost.iter().sum()
     }
 
     /// The worst single-hop cost — the mapping's dilation.
@@ -102,7 +97,6 @@ mod tests {
         let map = RingMapping::embedded(&net, ring.vertices());
         assert_eq!(map.len(), 116);
         assert_eq!(map.dilation(), 1);
-        assert_eq!(map.circulation_cost(), 116);
     }
 
     #[test]
@@ -111,6 +105,5 @@ mod tests {
         let map = RingMapping::naive_by_rank(&net);
         assert_eq!(map.len(), 120);
         assert!(map.dilation() > 1, "rank order is not an embedding");
-        assert!(map.circulation_cost() > 120);
     }
 }

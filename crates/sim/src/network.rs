@@ -2,7 +2,7 @@
 
 use star_fault::FaultSet;
 use star_graph::routing;
-use star_perm::{factorial, Perm};
+use star_perm::Perm;
 
 /// A faulty star-graph multiprocessor: `n!` processors at the vertices of
 /// `S_n`, minus the fault set.
@@ -31,20 +31,15 @@ impl FaultyStarNetwork {
         &self.faults
     }
 
-    /// Number of healthy processors.
-    pub fn healthy_processors(&self) -> u64 {
-        factorial(self.n) - self.faults.vertex_fault_count() as u64
-    }
-
     /// `true` iff processor `p` is alive.
     #[inline]
-    pub fn is_alive(&self, p: &Perm) -> bool {
+    pub(crate) fn is_alive(&self, p: &Perm) -> bool {
         self.faults.is_vertex_healthy(p)
     }
 
     /// `true` iff the physical link `u -- v` may carry a message (both
     /// endpoints alive, link healthy, and actually an edge of `S_n`).
-    pub fn can_send(&self, u: &Perm, v: &Perm) -> bool {
+    pub(crate) fn can_send(&self, u: &Perm, v: &Perm) -> bool {
         u.is_adjacent(v) && self.faults.is_step_healthy(u, v)
     }
 
@@ -54,9 +49,9 @@ impl FaultyStarNetwork {
     /// Used for dilation accounting of naive (non-embedded) ring mappings;
     /// if a route happens to pass a faulty element the message pays a
     /// detour penalty of 2 per hit (model: one sidestep and return). For
-    /// the exact faulty-graph distance, see
-    /// [`FaultyStarNetwork::route_cost_exact`].
-    pub fn route_cost(&self, u: &Perm, v: &Perm) -> u64 {
+    /// an exact route through the faulty graph, see
+    /// [`star_graph::fault_routing::route_avoiding`].
+    pub(crate) fn route_cost(&self, u: &Perm, v: &Perm) -> u64 {
         let path = routing::shortest_path(u, v);
         let mut cost = (path.len() - 1) as u64;
         for w in path.windows(2) {
@@ -66,31 +61,11 @@ impl FaultyStarNetwork {
         }
         cost
     }
-
-    /// Exact shortest healthy route length from `u` to `v` (A* in the
-    /// faulty graph), or `None` when the faults disconnect the pair.
-    pub fn route_cost_exact(&self, u: &Perm, v: &Perm) -> Option<u64> {
-        star_graph::fault_routing::route_avoiding(
-            u,
-            v,
-            |x| self.faults.is_vertex_faulty(x),
-            |a, b| self.faults.is_edge_faulty(a, b),
-        )
-        .map(|r| r.hops() as u64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use star_fault::gen;
-
-    #[test]
-    fn processor_accounting() {
-        let faults = gen::random_vertex_faults(5, 2, 1).unwrap();
-        let net = FaultyStarNetwork::new(5, faults);
-        assert_eq!(net.healthy_processors(), 118);
-    }
 
     #[test]
     fn can_send_respects_faults() {
@@ -114,30 +89,5 @@ mod tests {
             net.route_cost(&u, &v) as usize,
             star_graph::distance(&u, &v)
         );
-    }
-
-    #[test]
-    fn exact_routing_dodges_faults() {
-        let u = Perm::identity(5);
-        let v = u.star_move(3);
-        // Kill the direct link: the exact route must detour (length >= 3,
-        // odd by bipartiteness).
-        let e = star_graph::Edge::new(u, v).unwrap();
-        let net = FaultyStarNetwork::new(5, FaultSet::from_edges(5, [e]).unwrap());
-        let exact = net.route_cost_exact(&u, &v).unwrap();
-        assert!(exact >= 3);
-        assert!(exact % 2 == 1);
-        // The model-based estimate never undercounts hops by more than the
-        // detour slack.
-        assert!(net.route_cost(&u, &v) >= 1);
-    }
-
-    #[test]
-    fn exact_routing_reports_disconnection() {
-        let victim = Perm::identity(4);
-        let wall: Vec<Perm> = victim.neighbors().collect();
-        let net = FaultyStarNetwork::new(4, FaultSet::from_vertices(4, wall).unwrap());
-        let far = Perm::from_digits(4, 4321);
-        assert_eq!(net.route_cost_exact(&far, &victim), None);
     }
 }

@@ -66,7 +66,7 @@ impl DegradationTimeline {
 
 /// Fraction of directed ring edges of `prev` that also appear (in either
 /// direction) as ring edges of `next`.
-pub fn ring_edge_survival(prev: &EmbeddedRing, next: &EmbeddedRing) -> f64 {
+pub(crate) fn ring_edge_survival(prev: &EmbeddedRing, next: &EmbeddedRing) -> f64 {
     use std::collections::HashSet;
     let edge_set: HashSet<(u32, u32)> = next
         .vertices()
