@@ -33,8 +33,8 @@ pub fn tseng_vertex_ring(n: usize, faults: &FaultSet) -> Result<EmbeddedRing, Ba
     }
     let plan = positions::select_positions(n, faults)?;
     let r4 = hierarchy::build_r4(n, faults, &plan)?;
-    let vertices = expand::expand(&r4, faults, plan.spare[0], 0, 4)?;
-    Ok(EmbeddedRing::new(n, vertices))
+    let ring = expand::expand(&r4, faults, plan.spare[0], 0, 4)?;
+    Ok(EmbeddedRing::from_delta(ring))
 }
 
 #[cfg(test)]

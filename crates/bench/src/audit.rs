@@ -176,7 +176,7 @@ fn audit_dimension(config: &AuditConfig, n: usize, mismatches: &mut Vec<Mismatch
 
         // 2. Certificate round trip: text form alone must re-verify and
         // describe the scenario.
-        let cert = certificate::certificate_for(n, &faults, ring.vertices());
+        let cert = certificate::certificate_for(&faults, ring.delta());
         match certificate::verify_certificate(&cert) {
             Ok(summary) => {
                 certificates += 1;

@@ -1,12 +1,10 @@
 //! Machine-readable perf baselines (`BENCH_<date>.json`) and the
 //! regression comparator behind `bench-diff`.
 //!
-//! [`run_matrix`] executes the E11-style embed matrix — full-budget
-//! worst-case faults, serial (`threads = 1`) and parallel (`threads =`
-//! [`parallel_threads`], pinned ≥ 2 so the pool genuinely engages) for
-//! `n = 7..=9` against a warmed oracle — and distils each cell
-//! into a [`BaselineCase`]: median and p95 wall time over the samples,
-//! plus the oracle hit rate and pool items-per-worker fan-out read from
+//! [`run_matrix`] executes the embed matrix — full-budget worst-case
+//! faults for `n = 7..=9` against a warmed oracle, one serial embed per
+//! sample — and distils each cell into a [`BaselineCase`]: median and
+//! p95 wall time over the samples, plus the oracle hit rate read from
 //! the `star-obs` counter deltas of that cell. [`Baseline`] serializes
 //! the whole matrix to JSON and parses it back (via [`star_obs::json`]), so
 //! CI can commit one file per known-good revision and
@@ -30,11 +28,12 @@ pub const SCHEMA: &str = "star-bench/baseline/v1";
 /// One cell of the perf matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineCase {
-    /// Stable identifier, e.g. `embed/n9/parallel`.
+    /// Stable identifier, e.g. `embed/n9/serial`.
     pub name: String,
     /// Host dimension.
     pub n: usize,
-    /// `serial` or `parallel`.
+    /// What the cell times: `serial` for embeds, `hit`, `encode`,
+    /// `verify` and the like for the other harnesses.
     pub mode: String,
     /// Number of timed runs behind the statistics.
     pub samples: usize,
@@ -45,8 +44,9 @@ pub struct BaselineCase {
     /// `oracle.hit / (oracle.hit + oracle.miss)` over the cell's runs
     /// (1.0 when the cell made no queries).
     pub oracle_hit_rate: f64,
-    /// `pool.items / pool.workers` over the cell's runs (0.0 when the
-    /// cell never fanned out).
+    /// `pool.items / pool.workers` over the cell's runs. No harness
+    /// fans a cell out any more, so every case written now reads 0.0;
+    /// the field stays for the `v1` schema.
     pub pool_items_per_worker: f64,
     /// Achieved per-connection request rate (req/s) — populated by the
     /// `star-serve` load-generator export, 0.0 for embed cells. Absent in
@@ -271,11 +271,11 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Runs one matrix cell: `samples` no-verify embeds of the full-budget
-/// worst case at `n` under the current pool configuration. Public so the
-/// `speedup-gate` binary can time individual cells outside the full
-/// matrix; callers own the `star_pool::set_threads` state around it.
-pub fn run_case(name: &str, n: usize, mode: &str, samples: usize) -> BaselineCase {
+/// Runs one matrix cell, `embed/n<n>/serial`: `samples` no-verify embeds
+/// of the full-budget worst case at `n`.
+fn run_case(n: usize, samples: usize) -> BaselineCase {
+    let name = format!("embed/n{n}/serial");
+    eprintln!("baseline: running {name} ({samples} samples)...");
     let faults = gen::worst_case_same_partite(n, n - 3, Parity::Even, 42).unwrap();
     let snap0 = star_obs::snapshot();
     let wall_ns: Vec<u64> = (0..samples)
@@ -283,7 +283,7 @@ pub fn run_case(name: &str, n: usize, mode: &str, samples: usize) -> BaselineCas
             let t0 = Instant::now();
             let ring = embed_with_options(n, &faults, &no_verify()).unwrap();
             let ns = t0.elapsed().as_nanos() as u64;
-            assert!(!ring.is_empty());
+            std::hint::black_box(ring);
             ns
         })
         .collect();
@@ -291,52 +291,19 @@ pub fn run_case(name: &str, n: usize, mode: &str, samples: usize) -> BaselineCas
     let delta =
         |name: &str| -> u64 { snap1.counter(name).unwrap_or(0) - snap0.counter(name).unwrap_or(0) };
     let (hits, misses) = (delta("oracle.hit"), delta("oracle.miss"));
-    let (items, workers) = (delta("pool.items"), delta("pool.workers"));
     let oracle_hit_rate = if hits + misses == 0 {
         1.0
     } else {
         hits as f64 / (hits + misses) as f64
     };
-    BaselineCase {
-        pool_items_per_worker: if workers == 0 {
-            0.0
-        } else {
-            items as f64 / workers as f64
-        },
-        ..BaselineCase::from_samples(name.to_string(), n, mode, wall_ns, oracle_hit_rate)
-    }
+    BaselineCase::from_samples(name, n, "serial", wall_ns, oracle_hit_rate)
 }
 
-/// Thread count for the matrix's `parallel` cells: the host's parallelism,
-/// but always at least 2. `set_threads(0)` (the old choice) asks for the
-/// *auto* policy, which on a small host resolves to a single worker — the
-/// pool never engages and the cell silently re-measures the serial path
-/// (the counters prove it: items/worker stays 0.0). Pinning ≥ 2 makes
-/// `parallel` mean what it says on every host; whether that *helps* is
-/// exactly what the cell exists to measure.
-pub fn parallel_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
-        .clamp(2, star_pool::MAX_AUTO_WORKERS)
-}
-
-/// Runs the full E11-style matrix (serial and [`parallel_threads`]-way
-/// embeds for `n = 7..=9`, `samples` runs each, warmed oracle) and stamps
-/// the result with the wall clock. Restores the pool's auto thread policy
-/// on exit.
+/// Runs the full embed matrix (`n = 7..=9`, `samples` runs each, warmed
+/// oracle) and stamps the result with the wall clock.
 pub fn run_matrix(samples: usize) -> Baseline {
     oracle::warm();
-    let mut cases = Vec::new();
-    for n in 7..=9 {
-        for (mode, threads) in [("serial", 1usize), ("parallel", parallel_threads())] {
-            star_pool::set_threads(threads);
-            let name = format!("embed/n{n}/{mode}");
-            eprintln!("baseline: running {name} ({samples} samples)...");
-            cases.push(run_case(&name, n, mode, samples));
-        }
-    }
-    star_pool::set_threads(0);
+    let cases = (7..=9).map(|n| run_case(n, samples)).collect();
     Baseline::stamped(cases)
 }
 
@@ -381,7 +348,7 @@ mod tests {
             created_ms: 1_754_500_000_000,
             cases: vec![
                 case("embed/n9/serial", 120_000_000),
-                case("embed/n7/parallel", 900_000),
+                case("oracle/cold_miss/n7", 900_000),
             ],
         };
         let parsed = Baseline::from_json(&base.to_json()).unwrap();
@@ -401,27 +368,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cell_reports_nonzero_items_per_worker() {
-        // Regression for the silent-serial bug: a `parallel` cell must
-        // actually drive work through the pool, which shows up as a
-        // positive achieved items-per-worker figure. n = 6 keeps the
-        // debug-build embed cheap; the explicit override engages the pool
-        // regardless of host core count.
-        star_pool::set_threads(2);
-        let cell = run_case("embed/n6/parallel", 6, "parallel", 1);
-        star_pool::set_threads(0);
-        assert!(
-            cell.pool_items_per_worker > 0.0,
-            "parallel cell never fanned out: items/worker = {}",
-            cell.pool_items_per_worker
-        );
+    fn embed_cell_times_its_samples_and_never_fans_out() {
+        // n = 6 keeps the debug-build embed cheap.
+        let cell = run_case(6, 2);
+        assert_eq!((cell.name.as_str(), cell.samples), ("embed/n6/serial", 2));
+        assert!(cell.median_ns > 0 && cell.p95_ns >= cell.median_ns);
+        assert_eq!(cell.pool_items_per_worker, 0.0, "a single embed is serial");
         assert_eq!(cell.per_conn_rate, 0.0, "embed cells carry no request rate");
-    }
-
-    #[test]
-    fn parallel_threads_is_at_least_two() {
-        let t = parallel_threads();
-        assert!((2..=star_pool::MAX_AUTO_WORKERS).contains(&t));
     }
 
     #[test]

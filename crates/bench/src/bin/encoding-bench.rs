@@ -107,12 +107,11 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
         // apples.
         let faults =
             gen::random_vertex_faults(n, n - 3, 0xE14C0D + n as u64).map_err(|e| e.to_string())?;
-        let ring = embed_longest_ring(n, &faults)
-            .map_err(|e| e.to_string())?
-            .into_vertices();
+        let embedded = embed_longest_ring(n, &faults).map_err(|e| e.to_string())?;
+        let delta = embedded.delta().clone();
+        let ring = embedded.into_vertices();
 
-        let json_bytes = ring_to_json(&ring).to_string().len();
-        let delta = RingDelta::encode(&ring)?;
+        let json_bytes = ring_to_json(&delta).to_string().len();
         let delta_bytes = delta.encoded_bytes();
         let ratio = json_bytes as f64 / delta_bytes as f64;
         eprintln!(
@@ -124,7 +123,7 @@ fn run(n_max: usize, samples: usize) -> Result<Baseline, String> {
         let wall: Vec<u64> = (0..samples)
             .map(|_| {
                 let t0 = Instant::now();
-                let text = ring_to_json(&ring).to_string();
+                let text = ring_to_json(&delta).to_string();
                 let ns = t0.elapsed().as_nanos() as u64;
                 assert_eq!(text.len(), json_bytes);
                 ns

@@ -1,19 +1,19 @@
-//! E11 — parallel block expansion and the precomputed Lemma-4 oracle.
+//! E11 — the precomputed Lemma-4 oracle.
 //!
-//! Six rows, in the order a process meets them:
+//! Five rows, in the order a process meets them:
 //!
-//! * the first serial embed at `n = 9`, while the process-global oracle
-//!   is still cold (a process has one cold global table, so this row is
-//!   a single sample and must run first);
+//! * the first embed at `n = 9`, while the process-global oracle is
+//!   still cold (a process has one cold global table, so this row is a
+//!   single sample and must run first);
 //! * `oracle::warm()` itself (one sample for the same reason);
 //! * the full 24×24 healthy-pair canonical query sweep against a fresh
 //!   private table (every query runs the search) and against a warmed
 //!   one (every query is a lock-free read);
-//! * the same full-budget `n = 9` embed against the warmed oracle with
-//!   the pool forced serial and with automatic fan-out.
+//! * the same full-budget `n = 9` embed against the warmed oracle.
 //!
-//! The acceptance ratio printed at the end is the serial cold first
-//! embed over the pool-auto warmed median.
+//! A single embed is one serial pass; the pool fans out only the
+//! warm-up. The ratio printed at the end is the cold first embed over
+//! the warmed median.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -65,9 +65,7 @@ fn run() {
         black_box(embed_with_options(N, &faults, &opts).unwrap());
     };
 
-    star_pool::set_threads(1);
     let cold_embed = timed(embed);
-    star_pool::set_threads(0);
     let mut slots = 0;
     let warm_once = timed(|| slots = oracle::warm());
 
@@ -84,13 +82,10 @@ fn run() {
     const WARM_REPS: u32 = 1000;
     let warm_sweep = timed(|| (0..WARM_REPS).for_each(|_| query_sweep(&warmed))) / WARM_REPS;
 
-    star_pool::set_threads(1);
-    let serial = median((0..SAMPLES).map(|_| timed(embed)).collect());
-    star_pool::set_threads(0);
-    let parallel = median((0..SAMPLES).map(|_| timed(embed)).collect());
+    let warmed_embed = median((0..SAMPLES).map(|_| timed(embed)).collect());
 
     let mut t = Table::new(
-        "E11: precomputed oracle and pool fan-out (n = 9, full fault budget, verification off)",
+        "E11: precomputed oracle (n = 9, full fault budget, verification off)",
         &["measurement", "time"],
     );
     t.row(&[
@@ -106,18 +101,13 @@ fn run() {
         ms(warm_once),
     ]);
     t.row(&[
-        "embed n=9, serial, cold oracle (first embed)".to_string(),
+        "embed n=9, cold oracle (first embed)".to_string(),
         ms(cold_embed),
     ]);
-    t.row(&["embed n=9, serial, warmed oracle".to_string(), ms(serial)]);
-    t.row(&[
-        "embed n=9, pool auto, warmed oracle".to_string(),
-        ms(parallel),
-    ]);
+    t.row(&["embed n=9, warmed oracle".to_string(), ms(warmed_embed)]);
     t.finish("e11_parallel");
     println!(
-        "\nE11 ratio @ n=9: serial cold first embed / pool-auto warmed = {:.2}x ({} hardware threads)",
-        cold_embed.as_secs_f64() / parallel.as_secs_f64(),
-        star_pool::threads()
+        "\nE11 ratio @ n=9: cold first embed / warmed = {:.2}x",
+        cold_embed.as_secs_f64() / warmed_embed.as_secs_f64()
     );
 }

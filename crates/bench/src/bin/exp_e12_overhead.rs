@@ -1,8 +1,8 @@
 //! E12 — observability overhead of the post-mortem layer.
 //!
 //! Three instrumentation levels around the same no-verify full-budget
-//! embed at `n = 8` and `n = 9` (warmed oracle, serial pool so the
-//! measurement is single-threaded and stable):
+//! embed at `n = 8` and `n = 9` (warmed oracle; the embed is one serial
+//! pass, so the measurement is single-threaded and stable):
 //!
 //! * `off` — flight recorder disabled (the production default);
 //! * `flightrec` — flight recorder enabled (span open/close + counter
@@ -49,7 +49,6 @@ fn main() {
 
 fn run() {
     oracle::warm();
-    star_pool::set_threads(1);
     let mut t = Table::new(
         "E12: flight-recorder / profiler overhead on the full-budget embed",
         &["n", "mode", "median", "vs off", "events recorded"],
@@ -136,6 +135,5 @@ fn run() {
             print!("{}", profile.collapsed());
         }
     }
-    star_pool::set_threads(0);
     t.finish("e12_overhead");
 }

@@ -121,11 +121,11 @@ fn run(n: usize, samples: usize) -> Result<Baseline, String> {
             .collect::<Vec<_>>(),
     )
     .map_err(|e| e.to_string())?;
-    let ring_c: Arc<RingDelta> = Arc::new(RingDelta::encode(
+    let ring_c: Arc<RingDelta> = Arc::new(
         embed_longest_ring(n, &canon_faults)
             .map_err(|e| e.to_string())?
-            .vertices(),
-    )?);
+            .into_delta(),
+    );
     store
         .append_batch(&[(key.clone(), Arc::clone(&ring_c))])
         .map_err(|e| e.to_string())?;

@@ -19,7 +19,7 @@
 //!   exhaustive oracle, certificates and the prior-art baselines;
 //! - [`flags`] — the one `--flag [value]` parser of the `star-rings` CLI
 //!   and the tool binaries (`baseline`, `bench-diff`, `encoding-bench`,
-//!   `oracle-bench`, `speedup-gate`).
+//!   `oracle-bench`).
 
 pub mod audit;
 pub mod baseline;

@@ -9,9 +9,8 @@
 //!    front, so no scenario ever pays for a canonical search — every
 //!    block query in every embed is a lock-free table read;
 //! 2. scenarios fan out over the shared `star-pool` (respecting
-//!    `star_pool::set_threads` / the CLI `--threads` flag), while each
-//!    embed's own expansion stays serial — for batch work, cross-scenario
-//!    parallelism beats nested per-block parallelism.
+//!    `star_pool::set_threads` / `serve --threads`); each embed's own
+//!    expansion is one serial pass.
 //!
 //! Results come back in input order, one `Result` per scenario, so a
 //! sweep can mix in-budget and out-of-budget fault sets and tally

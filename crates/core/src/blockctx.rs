@@ -1,5 +1,5 @@
-//! Allocation-free block lifting: the flat-arena expansion's per-block
-//! working context.
+//! Allocation-free block lifting: the expansion's per-block working
+//! context.
 //!
 //! [`star_graph::Pattern::from_local`] / [`star_graph::Pattern::to_local`]
 //! are general (any sub-star order) but rebuild the free-symbol list on
@@ -13,9 +13,9 @@
 //! either direction.
 //!
 //! The context answers in **local `S_4` ranks** — the same coordinates
-//! the Lemma-4 oracle table is keyed by ([`crate::oracle`]), so the
-//! expansion loop goes `rank → vertex` without ever materializing an
-//! intermediate local [`Perm`].
+//! the Lemma-4 oracle table is keyed by ([`crate::oracle`]). The
+//! expansion never lifts a path: it turns each pair of adjacent ranks
+//! into the star dimension between them (`BlockCtx::step_dim`).
 
 use std::sync::OnceLock;
 
@@ -110,6 +110,26 @@ impl BlockCtx {
         Perm::from_slice_trusted(&buf[..self.block.n()])
     }
 
+    /// The star dimension of the step between two adjacent local ranks:
+    /// the block's free position `fp[k]`, where `k` is the one local
+    /// position besides 0 at which their `S_4` digits differ.
+    #[inline]
+    pub(crate) fn step_dim(&self, a: u8, b: u8) -> u8 {
+        let (da, db) = (&self.s4[a as usize], &self.s4[b as usize]);
+        let k = if da[1] != db[1] {
+            1
+        } else if da[2] != db[2] {
+            2
+        } else {
+            3
+        };
+        debug_assert!(
+            da[0] == db[k] && db[0] == da[k] && (1..4).all(|j| j == k || da[j] == db[j]),
+            "local ranks {a} and {b} are not adjacent"
+        );
+        self.fp[k]
+    }
+
     /// The block this context lifts into.
     #[inline]
     pub(crate) fn block(&self) -> &Pattern {
@@ -173,6 +193,22 @@ mod tests {
             for (rank, v) in block.vertices().enumerate() {
                 assert_eq!(ctx.local_rank(&v) as usize, rank, "{block}");
                 assert_eq!(ctx.local_rank(&v) as u32, block.to_local(&v).rank());
+            }
+        }
+    }
+
+    #[test]
+    fn step_dim_is_the_dimension_between_the_lifted_vertices() {
+        for block in blocks_under_test() {
+            let ctx = BlockCtx::new(&block);
+            for a in 0..24u8 {
+                for b in 0..24u8 {
+                    let (u, v) = (ctx.lift_rank(a), ctx.lift_rank(b));
+                    if u.is_adjacent(&v) {
+                        let d = ctx.step_dim(a, b) as usize;
+                        assert_eq!(u.star_move(d), v, "{block} {a} -> {b}");
+                    }
+                }
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Public entry points: Theorem 1.
 
 use star_fault::{FaultSet, RingCheck, RingError};
-use star_perm::packed::PackedPerm;
-use star_perm::{factorial, Perm};
+use star_perm::delta::RingDelta;
+use star_perm::factorial;
 
 use crate::{expand, hierarchy, positions, small_n, EmbedError, EmbeddedRing};
 
@@ -48,7 +48,9 @@ impl Default for EmbedOptions {
 /// let faults = FaultSet::from_vertices(5, [Perm::from_digits(5, 21345)]).unwrap();
 /// let ring = embed_longest_ring(5, &faults).unwrap();
 /// assert_eq!(ring.len(), 120 - 2);
-/// assert!(ring.edges().all(|(a, b)| a.is_adjacent(b)));
+/// let vertices = ring.vertices();
+/// assert!(vertices.windows(2).all(|w| w[0].is_adjacent(&w[1])));
+/// assert!(vertices[vertices.len() - 1].is_adjacent(&vertices[0]));
 /// ```
 pub fn embed_longest_ring(n: usize, faults: &FaultSet) -> Result<EmbeddedRing, EmbedError> {
     embed_with_options(n, faults, &EmbedOptions::default())
@@ -93,8 +95,7 @@ pub fn embed_with_options(
     }
 
     let embed = || -> Result<EmbeddedRing, EmbedError> {
-        let vertices = construct(n, faults, opts.spare_index, opts.salt)?;
-        let ring = EmbeddedRing::new(n, vertices);
+        let ring = construct(n, faults, opts.spare_index, opts.salt)?;
         let expected = factorial(n) - 2 * faults.vertex_fault_count() as u64;
         debug_assert_eq!(ring.len() as u64, expected);
         if opts.verify {
@@ -105,7 +106,7 @@ pub fn embed_with_options(
                 return Err(EmbedError::ExpansionFailed { block: 0 });
             }
         }
-        Ok(ring)
+        Ok(EmbeddedRing::from_delta(ring))
     };
 
     let result = embed();
@@ -135,7 +136,7 @@ pub(crate) fn construct(
     faults: &FaultSet,
     spare_index: usize,
     salt: usize,
-) -> Result<Vec<Perm>, EmbedError> {
+) -> Result<RingDelta, EmbedError> {
     match n {
         3 => star_obs::span("embed.expand").hold(|| small_n::embed_n3(faults)),
         4 => star_obs::span("embed.expand").hold(|| small_n::embed_n4(faults)),
@@ -158,15 +159,13 @@ pub(crate) fn construct(
     }
 }
 
-/// Internal verification: one [`RingCheck`] fold over the ring (simple,
+/// Internal verification: one [`RingCheck`] walk of the delta (simple,
 /// healthy, cyclically adjacent). A defect is reported as
 /// `ExpansionFailed` at the ring position the check found it.
-pub(crate) fn verify_ring(ring: &EmbeddedRing, faults: &FaultSet) -> Result<(), EmbedError> {
+pub(crate) fn verify_ring(ring: &RingDelta, faults: &FaultSet) -> Result<(), EmbedError> {
     let fail = |e: RingError| EmbedError::ExpansionFailed { block: e.index() };
     let mut check = RingCheck::new(ring.n(), faults).map_err(fail)?;
-    check
-        .push_all(ring.vertices().iter().map(PackedPerm::from_perm))
-        .map_err(fail)?;
+    check.push_delta(ring).map_err(fail)?;
     check.finish().map(drop).map_err(fail)
 }
 
@@ -174,7 +173,7 @@ pub(crate) fn verify_ring(ring: &EmbeddedRing, faults: &FaultSet) -> Result<(), 
 mod tests {
     use super::*;
     use star_fault::gen;
-    use star_perm::Parity;
+    use star_perm::{Parity, Perm};
 
     #[test]
     fn theorem_1_random_faults_n6_n7() {
@@ -257,19 +256,20 @@ mod tests {
         }
     }
 
-    /// The tamper matrix, for the embedder's self-verify: every defect
-    /// is `ExpansionFailed` at the ring position where it sits (the first
-    /// vertex of a bad step). `EmbeddedRing::new` already refuses a
-    /// vertex of another dimension, so the wrong `n` here is the fault
-    /// set's.
+    /// The tamper matrix, for the embedder's self-verify: every defect a
+    /// delta can express is `ExpansionFailed` at the ring position where
+    /// it sits (the first vertex of a bad step). A skipped vertex cannot
+    /// be written as a delta, whose every step is a star move;
+    /// `tests/ring_check.rs` covers it for the vertex-list checkers. The
+    /// wrong `n` here is the fault set's.
     #[test]
     fn verify_ring_rejects_every_tampered_ring_at_its_position() {
         let n = 5;
         let faults = gen::random_vertex_faults(n, 1, 3).unwrap();
         let ring = embed_longest_ring(n, &faults).unwrap().into_vertices();
         let len = ring.len();
-        let verify = |vertices: Vec<Perm>, faults: &FaultSet| {
-            verify_ring(&EmbeddedRing::new(n, vertices), faults)
+        let verify = |vertices: &[Perm], faults: &FaultSet| {
+            verify_ring(&RingDelta::encode(vertices).unwrap(), faults)
         };
         let at = |block: usize| Err(EmbedError::ExpansionFailed { block });
         let with_edge = |a: Perm, b: Perm| {
@@ -277,21 +277,19 @@ mod tests {
             f.add_edge(star_graph::Edge::new(a, b).unwrap()).unwrap();
             f
         };
-        assert_eq!(verify(ring.clone(), &faults), Ok(()));
+        assert_eq!(verify(&ring, &faults), Ok(()));
         for p in [2usize, 7, 60] {
             let repeat = [&ring[..p], &ring[p - 2..len - 2]].concat();
-            assert_eq!(verify(repeat, &faults), at(p), "repeat at {p}");
+            assert_eq!(verify(&repeat, &faults), at(p), "repeat at {p}");
             let faulty = FaultSet::from_vertices(n, [ring[p]]).unwrap();
-            assert_eq!(verify(ring.clone(), &faulty), at(p), "fault at {p}");
+            assert_eq!(verify(&ring, &faulty), at(p), "fault at {p}");
             let dead_link = with_edge(ring[p - 1], ring[p]);
-            assert_eq!(verify(ring.clone(), &dead_link), at(p - 1), "edge into {p}");
-            let skip = [&ring[..p], &ring[p + 1..]].concat();
-            assert_eq!(verify(skip, &faults), at(p - 1), "skip {p}");
+            assert_eq!(verify(&ring, &dead_link), at(p - 1), "edge into {p}");
         }
-        assert_eq!(verify(ring.clone(), &FaultSet::empty(n + 1)), at(0));
-        assert_eq!(verify(ring[..len - 1].to_vec(), &faults), at(len - 2));
+        assert_eq!(verify(&ring, &FaultSet::empty(n + 1)), at(0));
+        assert_eq!(verify(&ring[..len - 1], &faults), at(len - 2));
         let dead_closing = with_edge(ring[len - 1], ring[0]);
-        assert_eq!(verify(ring.clone(), &dead_closing), at(len - 1));
-        assert_eq!(verify(ring[..2].to_vec(), &faults), at(2));
+        assert_eq!(verify(&ring, &dead_closing), at(len - 1));
+        assert_eq!(verify(&ring[..2], &faults), at(2));
     }
 }

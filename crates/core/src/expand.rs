@@ -24,21 +24,25 @@
 //! choices); the assembler tries both before reporting failure (which the
 //! theory rules out under (P1)-(P3)).
 //!
-//! ## One fill
+//! ## One pass, straight to the delta
 //!
-//! The endpoint pass fixes every block's path length up front (24
-//! healthy, `24 - loss` faulty), so the ring is laid out CSR-style: one
-//! prefix-sum offset table over the blocks and a single flat `Vec<Perm>`
-//! arena. Each block writes its Lemma-4 path straight into its own slice
-//! through [`crate::oracle`]'s one fill, which lifts local ranks through an
-//! allocation-free [`crate::blockctx::BlockCtx`]. Blocks are independent
-//! given the endpoints, so large rings fan the fill out over `star-pool`
-//! in contiguous chunks of whole blocks; the bytes written are identical
-//! for every worker count. `expand_structured`, for the repair
-//! machinery, cuts the same arena into per-block [`BlockSegment`]s.
+//! The seam plan fixes every block's path length up front (24 healthy,
+//! `24 - loss` faulty), and the ring is written as the one
+//! representation every consumer shares: a [`RingDelta`], the start
+//! vertex `x_0` plus one star dimension per step. Each block reads its
+//! Lemma-4 path as local `S_4` ranks from [`crate::oracle`]'s one rule
+//! and turns each pair of adjacent ranks into the block's free position
+//! they differ at (`BlockCtx::step_dim`); no vertex is lifted. Every
+//! path has an even length, so block `i` owns whole bytes of the nibble
+//! arena: its in-block steps, then its seam step. Endpoints and paths
+//! are computed in one serial pass over the blocks; `expand_structured`,
+//! for the repair machinery, decodes the delta and cuts it into
+//! per-block [`BlockSegment`]s.
 
 use star_fault::FaultSet;
 use star_graph::{Pattern, SuperRing};
+use star_perm::delta::RingDelta;
+use star_perm::packed::PackedPerm;
 use star_perm::{Parity, Perm, MAX_N};
 
 use crate::blockctx::BlockCtx;
@@ -83,7 +87,7 @@ struct BlockPlan {
 impl BlockPlan {
     /// Vertices the block's traversal covers under the given per-fault
     /// loss — fixed by the plan alone, which is what lets the ring be
-    /// laid out flat before any path is materialized.
+    /// laid out before any path is read.
     #[inline]
     fn path_len(&self, faulty_block_loss: usize) -> usize {
         oracle::HEALTHY_BLOCK_VERTICES - faulty_block_loss * self.census.count
@@ -110,14 +114,14 @@ pub fn expand(
     spare_pos: usize,
     salt: usize,
     faulty_block_loss: usize,
-) -> Result<Vec<Perm>, EmbedError> {
+) -> Result<RingDelta, EmbedError> {
     let (_, ring) = fill(r4, faults, spare_pos, salt, faulty_block_loss)?;
-    crate::invariants::debug_assert_ring(r4.n(), faults, &ring, "expand");
+    crate::invariants::debug_assert_ring(faults, &ring, "expand");
     Ok(ring)
 }
 
-/// [`expand`]'s ring cut into per-block segments (their paths concatenate
-/// to exactly that ring), for the repair machinery.
+/// [`expand`]'s ring, decoded and cut into per-block segments (their
+/// paths concatenate to exactly that ring), for the repair machinery.
 pub(crate) fn expand_structured(
     r4: &SuperRing,
     faults: &FaultSet,
@@ -126,7 +130,8 @@ pub(crate) fn expand_structured(
     faulty_block_loss: usize,
 ) -> Result<Vec<BlockSegment>, EmbedError> {
     let (plans, ring) = fill(r4, faults, spare_pos, salt, faulty_block_loss)?;
-    let mut rest = ring.as_slice();
+    let vertices = ring.decode();
+    let mut rest = vertices.as_slice();
     let segments: Vec<BlockSegment> = plans
         .iter()
         .map(|plan| {
@@ -151,22 +156,19 @@ fn fill(
     spare_pos: usize,
     salt: usize,
     faulty_block_loss: usize,
-) -> Result<(Vec<BlockPlan>, Vec<Perm>), EmbedError> {
+) -> Result<(Vec<BlockPlan>, RingDelta), EmbedError> {
     debug_assert_eq!(r4.r(), 4);
     debug_assert!(faulty_block_loss >= 2 && faulty_block_loss.is_multiple_of(2));
     let plans = plan_blocks(r4, faults, spare_pos, salt)?;
-    for (attempt, x0) in entry_candidates(&plans).into_iter().enumerate() {
-        let Some(endpoints) = plan_endpoints(&plans, faults, &x0) else {
-            continue;
-        };
-        let Some(ring) = fill_ring(&plans, faults, &endpoints, faulty_block_loss) else {
-            continue;
-        };
-        let healthy = plans.iter().filter(|p| p.census.count == 0).count();
-        record_block_counters(healthy as u64, (plans.len() - healthy) as u64, attempt);
-        return Ok((plans, ring));
-    }
-    Err(EmbedError::ExpansionFailed { block: 0 })
+    let (attempt, ring) = entry_candidates(&plans)
+        .enumerate()
+        .find_map(|(attempt, x0)| {
+            Some((attempt, fill_ring(&plans, faults, x0, faulty_block_loss)?))
+        })
+        .ok_or(EmbedError::ExpansionFailed { block: 0 })?;
+    let healthy = plans.iter().filter(|p| p.census.count == 0).count();
+    record_block_counters(healthy as u64, (plans.len() - healthy) as u64, attempt);
+    Ok((plans, ring))
 }
 
 /// Cached star-obs counters for the per-block splice: `expand.block.healthy`,
@@ -193,7 +195,7 @@ fn record_block_counters(healthy: u64, faulty: u64, attempt: usize) {
 /// The two vertices of block 0's entry 3-vertex that are adjacent to the
 /// last block (i.e. whose first symbol is block `L-1`'s dif symbol toward
 /// block 0 — crossing *backward*).
-fn entry_candidates(plans: &[BlockPlan]) -> Vec<Perm> {
+fn entry_candidates(plans: &[BlockPlan]) -> impl Iterator<Item = Perm> + '_ {
     let last = plans.len() - 1;
     // Crossing from A_0 back to A_{L-1}: a member of A_0 crosses iff its
     // first symbol equals A_{L-1}'s symbol at the shared dif.
@@ -205,8 +207,7 @@ fn entry_candidates(plans: &[BlockPlan]) -> Vec<Perm> {
     plans[0]
         .entry
         .vertices()
-        .filter(|v| v.first() == back_symbol)
-        .collect()
+        .filter(move |v| v.first() == back_symbol)
 }
 
 /// Chooses entry/exit 3-vertices for every block (the seam-symbol pass).
@@ -423,28 +424,32 @@ fn cross_exit(exit: &Pattern, cross_symbol: u8, want: Parity) -> Option<Perm> {
     }
 }
 
-/// Phase 1 of assembly: every block's (entry, exit) vertex pair, or
-/// `None` when a seam lands on a fault (the caller retries with the other
-/// starting vertex).
+/// Phase 1 of assembly: every block's (entry, exit) vertex pair in ring
+/// order, each `None` when a seam lands on a fault (the caller then
+/// retries with the other starting vertex).
 ///
 /// The walk looks sequential (each entry is the predecessor's exit
 /// crossed over the seam), but every block traversal has an even vertex
 /// count, so ALL entries share `x0`'s parity and every exit is the unique
 /// parity-correct cross vertex of its exit 3-vertex — each endpoint is
-/// determined by `x0` alone. O(len), no allocation beyond the output.
-fn plan_endpoints(plans: &[BlockPlan], faults: &FaultSet, x0: &Perm) -> Option<Vec<(Perm, Perm)>> {
-    let len = plans.len();
+/// determined by `x0` alone. O(1) per block, no allocation.
+fn endpoints<'a>(
+    plans: &'a [BlockPlan],
+    faults: &'a FaultSet,
+    x0: Perm,
+) -> impl Iterator<Item = Option<(Perm, Perm)>> + 'a {
     let want_parity = !x0.parity();
     // Fault membership by linear scan over the (≤ n-3 entry) fault list:
     // an inline `Perm` compare per entry beats the rank-then-hash lookup
     // (`O(n²)` Lehmer code) the general `is_vertex_faulty` pays.
     let fault_list = faults.vertices();
-    let is_faulty = |v: &Perm| fault_list.iter().any(|f| f == v);
+    let is_faulty = move |v: &Perm| fault_list.iter().any(|f| f == v);
     let check_edges = faults.edge_fault_count() > 0;
-
-    let mut exits: Vec<Perm> = Vec::with_capacity(len);
-    for (i, plan) in plans.iter().enumerate() {
-        let y = if i + 1 == len {
+    let last = plans.len() - 1;
+    let mut x = x0;
+    plans.iter().enumerate().map(move |(i, plan)| {
+        debug_assert!(plan.entry.contains(&x), "entry vertex in entry 3-vertex");
+        let (y, next) = if i == last {
             // Close the cycle: the exit must be the unique neighbor of x0
             // across the wrap-around super-edge (same vertex the parity
             // rule picks; this form also validates membership).
@@ -452,126 +457,65 @@ fn plan_endpoints(plans: &[BlockPlan], faults: &FaultSet, x0: &Perm) -> Option<V
             if !plan.exit.contains(&y) || is_faulty(&y) {
                 return None;
             }
-            y
+            (y, x0)
         } else {
-            cross_exit(&plan.exit, plan.cross_symbol, want_parity)?
+            let y = cross_exit(&plan.exit, plan.cross_symbol, want_parity)?;
+            (y, y.swapped(0, plan.cross_dif))
         };
-        exits.push(y);
-    }
-    // Entries + seam health (vertices and, when present, edges).
-    let mut endpoints: Vec<(Perm, Perm)> = Vec::with_capacity(len);
-    for (i, plan) in plans.iter().enumerate() {
-        let x = if i == 0 {
-            *x0
-        } else {
-            exits[i - 1].swapped(0, plans[i - 1].cross_dif)
-        };
-        debug_assert!(plan.entry.contains(&x), "entry vertex in entry 3-vertex");
-        if is_faulty(&x) {
+        // Seam health: the entry vertex and, when present, the edge out.
+        if is_faulty(&x) || (check_edges && faults.is_edge_faulty(&y, &next)) {
             return None;
         }
-        if check_edges {
-            let next_entry = if i + 1 == len {
-                *x0
-            } else {
-                exits[i].swapped(0, plan.cross_dif)
-            };
-            if faults.is_edge_faulty(&exits[i], &next_entry) {
-                return None;
-            }
-        }
-        endpoints.push((x, exits[i]));
-    }
-    Some(endpoints)
+        let ends = (x, y);
+        x = next;
+        Some(ends)
+    })
 }
 
-/// Minimum blocks allotted per worker before the expansion fans out under
-/// the auto thread policy (a 2048-block ring — `n >= 9` — is the first to
-/// parallelize, matching where the per-thread overhead amortizes).
-const MIN_BLOCKS_PER_WORKER: usize = 256;
-
-/// Phase 2: materializes the ring as one flat arena: CSR offsets from the
-/// plans' fixed path lengths, then every block fills its own disjoint
-/// slice — serially inline, or in contiguous whole-block chunks over the
-/// `star-pool` when [`star_pool::workers_for`] grants more than one
-/// worker. Byte-identical output for every worker count.
+/// Phase 2, in the same pass as phase 1: writes the ring from `x0` as one
+/// nibble arena of step dimensions, or `None` when a seam or a block
+/// path fails. Block `i` starts at an even ring offset `off_i` and has
+/// an even path length, so it owns the bytes `off_i/2 .. off_{i+1}/2`:
+/// its `len - 1` in-block steps, then its seam step along `cross_dif`.
+/// The last block's seam nibble is the padding, because the closing edge
+/// is not stored; the start vertex is `x0`.
 fn fill_ring(
     plans: &[BlockPlan],
     faults: &FaultSet,
-    endpoints: &[(Perm, Perm)],
+    x0: Perm,
     faulty_block_loss: usize,
-) -> Option<Vec<Perm>> {
-    let len = plans.len();
-    let mut offsets: Vec<usize> = Vec::with_capacity(len + 1);
-    offsets.push(0);
-    let mut total = 0usize;
-    for plan in plans {
-        total += plan.path_len(faulty_block_loss);
-        offsets.push(total);
-    }
-    // The arena. The fill overwrites every slot (or aborts); seeding with
-    // x0 keeps the buffer initialized without a Default on `Perm`.
-    let mut ring: Vec<Perm> = vec![endpoints[0].0; total];
-
-    let fill_one = |i: usize, out: &mut [Perm]| -> bool {
-        let (x, y) = &endpoints[i];
-        let plan = &plans[i];
-        oracle::fill_path(&BlockCtx::new(&plan.block), &plan.census, faults, x, y, out)
-    };
-
-    let workers = star_pool::workers_for(len, MIN_BLOCKS_PER_WORKER);
-    if workers <= 1 {
-        for i in 0..len {
-            if !fill_one(i, &mut ring[offsets[i]..offsets[i + 1]]) {
-                return None;
-            }
+) -> Option<RingDelta> {
+    let total: usize = plans.iter().map(|p| p.path_len(faulty_block_loss)).sum();
+    let mut dims = vec![0u8; total / 2];
+    let mut at = 0usize;
+    for (i, (plan, ends)) in plans.iter().zip(endpoints(plans, faults, x0)).enumerate() {
+        let (x, y) = ends?;
+        let len = plan.path_len(faulty_block_loss);
+        let ctx = BlockCtx::new(&plan.block);
+        let ranks = oracle::path_ranks(&ctx, &plan.census, faults, &x, &y, len)?;
+        let seam = if i + 1 == plans.len() {
+            0
+        } else {
+            plan.cross_dif as u8
+        };
+        for (j, byte) in dims[at..at + len / 2].iter_mut().enumerate() {
+            let high = match ranks.get(2 * j + 2) {
+                Some(&next) => ctx.step_dim(ranks[2 * j + 1], next),
+                None => seam,
+            };
+            *byte = ctx.step_dim(ranks[2 * j], ranks[2 * j + 1]) | high << 4;
         }
-        return Some(ring);
+        at += len / 2;
     }
-    // Chunk at block granularity, then translate the cuts to vertex
-    // offsets so each worker owns a contiguous run of whole blocks.
-    let block_cuts = star_pool::chunk_cuts(len, workers);
-    let vertex_cuts: Vec<usize> = block_cuts.iter().map(|&b| offsets[b]).collect();
-    let ok = star_pool::try_fill_chunks(&mut ring, &vertex_cuts, |cctx, out| {
-        let (blo, bhi) = (block_cuts[cctx.index], block_cuts[cctx.index + 1]);
-        let base = offsets[blo];
-        for i in blo..bhi {
-            if cctx.aborted() {
-                return false;
-            }
-            if !fill_one(i, &mut out[offsets[i] - base..offsets[i + 1] - base]) {
-                return false;
-            }
-        }
-        true
-    });
-    ok.then_some(ring)
+    let start = PackedPerm::from_perm(&x0);
+    let ring = RingDelta::from_parts(start.n(), total as u32, start.bits(), dims);
+    Some(ring.expect("the fill writes dimensions in 1..n and a zero padding nibble"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn forced_parallel_expansion_matches_serial() {
-        // Even on a single-core host, an explicit thread override forces
-        // the pooled path on a small ring; the seam plan pins every
-        // block's endpoints, so the output must be byte-identical to the
-        // serial walk. (The umbrella `tests/parallel.rs` sweeps this
-        // invariant over n = 5..7 and 20+ seeded fault sets end-to-end.)
-        let r4 = {
-            let parts = star_graph::partition::i_partition(&Pattern::full(6), 5).unwrap();
-            let ring = SuperRing::new(parts).unwrap();
-            crate::hierarchy::refine(&ring, 4, &FaultSet::empty(6), true).unwrap()
-        };
-        let faults = FaultSet::empty(6);
-        star_pool::set_threads(1);
-        let serial = expand(&r4, &faults, 1, 0, 2).unwrap();
-        star_pool::set_threads(4);
-        let parallel = expand(&r4, &faults, 1, 0, 2).unwrap();
-        star_pool::set_threads(0);
-        assert_eq!(serial, parallel, "worker count must not change the ring");
-    }
     use star_graph::partition::i_partition;
 
     /// n = 5 K_5 ring (the Theorem-1 small case) exercises expand directly.
@@ -585,7 +529,7 @@ mod tests {
     fn entry_candidates_are_two_opposite_parity_cross_vertices() {
         let r4 = k5_r4(&[1, 2, 3, 4, 5]);
         let plans = plan_blocks(&r4, &FaultSet::empty(5), 1, 0).unwrap();
-        let cands = entry_candidates(&plans);
+        let cands: Vec<Perm> = entry_candidates(&plans).collect();
         assert_eq!(cands.len(), 2, "Lemma 5: exactly two cross vertices");
         assert_ne!(cands[0].parity(), cands[1].parity());
         for c in &cands {
@@ -627,8 +571,45 @@ mod tests {
     }
 
     #[test]
+    fn dimension_fill_matches_the_lifted_block_paths() {
+        // Lifting every block's path into vertices and encoding the
+        // ring gives the delta the dimension fill writes, at both
+        // losses and for both starting vertices.
+        let f = Perm::from_digits(5, 21345);
+        let mut checked = 0;
+        for (order, faults) in [
+            (&[1u8, 2, 3, 4, 5], FaultSet::empty(5)),
+            (&[5, 1, 2, 3, 4], FaultSet::from_vertices(5, [f]).unwrap()),
+        ] {
+            let r4 = k5_r4(order);
+            let plans = plan_blocks(&r4, &faults, 1, 0).unwrap();
+            for loss in [2, 4] {
+                for x0 in entry_candidates(&plans) {
+                    let Some(endpoints) =
+                        endpoints(&plans, &faults, x0).collect::<Option<Vec<_>>>()
+                    else {
+                        continue;
+                    };
+                    let lifted: Vec<Perm> = plans
+                        .iter()
+                        .zip(&endpoints)
+                        .flat_map(|(plan, (x, y))| {
+                            let len = plan.path_len(loss);
+                            oracle::block_path(&plan.block, x, y, &faults, len).unwrap()
+                        })
+                        .collect();
+                    let filled = fill_ring(&plans, &faults, x0, loss).unwrap();
+                    assert_eq!(filled, RingDelta::encode(&lifted).unwrap(), "loss {loss}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 4, "{checked} fills compared");
+    }
+
+    #[test]
     fn structured_concat_equals_flat_ring() {
-        // The repair path's segments and the flat arena must be the same
+        // The repair path's segments and the delta must be the same
         // ring, block for block.
         let f = Perm::from_digits(5, 21345);
         let faults = FaultSet::from_vertices(5, [f]).unwrap();
@@ -636,7 +617,7 @@ mod tests {
         let flat = expand(&r4, &faults, 1, 0, 2).unwrap();
         let segments = expand_structured(&r4, &faults, 1, 0, 2).unwrap();
         let concat: Vec<Perm> = segments.iter().flat_map(|s| s.path.clone()).collect();
-        assert_eq!(flat, concat);
+        assert_eq!(flat.decode(), concat);
         assert_eq!(segments.len(), 5);
         for s in &segments {
             assert_eq!(s.path.first(), Some(&s.entry));
@@ -650,7 +631,7 @@ mod tests {
         let faults = FaultSet::empty(5);
         let ring = expand(&r4, &faults, 1, 0, 2).unwrap();
         assert_eq!(ring.len(), 120);
-        crate::embed_impl::verify_ring(&crate::EmbeddedRing::new(5, ring), &faults).unwrap();
+        crate::embed_impl::verify_ring(&ring, &faults).unwrap();
     }
 
     #[test]
@@ -661,7 +642,7 @@ mod tests {
         let r4 = k5_r4(&[5, 1, 2, 3, 4]);
         let ring = expand(&r4, &faults, 1, 0, 2).unwrap();
         assert_eq!(ring.len(), 118);
-        crate::embed_impl::verify_ring(&crate::EmbeddedRing::new(5, ring), &faults).unwrap();
+        crate::embed_impl::verify_ring(&ring, &faults).unwrap();
     }
 
     #[test]
@@ -671,7 +652,7 @@ mod tests {
         let f2 = Perm::from_digits(5, 24153); // block with symbol 3 at pos 4
         let faults = FaultSet::from_vertices(5, [f1, f2]).unwrap();
         let r4 = k5_r4(&[1, 2, 3, 4, 5]);
-        let ring = expand(&r4, &faults, 1, 0, 2).unwrap();
+        let ring = expand(&r4, &faults, 1, 0, 2).unwrap().decode();
         assert_eq!(ring.len(), 116);
         assert!(!ring.contains(&f1));
         assert!(!ring.contains(&f2));

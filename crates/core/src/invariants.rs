@@ -13,22 +13,22 @@
 
 use star_fault::FaultSet;
 #[cfg(debug_assertions)]
-use star_fault::RingCheck;
+use star_fault::{RingCheck, RingError};
+use star_perm::delta::RingDelta;
 #[cfg(debug_assertions)]
 use star_perm::packed::PackedPerm;
-use star_perm::Perm;
 
 use crate::expand::BlockSegment;
 
 /// Asserts (debug builds only) that `ring` is a simple, healthy cycle of
 /// adjacent vertices with alternating permutation parity.
 #[inline]
-pub(crate) fn debug_assert_ring(n: usize, faults: &FaultSet, ring: &[Perm], context: &str) {
+pub(crate) fn debug_assert_ring(faults: &FaultSet, ring: &RingDelta, context: &str) {
     #[cfg(debug_assertions)]
-    check_ring_impl(n, faults, ring, context);
+    check_ring_impl(ring.n(), faults, context, |check| check.push_delta(ring));
     #[cfg(not(debug_assertions))]
     {
-        let _ = (n, faults, ring, context);
+        let _ = (faults, ring, context);
     }
 }
 
@@ -43,11 +43,13 @@ pub(crate) fn debug_assert_segments(
 ) {
     #[cfg(debug_assertions)]
     {
-        let ring: Vec<Perm> = segments
-            .iter()
-            .flat_map(|s| s.path.iter().copied())
-            .collect();
-        check_ring_impl(n, faults, &ring, context);
+        check_ring_impl(n, faults, context, |check| {
+            check.push_all(
+                segments
+                    .iter()
+                    .flat_map(|s| s.path.iter().map(PackedPerm::from_perm)),
+            )
+        });
         for (i, s) in segments.iter().enumerate() {
             debug_assert!(
                 !s.path.is_empty(),
@@ -71,14 +73,19 @@ pub(crate) fn debug_assert_segments(
     }
 }
 
-/// Panics unless `ring` passes [`RingCheck`]. Star moves are
-/// transpositions, so adjacency alone makes the parity alternate around
-/// the cycle and the length even (the bipartite structure the length
-/// bound rests on).
+/// Panics unless the ring `push` feeds passes [`RingCheck`]. Star moves
+/// are transpositions, so adjacency alone makes the parity alternate
+/// around the cycle and the length even (the bipartite structure the
+/// length bound rests on).
 #[cfg(debug_assertions)]
-fn check_ring_impl(n: usize, faults: &FaultSet, ring: &[Perm], context: &str) {
+fn check_ring_impl(
+    n: usize,
+    faults: &FaultSet,
+    context: &str,
+    push: impl FnOnce(&mut RingCheck) -> Result<(), RingError>,
+) {
     let checked = RingCheck::new(n, faults).and_then(|mut check| {
-        check.push_all(ring.iter().map(PackedPerm::from_perm))?;
+        push(&mut check)?;
         check.finish()
     });
     if let Err(e) = checked {

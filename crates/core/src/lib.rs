@@ -23,19 +23,17 @@
 //!    precomputed wholesale with [`oracle::warm`]); queries outside the
 //!    paper's regime run one exact search on the block.
 //! 4. [`expand`] — Lemma 7: pick entry/exit 3-vertices per block (Lemmas 1,
-//!    5, 6 fix the geometry), then splice per-block Hamiltonian (healthy,
-//!    24 vertices) or Lemma-4 (faulty, 22 vertices) paths into the final
-//!    ring.
+//!    5, 6 fix the geometry), then write per-block Hamiltonian (healthy,
+//!    24 vertices) or Lemma-4 (faulty, 22 vertices) paths as step
+//!    dimensions straight into the ring's `RingDelta`.
 //!
 //! Small dimensions (`n = 3, 4, 5`) use the paper's special cases
 //! ([`small_n`]). The concluding remark's mixed vertex+edge fault extension
 //! lives in [`mixed`], and [`repair`] maintains an embedding across fault
 //! arrivals with O(block) local fixes.
 //!
-//! Large expansions parallelize per block over the shared `star-pool`
-//! (output is byte-identical to the serial walk; `star_pool::set_threads`
-//! / the CLI `--threads` flag control the fan-out), and [`embed_many`]
-//! batches independent fault scenarios with a pre-warmed oracle.
+//! A single embed is one serial pass; [`embed_many`] spreads independent
+//! fault scenarios over the shared `star-pool` with a pre-warmed oracle.
 
 mod batch;
 mod embedding;

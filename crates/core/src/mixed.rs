@@ -50,7 +50,7 @@ pub fn embed_with_mixed_faults(n: usize, faults: &FaultSet) -> Result<EmbeddedRi
 
     match try_embed_mixed(n, faults) {
         Some(ring) => {
-            crate::invariants::debug_assert_ring(n, faults, ring.vertices(), "mixed");
+            crate::invariants::debug_assert_ring(faults, ring.delta(), "mixed");
             Ok(ring)
         }
         None => {
@@ -90,12 +90,11 @@ fn try_embed_mixed(n: usize, faults: &FaultSet) -> Option<EmbeddedRing> {
     let expected = factorial(n) - 2 * faults.vertex_fault_count() as u64;
     for spare_index in 0..3 {
         for salt in 0..16 {
-            if let Ok(vertices) = crate::embed_impl::construct(n, faults, spare_index, salt) {
-                let ring = EmbeddedRing::new(n, vertices);
+            if let Ok(ring) = crate::embed_impl::construct(n, faults, spare_index, salt) {
                 if ring.len() as u64 == expected
                     && crate::embed_impl::verify_ring(&ring, faults).is_ok()
                 {
-                    return Some(ring);
+                    return Some(EmbeddedRing::from_delta(ring));
                 }
             }
             if n <= 4 {

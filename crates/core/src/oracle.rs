@@ -17,7 +17,9 @@
 //! ## One block path: table or search
 //!
 //! Every block-path query — the expander's per-block fill, a repair, the
-//! public [`block_path`] — goes through one rule. A block with `k` vertex
+//! public [`block_path`] — goes through one rule, which yields the path
+//! as local `S_4` ranks: the expander turns them into step dimensions,
+//! [`block_path`] lifts them into vertices. A block with `k` vertex
 //! faults reads the memo table below iff `k <= 1`, no faulty edge lies
 //! inside it, and the target is `24 - 2k`. Anything else (a second fault
 //! in one block, a faulty edge, the loss-4 baseline's 20-vertex target)
@@ -49,6 +51,7 @@
 //! figures of `embed_with_report`; warming is counted separately (`oracle.warm`) so `misses` keeps
 //! meaning "queries that ran the exact search".
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -358,42 +361,34 @@ pub fn block_path(
     }
     let ctx = BlockCtx::new(block);
     let census = BlockCensus::of(block, faults);
-    let mut path = vec![*entry; target];
-    fill_path(&ctx, &census, faults, entry, exit, &mut path).then_some(path)
+    let ranks = path_ranks(&ctx, &census, faults, entry, exit, target)?;
+    Some(ranks.iter().map(|&r| ctx.lift_rank(r)).collect())
 }
 
-/// The one Lemma-4 fill, where the module's table-or-search rule is
-/// decided: writes the `out.len()`-vertex path from `x` to `y` through
-/// `ctx`'s block over `out`, lifting local ranks straight into the
-/// caller's slice. `x` and `y` must be members of the block. Returns
-/// `false` when no such path exists.
+/// The one Lemma-4 rule, where the module's table-or-search choice is
+/// made: the local ranks of a `len`-vertex path from `x` to `y` through
+/// `ctx`'s block, borrowed from the table or owned from a search. `x`
+/// and `y` must be members of the block. `None` when no such path
+/// exists.
 #[inline]
-pub(crate) fn fill_path(
+pub(crate) fn path_ranks(
     ctx: &BlockCtx,
     census: &BlockCensus,
     faults: &FaultSet,
     x: &Perm,
     y: &Perm,
-    out: &mut [Perm],
-) -> bool {
+    len: usize,
+) -> Option<Cow<'static, [u8]>> {
     let (entry, exit) = (ctx.local_rank(x), ctx.local_rank(y));
-    let searched;
     let ranks = if census.count <= 1
         && !census.edge_faulty
-        && out.len() == HEALTHY_BLOCK_VERTICES - 2 * census.count
+        && len == HEALTHY_BLOCK_VERTICES - 2 * census.count
     {
-        state().query(entry, exit, census.first.map(|f| ctx.local_rank(&f)))
+        Cow::Borrowed(state().query(entry, exit, census.first.map(|f| ctx.local_rank(&f)))?)
     } else {
-        searched = search(ctx, faults, entry, exit, out.len());
-        searched.as_deref()
+        Cow::Owned(search(ctx, faults, entry, exit, len)?)
     };
-    let Some(ranks) = ranks.filter(|ranks| ranks.len() == out.len()) else {
-        return false;
-    };
-    for (slot, &r) in out.iter_mut().zip(ranks) {
-        *slot = ctx.lift_rank(r);
-    }
-    true
+    (ranks.len() == len).then_some(ranks)
 }
 
 /// The exact search behind every query off the table: more than one

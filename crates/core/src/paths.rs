@@ -39,9 +39,10 @@ pub fn embed_longest_path_from(
                 salt,
                 spare_index,
             };
-            let ring = embed_with_options(n, faults, &opts)?;
-            if let Some(pos) = ring.position_of(anchor) {
-                return Ok(ring.rotated(pos).into_vertices());
+            let mut ring = embed_with_options(n, faults, &opts)?.into_vertices();
+            if let Some(pos) = ring.iter().position(|v| v == anchor) {
+                ring.rotate_left(pos);
+                return Ok(ring);
             }
             if n <= 5 && (spare_index, salt) != (0, 0) {
                 continue; // small-n builders ignore most knobs; keep trying

@@ -277,7 +277,7 @@ mod tests {
     use star_fault::gen;
 
     fn verify(mr: &MaintainedRing) {
-        crate::embed_impl::verify_ring(&mr.ring(), mr.faults()).unwrap();
+        crate::embed_impl::verify_ring(mr.ring().delta(), mr.faults()).unwrap();
     }
 
     #[test]

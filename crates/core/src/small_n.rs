@@ -14,6 +14,7 @@
 use star_fault::FaultSet;
 use star_graph::partition::i_partition;
 use star_graph::{Pattern, SuperRing};
+use star_perm::delta::RingDelta;
 use star_perm::Perm;
 
 use crate::blockctx::BlockCtx;
@@ -21,7 +22,7 @@ use crate::positions::select_positions;
 use crate::{expand, oracle, EmbedError};
 
 /// `n = 3`: the 6-cycle (no fault budget).
-pub(crate) fn embed_n3(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
+pub(crate) fn embed_n3(faults: &FaultSet) -> Result<RingDelta, EmbedError> {
     debug_assert_eq!(faults.vertex_fault_count(), 0);
     let mut v = Perm::identity(3);
     let mut ring = vec![v];
@@ -29,12 +30,12 @@ pub(crate) fn embed_n3(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
         v = v.star_move(d);
         ring.push(v);
     }
-    Ok(ring)
+    Ok(RingDelta::encode(&ring).expect("star moves"))
 }
 
 /// `n = 4`: exact search on `S_4` minus its faulty edges for the longest
 /// healthy cycle (`24 - 2|F_v|`, `|F_v| <= 1`; edge faults cost nothing).
-pub(crate) fn embed_n4(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
+pub(crate) fn embed_n4(faults: &FaultSet) -> Result<RingDelta, EmbedError> {
     debug_assert!(faults.vertex_fault_count() <= 1);
     let g = oracle::local_s4(&BlockCtx::new(&Pattern::full(4)), faults);
     let mut blocked = vec![false; 24];
@@ -47,10 +48,11 @@ pub(crate) fn embed_n4(faults: &FaultSet) -> Result<Vec<Perm>, EmbedError> {
     if cycle.len() != expected {
         return Err(EmbedError::ExpansionFailed { block: 0 });
     }
-    Ok(cycle
+    let ring: Vec<Perm> = cycle
         .into_iter()
         .map(|id| Perm::unrank(4, id as u32).expect("rank < 24"))
-        .collect())
+        .collect();
+    RingDelta::encode(&ring).map_err(|_| EmbedError::ExpansionFailed { block: 0 })
 }
 
 /// `n = 5`: the `K_5` construction with faulty 4-vertices kept apart,
@@ -60,7 +62,7 @@ pub(crate) fn embed_n5_with(
     faults: &FaultSet,
     spare_index: usize,
     salt: usize,
-) -> Result<Vec<Perm>, EmbedError> {
+) -> Result<RingDelta, EmbedError> {
     debug_assert!(faults.vertex_fault_count() <= 2);
     let mut sp = star_obs::span("embed.positions");
     let plan = select_positions(5, faults)?;
@@ -126,14 +128,13 @@ pub(crate) fn embed_n5_with(
 mod tests {
     use super::*;
     use crate::embed_impl::verify_ring;
-    use crate::EmbeddedRing;
     use star_fault::gen;
 
     #[test]
     fn n3_six_ring() {
         let ring = embed_n3(&FaultSet::empty(3)).unwrap();
         assert_eq!(ring.len(), 6);
-        verify_ring(&EmbeddedRing::new(3, ring), &FaultSet::empty(3)).unwrap();
+        verify_ring(&ring, &FaultSet::empty(3)).unwrap();
     }
 
     #[test]
@@ -143,7 +144,7 @@ mod tests {
             let faults = FaultSet::from_vertices(4, [f]).unwrap();
             let ring = embed_n4(&faults).unwrap();
             assert_eq!(ring.len(), 22);
-            assert!(!ring.contains(&f));
+            verify_ring(&ring, &faults).unwrap();
         }
     }
 
@@ -159,7 +160,7 @@ mod tests {
             let faults = gen::random_vertex_faults(5, 2, seed).unwrap();
             let ring = embed_n5_with(&faults, 0, 0).unwrap();
             assert_eq!(ring.len(), 116, "seed {seed}");
-            verify_ring(&EmbeddedRing::new(5, ring), &faults).unwrap();
+            verify_ring(&ring, &faults).unwrap();
         }
     }
 

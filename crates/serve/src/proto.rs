@@ -566,9 +566,10 @@ pub(crate) fn ok_response(id: Option<&str>, kind: &str, members: Vec<(String, Js
     Json::Obj(out)
 }
 
-/// Renders a ring as its wire form (array of permutation strings).
-pub fn ring_to_json(vertices: &[Perm]) -> Json {
-    Json::Arr(vertices.iter().map(|p| Json::from(p.to_string())).collect())
+/// Renders a ring as its v1 wire form (array of permutation strings),
+/// in one walk of its delta.
+pub fn ring_to_json(ring: &RingDelta) -> Json {
+    Json::Arr(ring.walk().map(|p| Json::from(p.to_string())).collect())
 }
 
 /// Renders a response document to its frame body, enforcing the

@@ -1101,25 +1101,15 @@ fn oracle_lookup(
     }
 }
 
-/// Admits a freshly embedded ring: delta-encodes it once in the
-/// caller's frame (dropping the vertices), caches its canonical-frame
-/// image under `key` and writes that behind. Returns the caller-frame
-/// delta.
-fn oracle_admit(
-    ctx: &Ctx,
-    canon: &Canon,
-    key: CacheKey,
-    vertices: Vec<Perm>,
-) -> Result<Arc<RingDelta>, String> {
-    let delta = Arc::new(
-        RingDelta::encode(&vertices)
-            .map_err(|e| format!("embedded ring does not delta-encode: {e}"))?,
-    );
-    drop(vertices);
+/// Admits a freshly embedded ring, given as the caller-frame delta the
+/// embedder wrote: caches its canonical-frame image under `key` and
+/// writes that behind. Returns the caller-frame delta.
+fn oracle_admit(ctx: &Ctx, canon: &Canon, key: CacheKey, delta: RingDelta) -> Arc<RingDelta> {
+    let delta = Arc::new(delta);
     let delta_c = map_to_canonical(&delta, canon);
     ctx.cache.insert(key.clone(), Arc::clone(&delta_c));
     persist_behind(ctx, &key, &delta_c);
-    Ok(delta)
+    delta
 }
 
 fn embed_members(n: usize, ring_len: u64, cached: bool) -> Vec<(String, Json)> {
@@ -1173,8 +1163,7 @@ fn serve_embed(
         Ok(delta) => Ok((delta, true)),
         Err((canon, key)) => embed_with_options(n, faults, options)
             .map_err(|e| e.to_string())
-            .and_then(|ring| oracle_admit(ctx, &canon, key, ring.into_vertices()))
-            .map(|delta| (delta, false)),
+            .map(|ring| (oracle_admit(ctx, &canon, key, ring.into_delta()), false)),
     };
     timing.embed_us = micros(embed_start.elapsed());
     let (delta, cached) = match embedded {
@@ -1250,14 +1239,14 @@ fn serve_embed(
         let encode_start = Instant::now();
         let mut members = embed_members(n, delta.len() as u64, cached);
         if return_ring {
-            members.push(("ring".to_string(), ring_to_json(&delta.decode())));
+            members.push(("ring".to_string(), ring_to_json(&delta)));
         }
         timing.encode_us = micros(encode_start.elapsed());
         if return_certificate || ctx.verify_responses {
             // Certificate construction is verification work (it
             // re-walks the ring), not response encoding.
             let cert_start = Instant::now();
-            let cert = star_verify::certificate::certificate_for(n, faults, &delta.decode());
+            let cert = star_verify::certificate::certificate_for(faults, &delta);
             timing.verify_us += micros(cert_start.elapsed());
             ctx.obs.certificates.incr(1);
             members.push(("certificate".to_string(), Json::from(cert)));
@@ -1307,7 +1296,7 @@ fn serve_batch(
         .zip(embedded)
         .map(|((canon, key), result)| {
             let ring = result.map_err(|e| e.to_string())?;
-            oracle_admit(ctx, &canon, key, ring.into_vertices())
+            Ok(oracle_admit(ctx, &canon, key, ring.into_delta()))
         })
         .collect();
     timing.embed_us = micros(embed_start.elapsed());
@@ -1358,7 +1347,7 @@ fn serve_batch(
             let mut members = vec![("ok".to_string(), Json::Bool(true))];
             members.extend(embed_members(n, delta.len() as u64, cached));
             if return_ring {
-                members.push(("ring".to_string(), ring_to_json(&delta.decode())));
+                members.push(("ring".to_string(), ring_to_json(&delta)));
             }
             Json::Obj(members)
         })

@@ -345,7 +345,8 @@ mod tests {
         // line certificate_for writes for the whole ring.
         let ring = ring4();
         let summary = verify_in_chunks(&ring, 12).unwrap();
-        let cert = star_verify::certificate::certificate_for(4, &FaultSet::empty(4), &ring);
+        let delta = RingDelta::encode(&ring).unwrap();
+        let cert = star_verify::certificate::certificate_for(&FaultSet::empty(4), &delta);
         assert!(cert.contains(&format!("checksum {:016x}", summary.checksum)));
     }
 

@@ -21,6 +21,7 @@
 use core::fmt;
 
 use star_fault::FaultSet;
+use star_perm::delta::RingDelta;
 use star_perm::Perm;
 
 use crate::{check_ring, VerifyError};
@@ -71,14 +72,15 @@ pub fn ring_checksum(ranks: impl Iterator<Item = u32>) -> u64 {
     ranks.fold(CHECKSUM_BASIS, fold_checksum)
 }
 
-/// Produces the certificate text for a verified ring. (The caller should
-/// hold a ring it believes in; the *consumer* re-verifies regardless.)
+/// Produces the certificate text for a verified ring, in one walk of
+/// its delta. (The caller should hold a ring it believes in; the
+/// *consumer* re-verifies regardless.)
 ///
 /// # Examples
 ///
 /// ```
 /// use star_fault::FaultSet;
-/// use star_perm::Perm;
+/// use star_perm::{delta::RingDelta, Perm};
 /// use star_verify::certificate::{certificate_for, verify_certificate};
 ///
 /// // S_3 is itself a 6-cycle.
@@ -88,11 +90,12 @@ pub fn ring_checksum(ranks: impl Iterator<Item = u32>) -> u64 {
 ///     v = v.star_move(d);
 ///     ring.push(v);
 /// }
-/// let cert = certificate_for(3, &FaultSet::empty(3), &ring);
+/// let cert = certificate_for(&FaultSet::empty(3), &RingDelta::encode(&ring).unwrap());
 /// assert!(verify_certificate(&cert).unwrap().at_guarantee);
 /// ```
-pub fn certificate_for(n: usize, faults: &FaultSet, ring: &[Perm]) -> String {
+pub fn certificate_for(faults: &FaultSet, ring: &RingDelta) -> String {
     use std::fmt::Write as _;
+    let n = ring.n();
     let mut out = String::new();
     let _ = writeln!(out, "STARRING-CERT v1");
     let _ = writeln!(out, "n {n}");
@@ -103,11 +106,13 @@ pub fn certificate_for(n: usize, faults: &FaultSet, ring: &[Perm]) -> String {
         let _ = writeln!(out, "efault {} {}", e.lo().rank(), e.hi().rank());
     }
     let _ = write!(out, "ring {}", ring.len());
-    for v in ring {
-        let _ = write!(out, " {}", v.rank());
+    let mut checksum = CHECKSUM_BASIS;
+    for v in ring.walk() {
+        let rank = v.rank() as u32;
+        let _ = write!(out, " {rank}");
+        checksum = fold_checksum(checksum, rank);
     }
     out.push('\n');
-    let checksum = ring_checksum(ring.iter().map(Perm::rank));
     let _ = writeln!(out, "checksum {checksum:016x}");
     out
 }
@@ -245,10 +250,14 @@ mod tests {
         out
     }
 
+    fn certify(faults: &FaultSet, ring: &[Perm]) -> String {
+        certificate_for(faults, &RingDelta::encode(ring).unwrap())
+    }
+
     #[test]
     fn roundtrip_verifies() {
         let ring = six_ring();
-        let cert = certificate_for(3, &FaultSet::empty(3), &ring);
+        let cert = certify(&FaultSet::empty(3), &ring);
         let summary = verify_certificate(&cert).unwrap();
         assert_eq!(summary.n, 3);
         assert_eq!(summary.ring_len, 6);
@@ -259,7 +268,7 @@ mod tests {
     #[test]
     fn tampering_is_detected() {
         let ring = six_ring();
-        let cert = certificate_for(3, &FaultSet::empty(3), &ring);
+        let cert = certify(&FaultSet::empty(3), &ring);
         // Flip one ring rank without fixing the checksum.
         let tampered = cert.replace("ring 6 0", "ring 6 1");
         assert_eq!(
@@ -271,11 +280,16 @@ mod tests {
     #[test]
     fn checksum_fixup_still_caught_by_reverification() {
         // An attacker who also fixes the checksum is caught by the actual
-        // ring check (repeat vertex).
+        // ring check (repeat vertex). The tampered sequence is no ring,
+        // so the text is written here rather than by `certificate_for`.
         let mut ranks: Vec<u32> = six_ring().iter().map(Perm::rank).collect();
         ranks[0] = ranks[1];
-        let ring: Vec<Perm> = ranks.iter().map(|&r| Perm::unrank(3, r).unwrap()).collect();
-        let cert = certificate_for(3, &FaultSet::empty(3), &ring);
+        let listed: Vec<String> = ranks.iter().map(u32::to_string).collect();
+        let cert = format!(
+            "STARRING-CERT v1\nn 3\nring 6 {}\nchecksum {:016x}\n",
+            listed.join(" "),
+            ring_checksum(ranks.iter().copied())
+        );
         assert!(matches!(
             verify_certificate(&cert),
             Err(CertificateError::Invalid(_))
@@ -304,7 +318,7 @@ mod tests {
         let ring = six_ring();
         let e = star_graph::Edge::new(ring[0], ring[1]).unwrap();
         let faults = FaultSet::from_edges(3, [e]).unwrap();
-        let cert = certificate_for(3, &faults, &ring);
+        let cert = certify(&faults, &ring);
         assert!(cert.contains("efault"));
         assert!(matches!(
             verify_certificate(&cert),
@@ -325,7 +339,7 @@ mod tests {
         let off_ring = star_graph::Edge::new(dead, dead.star_move(1)).unwrap();
         let mut faults4 = FaultSet::from_vertices(4, [dead]).unwrap();
         faults4.add_edge(off_ring).unwrap();
-        let cert = certificate_for(4, &faults4, &ring4);
+        let cert = certify(&faults4, &ring4);
         let summary = verify_certificate(&cert).unwrap();
         assert_eq!(summary.ring_len, 22);
     }
@@ -341,7 +355,7 @@ mod tests {
             .into_iter()
             .map(|id| Perm::unrank(4, id as u32).unwrap())
             .collect();
-        let cert = certificate_for(4, &FaultSet::empty(4), &ring);
+        let cert = certify(&FaultSet::empty(4), &ring);
         let summary = verify_certificate(&cert).unwrap();
         assert_eq!(summary.ring_len, 24);
         assert!(summary.at_guarantee);

@@ -83,8 +83,6 @@ fn usage() {
          \x20     --trace-json <f>   append construction spans to <f> as JSON lines\n\
          \x20     --profile-out <f>  write a collapsed-stack wall-clock profile of the\n\
          \x20                        embed to <f> (flamegraph.pl-compatible)\n\
-         \x20     --threads <t>      worker threads for parallel block expansion\n\
-         \x20                        (0 = auto; also honored by `stats`/`profile`)\n\
          \x20     --flightrec        record recent events in the flight recorder and\n\
          \x20                        dump them (flightrec.jsonl) on panic or failure\n\
          \x20     --flightrec-out <f>  dump file for --flightrec (implies it)\n\
@@ -298,7 +296,6 @@ struct TraceOpts {
     trace: bool,
     trace_json: Option<String>,
     format: Option<String>,
-    threads: Option<usize>,
     profile_out: Option<String>,
     flightrec: bool,
     flightrec_out: Option<String>,
@@ -318,7 +315,6 @@ fn parse_trace_opts(args: &[String]) -> Result<(TraceOpts, Vec<String>), String>
             "--trace" => opts.trace = true,
             "--trace-json" => opts.trace_json = Some(flags.value()?),
             "--format" => opts.format = Some(flags.value()?),
-            "--threads" => opts.threads = Some(flags.value()?),
             "--profile-out" => opts.profile_out = Some(flags.value()?),
             "--flightrec" => opts.flightrec = true,
             "--flightrec-out" => opts.flightrec_out = Some(flags.value()?),
@@ -341,13 +337,9 @@ fn parse_trace_opts(args: &[String]) -> Result<(TraceOpts, Vec<String>), String>
     Ok((opts, rest))
 }
 
-/// Installs the requested span sinks and turns span dispatch on, and
-/// applies the worker-thread override to the shared pool.
+/// Installs the requested span sinks and turns span dispatch on.
 fn enable_tracing(opts: &TraceOpts) -> Result<(), String> {
     use std::sync::Arc;
-    if let Some(t) = opts.threads {
-        star_rings::pool::set_threads(t);
-    }
     if opts.trace {
         star_rings::obs::add_sink(Arc::new(star_rings::obs::StderrPrettySink));
     }
@@ -484,7 +476,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
     let (opts, rest) = parse_trace_opts(&forwarded)?;
     if opts.stats || opts.format.is_some() || opts.profile_out.is_some() || opts.watch.is_some() {
-        return Err("profile takes only fault options, --threads and --out".to_string());
+        return Err("profile takes only fault options and --out".to_string());
     }
     let (faults, _) = parse_faults(n, &rest)?;
     enable_tracing(&opts)?;
@@ -589,7 +581,7 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     let n = parse_n(args)?;
     let (faults, _) = parse_faults(n, &args[1..])?;
     let ring = embed_longest_ring(n, &faults).map_err(|e| e.to_string())?;
-    let cert = star_rings::verify::certificate::certificate_for(n, &faults, ring.vertices());
+    let cert = star_rings::verify::certificate::certificate_for(&faults, ring.delta());
     print!("{cert}");
     eprintln!(
         "certified ring of {} vertices avoiding {} faults",
@@ -909,7 +901,7 @@ fn cmd_oracle_warm(args: &[String]) -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             let ring = embed_longest_ring(n, &canon_faults).map_err(|e| e.to_string())?;
-            batch.push((key, RingDelta::encode(ring.vertices())?));
+            batch.push((key, ring.into_delta()));
         }
         written += store
             .append_batch(&batch)

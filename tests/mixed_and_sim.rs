@@ -89,7 +89,7 @@ fn certificates_for_faulty_embeddings() {
     for n in [5usize, 6] {
         let faults = gen::random_vertex_faults(n, n - 3, 21).unwrap();
         let ring = star_rings::ring::embed_longest_ring(n, &faults).unwrap();
-        let cert = certificate_for(n, &faults, ring.vertices());
+        let cert = certificate_for(&faults, ring.delta());
         let summary = verify_certificate(&cert).unwrap();
         assert_eq!(summary.n, n);
         assert_eq!(summary.fault_count, n - 3);

@@ -184,3 +184,131 @@ fn deterministic_output() {
     let b = embed_longest_ring(6, &faults).unwrap();
     assert_eq!(a, b);
 }
+
+/// Every `Aut(S_n)`-orbit of `k`-fault sets for `k = 0..=k_max`, each
+/// as its canonical sorted ranks. Every `k`-fault orbit contains a
+/// one-vertex extension of some `(k-1)`-fault representative, so level
+/// `k` canonicalizes every representative of level `k - 1` plus every
+/// vertex and dedupes. Coverage rests on one property, checked here:
+/// each canonical set is the witness image of its input.
+fn fault_orbits(n: usize, k_max: usize) -> Vec<Vec<Vec<u32>>> {
+    use star_rings::oracle::canonicalize;
+    let mut levels: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new()]];
+    for _ in 0..k_max {
+        let mut next = std::collections::BTreeSet::new();
+        for rep in levels.last().unwrap() {
+            for v in (0..factorial(n) as u32).filter(|v| !rep.contains(v)) {
+                let input: Vec<u32> = rep.iter().copied().chain([v]).collect();
+                let canon = canonicalize(n, &input);
+                let mut image: Vec<u32> = input
+                    .iter()
+                    .map(|&r| canon.witness().apply(&Perm::unrank(n, r).unwrap()).rank())
+                    .collect();
+                image.sort_unstable();
+                assert_eq!(
+                    image,
+                    canon.ranks(),
+                    "n={n}: canonical set is not the witness image of {input:?}"
+                );
+                next.insert(canon.ranks().to_vec());
+            }
+        }
+        levels.push(next.into_iter().collect());
+    }
+    levels
+}
+
+/// Burnside's lemma over all of `Aut(S_n)`: the number of orbits of
+/// `k`-vertex sets is the mean, over automorphisms, of the `k`-sets
+/// each one fixes, which are the unions of its vertex cycles of total
+/// size `k`. Returns the counts for `k = 0..=k_max`.
+fn burnside_orbit_counts(n: usize, k_max: usize) -> Vec<u64> {
+    use star_rings::perm::Aut;
+    let vertices = factorial(n) as usize;
+    let mut fixed = vec![0u64; k_max + 1];
+    for g in 0..factorial(n) {
+        for h in 0..Aut::stab_count(n) {
+            let aut = Aut::from_ranks(n, g, h);
+            let image: Vec<usize> = (0..vertices as u32)
+                .map(|r| aut.apply(&Perm::unrank(n, r).unwrap()).rank() as usize)
+                .collect();
+            // ways[s]: the unions of cycles seen so far with s vertices.
+            let mut ways = vec![0u64; k_max + 1];
+            ways[0] = 1;
+            let mut seen = vec![false; vertices];
+            for start in 0..vertices {
+                if seen[start] {
+                    continue;
+                }
+                let mut len = 0;
+                let mut v = start;
+                while !seen[v] {
+                    seen[v] = true;
+                    v = image[v];
+                    len += 1;
+                }
+                for s in (len..=k_max).rev() {
+                    ways[s] += ways[s - len];
+                }
+            }
+            for (total, w) in fixed.iter_mut().zip(ways) {
+                *total += w;
+            }
+        }
+    }
+    let order = Aut::order(n);
+    fixed
+        .into_iter()
+        .map(|total| {
+            assert_eq!(
+                total % order,
+                0,
+                "Burnside sum not divisible by |Aut(S_{n})|"
+            );
+            total / order
+        })
+        .collect()
+}
+
+/// Theorem 1 on one representative per orbit: an automorphism carries a
+/// valid ring for `F` to one for its image, so this covers every fault
+/// set of the orbit.
+fn assert_theorem_on_every_orbit(n: usize, orbits: &[Vec<Vec<u32>>]) {
+    for reps in orbits {
+        for rep in reps {
+            let faults =
+                FaultSet::from_vertices(n, rep.iter().map(|&r| Perm::unrank(n, r).unwrap()))
+                    .unwrap();
+            assert_theorem(n, &faults);
+        }
+    }
+}
+
+#[test]
+fn theorem1_holds_on_every_fault_orbit_up_to_n6() {
+    for n in 4..=6 {
+        let orbits = fault_orbits(n, n - 3);
+        let counts: Vec<u64> = orbits.iter().map(|reps| reps.len() as u64).collect();
+        if n <= 5 {
+            assert_eq!(counts, burnside_orbit_counts(n, n - 3), "n={n}");
+        }
+        assert_theorem_on_every_orbit(n, &orbits);
+        // k = 0..=n-3 orbit counts: pinned for n = 6, where Burnside's
+        // 62M steps are too slow for a debug build.
+        let pinned: &[u64] = match n {
+            4 => &[1, 1],
+            5 => &[1, 1, 11],
+            _ => &[1, 1, 18, 841],
+        };
+        assert_eq!(counts, pinned, "n={n}");
+    }
+}
+
+#[test]
+#[ignore = "6,453 n = 7 orbits; seconds in release, run by the audit CI job"]
+fn theorem1_holds_on_every_fault_orbit_at_n7() {
+    let orbits = fault_orbits(7, 3);
+    let counts: Vec<u64> = orbits.iter().map(|reps| reps.len() as u64).collect();
+    assert_eq!(counts, [1, 1, 29, 6_453]);
+    assert_theorem_on_every_orbit(7, &orbits);
+}
