@@ -1,9 +1,10 @@
 //! Public entry points: Theorem 1.
 
-use star_fault::{FaultSet, RingCheck, RingError};
+use star_fault::{FaultSet, RingCheck};
 use star_perm::delta::RingDelta;
 use star_perm::factorial;
 
+use crate::window::{expansion_failed, Windows};
 use crate::{expand, hierarchy, positions, small_n, EmbedError, EmbeddedRing};
 
 /// Options controlling the embedder.
@@ -61,11 +62,65 @@ pub fn embed_hamiltonian_cycle(n: usize) -> Result<EmbeddedRing, EmbedError> {
     embed_longest_ring(n, &FaultSet::empty(n))
 }
 
-/// [`embed_longest_ring`] with explicit [`EmbedOptions`].
+/// [`embed_longest_ring`] with explicit [`EmbedOptions`]: the one-window
+/// case of [`embed_windowed`].
 pub fn embed_with_options(
     n: usize,
     faults: &FaultSet,
     opts: &EmbedOptions,
+) -> Result<EmbeddedRing, EmbedError> {
+    embed_windowed(n, faults, opts, u32::MAX, |_, _| {})
+}
+
+/// [`embed_with_options`], handing the ring out while Lemma 7 builds it:
+/// `on_window(cursor, segment)` receives consecutive windows of `window`
+/// vertices (the last may be shorter) in ring order, each a
+/// self-contained [`RingDelta`] starting at ring position `cursor`.
+/// Returns the whole ring, which is the windows concatenated and
+/// byte-identical to [`embed_with_options`]' ring.
+///
+/// With `opts.verify`, every window has passed the embedder's one
+/// [`RingCheck`] before it is handed out, and the last one only after the
+/// check has closed the ring and matched its length to `n! - 2|F_v|`. A
+/// window leaves as soon as the fill has passed its end, so the first
+/// one waits only for the hierarchy, the seam plan and its own blocks.
+/// The fill tries its second start vertex only while no window has left;
+/// a failure after that ends the embed with
+/// [`EmbedError::ExpansionFailed`] at its ring position.
+///
+/// # Examples
+///
+/// ```
+/// use star_fault::FaultSet;
+/// use star_ring::{embed_windowed, embed_with_options, EmbedOptions};
+///
+/// let (faults, opts) = (FaultSet::empty(6), EmbedOptions::default());
+/// let mut cursors = Vec::new();
+/// let ring = embed_windowed(6, &faults, &opts, 256, |cursor, window| {
+///     cursors.push((cursor, window.len()));
+/// })
+/// .unwrap();
+/// assert_eq!(cursors, [(0, 256), (256, 256), (512, 208)]);
+/// assert_eq!(ring.delta(), embed_with_options(6, &faults, &opts).unwrap().delta());
+/// ```
+pub fn embed_windowed(
+    n: usize,
+    faults: &FaultSet,
+    opts: &EmbedOptions,
+    window: u32,
+    on_window: impl FnMut(u64, &RingDelta),
+) -> Result<EmbeddedRing, EmbedError> {
+    embed_into(n, faults, opts, Windows::new(window, on_window))
+}
+
+/// The embed behind [`embed_windowed`]: validates the request, then runs
+/// the construction into `windows`, checked by the embedder's
+/// [`RingCheck`] under `opts.verify`.
+pub(crate) fn embed_into(
+    n: usize,
+    faults: &FaultSet,
+    opts: &EmbedOptions,
+    windows: Windows,
 ) -> Result<EmbeddedRing, EmbedError> {
     if !(3..=star_perm::MAX_N).contains(&n) {
         return Err(EmbedError::UnsupportedDimension { n });
@@ -94,17 +149,24 @@ pub fn embed_with_options(
         root.record("trace", star_obs::format_trace(trace));
     }
 
-    let embed = || -> Result<EmbeddedRing, EmbedError> {
-        let ring = construct(n, faults, opts.spare_index, opts.salt)?;
-        let expected = factorial(n) - 2 * faults.vertex_fault_count() as u64;
-        debug_assert_eq!(ring.len() as u64, expected);
+    let embed = move || -> Result<EmbeddedRing, EmbedError> {
+        let mut windows = match opts.verify {
+            true => windows.checked(RingCheck::new(n, faults).map_err(expansion_failed)?),
+            false => windows,
+        };
+        let ring = construct(n, faults, opts.spare_index, opts.salt, &mut windows)?;
+        debug_assert_eq!(
+            ring.len() as u64,
+            factorial(n) - 2 * faults.vertex_fault_count() as u64
+        );
+        // The windows the fill did not hand out: with one window, the
+        // whole ring's check, as the separate pass it reads as.
         if opts.verify {
             let mut sp = star_obs::span("embed.verify");
             sp.record("len", ring.len());
-            sp.hold(|| verify_ring(&ring, faults))?;
-            if ring.len() as u64 != expected {
-                return Err(EmbedError::ExpansionFailed { block: 0 });
-            }
+            sp.hold(|| windows.close(&ring))?;
+        } else {
+            windows.close(&ring)?;
         }
         Ok(EmbeddedRing::from_delta(ring))
     };
@@ -130,18 +192,21 @@ pub fn embed_with_options(
 /// The construction behind every embed: the paper's small-`n` cases,
 /// else Lemma 2 ([`positions`]) → Lemma 3 ([`hierarchy`]) → Lemma 7
 /// ([`expand`]). `spare_index` and `salt` pick among equally valid
-/// configurations; the mixed embedder retries over them.
+/// configurations; the mixed embedder retries over them. Lemma 7 hands
+/// the ring to `windows` as it fills it; the `n <= 4` cases leave all of
+/// it to [`Windows::close`].
 pub(crate) fn construct(
     n: usize,
     faults: &FaultSet,
     spare_index: usize,
     salt: usize,
+    windows: &mut Windows,
 ) -> Result<RingDelta, EmbedError> {
     match n {
         3 => star_obs::span("embed.expand").hold(|| small_n::embed_n3(faults)),
         4 => star_obs::span("embed.expand").hold(|| small_n::embed_n4(faults)),
         5 => star_obs::span("embed.expand")
-            .hold(|| small_n::embed_n5_with(faults, spare_index, salt)),
+            .hold(|| small_n::embed_n5_with(faults, spare_index, salt, windows)),
         _ => {
             let mut sp = star_obs::span("embed.positions");
             let plan = positions::select_positions(n, faults)?;
@@ -154,19 +219,20 @@ pub(crate) fn construct(
             let mut sp = star_obs::span("embed.expand");
             sp.record("spare_pos", spare);
             sp.record("salt", salt);
-            sp.hold(|| expand::expand(&r4, faults, spare, salt, 2))
+            sp.hold(|| expand::expand_into(&r4, faults, spare, salt, 2, windows))
         }
     }
 }
 
-/// Internal verification: one [`RingCheck`] walk of the delta (simple,
-/// healthy, cyclically adjacent). A defect is reported as
-/// `ExpansionFailed` at the ring position the check found it.
+/// The embedder's check as a whole-ring pass, for the unit tests: one
+/// [`RingCheck`] walk of the delta (simple, healthy, cyclically
+/// adjacent). A defect is reported as `ExpansionFailed` at the ring
+/// position the check found it.
+#[cfg(test)]
 pub(crate) fn verify_ring(ring: &RingDelta, faults: &FaultSet) -> Result<(), EmbedError> {
-    let fail = |e: RingError| EmbedError::ExpansionFailed { block: e.index() };
-    let mut check = RingCheck::new(ring.n(), faults).map_err(fail)?;
-    check.push_delta(ring).map_err(fail)?;
-    check.finish().map(drop).map_err(fail)
+    let mut check = RingCheck::new(ring.n(), faults).map_err(expansion_failed)?;
+    check.push_delta(ring).map_err(expansion_failed)?;
+    check.finish().map(drop).map_err(expansion_failed)
 }
 
 #[cfg(test)]

@@ -35,9 +35,11 @@
 //! they differ at (`BlockCtx::step_dim`); no vertex is lifted. Every
 //! path has an even length, so block `i` owns whole bytes of the nibble
 //! arena: its in-block steps, then its seam step. Endpoints and paths
-//! are computed in one serial pass over the blocks; `expand_structured`,
-//! for the repair machinery, decodes the delta and cuts it into
-//! per-block [`BlockSegment`]s.
+//! are computed in one serial pass over the blocks, and after each block
+//! the fill hands every window of the ring it has passed to the
+//! caller's `Windows` (`crate::window`), so a ring can leave while it is
+//! built. `expand_structured`, for the repair machinery, decodes the
+//! delta and cuts it into per-block [`BlockSegment`]s.
 
 use star_fault::FaultSet;
 use star_graph::{Pattern, SuperRing};
@@ -47,6 +49,7 @@ use star_perm::{Parity, Perm, MAX_N};
 
 use crate::blockctx::BlockCtx;
 use crate::oracle::{self, BlockCensus};
+use crate::window::Windows;
 use crate::EmbedError;
 
 /// One block's slice of the assembled ring: the 4-vertex, its entry/exit
@@ -67,30 +70,88 @@ pub struct BlockSegment {
     pub path: Vec<Perm>,
 }
 
-/// Per-block plan produced by the seam pass.
+/// `BlockPlan::fault` of a block that holds no vertex fault.
+const NO_FAULT: u32 = u32::MAX;
+
+/// One block's share of the seam plan, 12 bytes. The block itself is
+/// read from the `R^4` by index, and its entry and exit 3-vertices are
+/// `sub(spare, seam)` of the previous block's seam and its own.
+#[derive(Debug, Clone, Copy)]
 struct BlockPlan {
-    /// The 4-vertex.
-    block: Pattern,
-    /// Entry 3-vertex (sub-pattern at the spare position).
-    entry: Pattern,
-    /// Exit 3-vertex.
-    exit: Pattern,
+    /// Index into `faults.vertices()` of the block's first vertex fault,
+    /// or [`NO_FAULT`] (a fault list is shorter than `12!`).
+    fault: u32,
+    /// The seam symbol `w_i` toward the next block: the spare-position
+    /// symbol of this block's exit 3-vertex and of the next block's
+    /// entry 3-vertex.
+    seam: u8,
+    /// Position where `A_i` and `A_{i+1}` differ.
+    cross_dif: u8,
     /// `A_{i+1}`'s symbol at `dif(A_i, A_{i+1})` — the first symbol a
     /// member of `A_i` must hold to cross forward.
     cross_symbol: u8,
-    /// Position where `A_i` and `A_{i+1}` differ.
-    cross_dif: usize,
-    /// The block's faults, counted once here and read by every fill.
-    census: BlockCensus,
+    /// Vertex faults inside the block (0 or 1 under (P1)).
+    faults: u8,
+    /// Whether a faulty edge lies inside the block (mixed faults).
+    edge_faulty: bool,
 }
 
-impl BlockPlan {
-    /// Vertices the block's traversal covers under the given per-fault
+/// The seam pass's result: one [`BlockPlan`] per block of the `R^4`,
+/// in ring order from the block at `start`.
+struct Seams<'a> {
+    r4: &'a SuperRing,
+    /// Index in `r4` of plan block 0: a healthy block after a healthy
+    /// one, so the scan's wrap-around is slack.
+    start: usize,
+    spare: usize,
+    plans: Vec<BlockPlan>,
+}
+
+impl Seams<'_> {
+    fn len(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Plan block `i`'s 4-vertex.
+    #[inline]
+    fn block(&self, i: usize) -> &Pattern {
+        self.r4.get((self.start + i) % self.len())
+    }
+
+    /// The 3-vertex of block `i` holding `seam` at the spare position.
+    #[inline]
+    fn sub(&self, i: usize, seam: u8) -> Pattern {
+        self.block(i)
+            .sub(self.spare, seam)
+            .expect("seam symbol free")
+    }
+
+    /// Block `i`'s entry 3-vertex.
+    fn entry(&self, i: usize) -> Pattern {
+        self.sub(i, self.plans[(i + self.len() - 1) % self.len()].seam)
+    }
+
+    /// Block `i`'s exit 3-vertex.
+    fn exit(&self, i: usize) -> Pattern {
+        self.sub(i, self.plans[i].seam)
+    }
+
+    /// Block `i`'s fault census, as the table-or-search rule reads it.
+    fn census(&self, i: usize, faults: &FaultSet) -> BlockCensus {
+        let plan = &self.plans[i];
+        BlockCensus {
+            count: plan.faults as usize,
+            first: (plan.fault != NO_FAULT).then(|| faults.vertices()[plan.fault as usize]),
+            edge_faulty: plan.edge_faulty,
+        }
+    }
+
+    /// Vertices block `i`'s traversal covers under the given per-fault
     /// loss — fixed by the plan alone, which is what lets the ring be
     /// laid out before any path is read.
     #[inline]
-    fn path_len(&self, faulty_block_loss: usize) -> usize {
-        oracle::HEALTHY_BLOCK_VERTICES - faulty_block_loss * self.census.count
+    fn path_len(&self, i: usize, faulty_block_loss: usize) -> usize {
+        oracle::HEALTHY_BLOCK_VERTICES - faulty_block_loss * self.plans[i].faults as usize
     }
 }
 
@@ -115,9 +176,59 @@ pub fn expand(
     salt: usize,
     faulty_block_loss: usize,
 ) -> Result<RingDelta, EmbedError> {
-    let (_, ring) = fill(r4, faults, spare_pos, salt, faulty_block_loss)?;
+    let ring = expand_into(
+        r4,
+        faults,
+        spare_pos,
+        salt,
+        faulty_block_loss,
+        &mut Windows::whole(),
+    )?;
     crate::invariants::debug_assert_ring(faults, &ring, "expand");
     Ok(ring)
+}
+
+/// [`expand`], handing the ring to `windows` as the fill passes each
+/// window's end. The fill tries the second start vertex only while no
+/// window has left; the last window stays with `windows` for
+/// [`Windows::close`].
+pub(crate) fn expand_into(
+    r4: &SuperRing,
+    faults: &FaultSet,
+    spare_pos: usize,
+    salt: usize,
+    faulty_block_loss: usize,
+    windows: &mut Windows,
+) -> Result<RingDelta, EmbedError> {
+    fill(r4, faults, spare_pos, salt, faulty_block_loss, windows).map(|(_, ring)| ring)
+}
+
+/// The seam plan and the filled ring, trying both starting vertices.
+fn fill<'a>(
+    r4: &'a SuperRing,
+    faults: &FaultSet,
+    spare_pos: usize,
+    salt: usize,
+    faulty_block_loss: usize,
+    windows: &mut Windows,
+) -> Result<(Seams<'a>, RingDelta), EmbedError> {
+    debug_assert_eq!(r4.r(), 4);
+    debug_assert!(faulty_block_loss >= 2 && faulty_block_loss.is_multiple_of(2));
+    let seams =
+        star_obs::span("embed.expand.plan").hold(|| plan_blocks(r4, faults, spare_pos, salt))?;
+    for (attempt, x0) in entry_candidates(&seams).enumerate() {
+        match fill_ring(&seams, faults, x0, faulty_block_loss, windows) {
+            Ok(ring) => {
+                let healthy = seams.plans.iter().filter(|p| p.faults == 0).count();
+                record_block_counters(healthy as u64, (seams.len() - healthy) as u64, attempt);
+                return Ok((seams, ring));
+            }
+            Err(Stop::Seam(_)) if !windows.handed_out() => windows.restart(),
+            Err(Stop::Seam(at)) => return Err(EmbedError::ExpansionFailed { block: at }),
+            Err(Stop::Check(e)) => return Err(e),
+        }
+    }
+    Err(EmbedError::ExpansionFailed { block: 0 })
 }
 
 /// [`expand`]'s ring, decoded and cut into per-block segments (their
@@ -129,16 +240,16 @@ pub(crate) fn expand_structured(
     salt: usize,
     faulty_block_loss: usize,
 ) -> Result<Vec<BlockSegment>, EmbedError> {
-    let (plans, ring) = fill(r4, faults, spare_pos, salt, faulty_block_loss)?;
+    let mut windows = Windows::whole();
+    let (seams, ring) = fill(r4, faults, spare_pos, salt, faulty_block_loss, &mut windows)?;
     let vertices = ring.decode();
     let mut rest = vertices.as_slice();
-    let segments: Vec<BlockSegment> = plans
-        .iter()
-        .map(|plan| {
-            let (path, tail) = rest.split_at(plan.path_len(faulty_block_loss));
+    let segments: Vec<BlockSegment> = (0..seams.len())
+        .map(|i| {
+            let (path, tail) = rest.split_at(seams.path_len(i, faulty_block_loss));
             rest = tail;
             BlockSegment {
-                block: plan.block,
+                block: *seams.block(i),
                 entry: path[0],
                 exit: path[path.len() - 1],
                 path: path.to_vec(),
@@ -147,28 +258,6 @@ pub(crate) fn expand_structured(
         .collect();
     crate::invariants::debug_assert_segments(r4.n(), faults, &segments, "expand");
     Ok(segments)
-}
-
-/// The seam plan and the filled ring, trying both starting vertices.
-fn fill(
-    r4: &SuperRing,
-    faults: &FaultSet,
-    spare_pos: usize,
-    salt: usize,
-    faulty_block_loss: usize,
-) -> Result<(Vec<BlockPlan>, RingDelta), EmbedError> {
-    debug_assert_eq!(r4.r(), 4);
-    debug_assert!(faulty_block_loss >= 2 && faulty_block_loss.is_multiple_of(2));
-    let plans = plan_blocks(r4, faults, spare_pos, salt)?;
-    let (attempt, ring) = entry_candidates(&plans)
-        .enumerate()
-        .find_map(|(attempt, x0)| {
-            Some((attempt, fill_ring(&plans, faults, x0, faulty_block_loss)?))
-        })
-        .ok_or(EmbedError::ExpansionFailed { block: 0 })?;
-    let healthy = plans.iter().filter(|p| p.census.count == 0).count();
-    record_block_counters(healthy as u64, (plans.len() - healthy) as u64, attempt);
-    Ok((plans, ring))
 }
 
 /// Cached star-obs counters for the per-block splice: `expand.block.healthy`,
@@ -195,71 +284,89 @@ fn record_block_counters(healthy: u64, faulty: u64, attempt: usize) {
 /// The two vertices of block 0's entry 3-vertex that are adjacent to the
 /// last block (i.e. whose first symbol is block `L-1`'s dif symbol toward
 /// block 0 — crossing *backward*).
-fn entry_candidates(plans: &[BlockPlan]) -> impl Iterator<Item = Perm> + '_ {
-    let last = plans.len() - 1;
+fn entry_candidates(seams: &Seams) -> impl Iterator<Item = Perm> {
+    let last = seams.len() - 1;
     // Crossing from A_0 back to A_{L-1}: a member of A_0 crosses iff its
     // first symbol equals A_{L-1}'s symbol at the shared dif.
-    let d = plans[last].cross_dif;
-    let back_symbol = plans[last]
-        .block
-        .fixed_symbol(d)
+    let back_symbol = seams
+        .block(last)
+        .fixed_symbol(seams.plans[last].cross_dif as usize)
         .expect("dif position pinned");
-    plans[0]
-        .entry
+    let entry = seams.entry(0);
+    let candidates: Vec<Perm> = entry
         .vertices()
-        .filter(move |v| v.first() == back_symbol)
+        .filter(|v| v.first() == back_symbol)
+        .collect();
+    candidates.into_iter()
 }
 
 /// Chooses entry/exit 3-vertices for every block (the seam-symbol pass).
-fn plan_blocks(
-    r4: &SuperRing,
+fn plan_blocks<'a>(
+    r4: &'a SuperRing,
     faults: &FaultSet,
     spare_pos: usize,
     salt: usize,
-) -> Result<Vec<BlockPlan>, EmbedError> {
-    // Rotate the ring so the seam scan starts at two consecutive healthy
-    // blocks: the cyclic wrap-around constraint is then slack and the
-    // bounded backtracking never cascades around the whole ring. (A faulty
-    // block pins its two seams to one symbol; discovering that only at the
-    // wrap would otherwise force exponential re-exploration.)
-    let r4_rotated = rotate_to_healthy_start(r4, faults);
-    let r4 = &r4_rotated;
+) -> Result<Seams<'a>, EmbedError> {
     let len = r4.len();
-    // Geometry per block.
-    let mut cross_dif = vec![0usize; len];
-    let mut cross_symbol = vec![0u8; len]; // A_{i+1}'s symbol at dif(A_i,A_{i+1})
-    let mut blocked_prev = vec![0u8; len];
-    let mut blocked_next = vec![0u8; len];
-    let mut census = vec![BlockCensus::default(); len];
+    // Start the seam scan at two consecutive healthy blocks: the cyclic
+    // wrap-around constraint is then slack and the bounded backtracking
+    // never cascades around the whole ring. (A faulty block pins its two
+    // seams to one symbol; discovering that only at the wrap would
+    // otherwise force exponential re-exploration.) Such a pair exists
+    // whenever faulty blocks are non-adjacent and fewer than half the
+    // ring — guaranteed under (P3) with the paper's budget; else a single
+    // healthy block 0, else no rotation.
+    let faulty = |k: usize| faults.count_vertex_faults_in(r4.get(k % len)) > 0;
+    let start = (0..len)
+        .find(|&k| !faulty(k) && !faulty(k + len - 1))
+        .or_else(|| (0..len).find(|&k| !faulty(k)))
+        .unwrap_or(0);
+    let block = |i: usize| r4.get((start + i) % len);
+
+    // Geometry and census per block; the seams are chosen below.
+    let mut plans = Vec::with_capacity(len);
     for i in 0..len {
-        let cur = r4.get(i);
-        let next = r4.get_wrapped(i + 1);
-        let prev = r4.get_wrapped(i + len - 1);
+        let (cur, next) = (block(i), block(i + 1));
         let d = cur.dif(next).expect("ring adjacency");
-        cross_dif[i] = d;
-        cross_symbol[i] = next.fixed_symbol(d).expect("pinned at dif");
-        let dp = prev.dif(cur).expect("ring adjacency");
-        blocked_prev[i] = prev.fixed_symbol(dp).expect("pinned at dif");
-        blocked_next[i] = cross_symbol[i];
-        // The block's fault census, taken once: the global lists are tiny
-        // (≤ n-3 entries), so a linear scan per block is cheap.
-        census[i] = BlockCensus::of(cur, faults);
-        debug_assert!(census[i].count <= 1, "(P1)");
-        // (P2) manifests here: the prev-blocked and next-blocked 3-vertices
-        // differ, leaving two both-connected ones.
-        debug_assert_ne!(blocked_prev[i], blocked_next[i], "(P2)");
+        let census = BlockCensus::of(cur, faults);
+        debug_assert!(census.count <= 1, "(P1)");
+        let fault = census.first.map_or(NO_FAULT, |f| {
+            faults
+                .vertices()
+                .iter()
+                .position(|v| *v == f)
+                .expect("listed") as u32
+        });
+        plans.push(BlockPlan {
+            fault,
+            seam: 0,
+            cross_dif: d as u8,
+            cross_symbol: next.fixed_symbol(d).expect("pinned at dif"),
+            faults: census.count.min(u8::MAX as usize) as u8,
+            edge_faulty: census.edge_faulty,
+        });
     }
+    // The symbol that blocks block `i`'s 3-vertex from the previous
+    // block: A_{i-1}'s symbol at dif(A_{i-1}, A_i). (P2) makes it differ
+    // from the one blocked toward the next block, leaving two
+    // both-connected 3-vertices.
+    let blocked_prev = |plans: &[BlockPlan], i: usize| -> u8 {
+        let p = (i + len - 1) % len;
+        block(p)
+            .fixed_symbol(plans[p].cross_dif as usize)
+            .expect("pinned at dif")
+    };
 
     // Seam symbols w[i] between block i and i+1, chosen by bounded
     // backtracking. Faulty blocks force pass-through (w[i-1] == w[i] == Q's
     // symbol, healthy and both-connected); healthy blocks prefer distinct
     // in/out but tolerate pass-through (the oracle handles both). A block
-    // has 4 free symbols, so each candidate list fits a fixed array — no
-    // per-block heap traffic in the scan.
+    // has 4 free symbols, so each candidate list fits a fixed array,
+    // recomputed from the two blocks whenever the scan visits a seam.
     let options = |i: usize| -> ([u8; 4], usize) {
-        let cur = r4.get(i);
-        let next = r4.get_wrapped(i + 1);
-        let inter = cur.free_symbols().intersection(&next.free_symbols());
+        let inter = block(i)
+            .free_symbols()
+            .intersection(&block(i + 1).free_symbols());
         let mut opts = [0u8; 4];
         let mut m = 0usize;
         for s in inter.iter() {
@@ -274,38 +381,38 @@ fn plan_blocks(
         }
         (opts, m)
     };
-    let fault_spare_sym = |i: usize| -> Option<u8> { census[i].first.map(|f| f.get(spare_pos)) };
-    let sv_ok = |i: usize, w_in: u8, w_out: u8| -> bool {
-        match fault_spare_sym(i) {
-            Some(fsym) => {
-                // Pass-through through a healthy, both-connected Q.
-                w_in == w_out && w_in != fsym && w_in != blocked_prev[i] && w_in != blocked_next[i]
-            }
-            None => {
-                if w_in == w_out {
-                    // Healthy pass-through: Q must be both-connected so the
-                    // Lemma-6 disjointness argument applies.
-                    w_in != blocked_prev[i] && w_in != blocked_next[i]
-                } else {
-                    true
-                }
-            }
+    let sv_ok = |plans: &[BlockPlan], i: usize, w_in: u8, w_out: u8| -> bool {
+        let plan = &plans[i];
+        let (prev_blocked, next_blocked) = (blocked_prev(plans, i), plan.cross_symbol);
+        debug_assert_ne!(prev_blocked, next_blocked, "(P2)");
+        if plan.fault != NO_FAULT {
+            // Pass-through through a healthy, both-connected Q.
+            let fsym = faults.vertices()[plan.fault as usize].get(spare_pos);
+            w_in == w_out && w_in != fsym && w_in != prev_blocked && w_in != next_blocked
+        } else if w_in == w_out {
+            // Healthy pass-through: Q must be both-connected so the
+            // Lemma-6 disjointness argument applies.
+            w_in != prev_blocked && w_in != next_blocked
+        } else {
+            true
         }
     };
 
-    let opt_lists: Vec<([u8; 4], usize)> = (0..len).map(options).collect();
-    if opt_lists.iter().any(|&(_, m)| m == 0) {
+    if (0..len).any(|i| options(i).1 == 0) {
         return Err(EmbedError::ExpansionFailed { block: 0 });
     }
-    let mut choice = vec![0usize; len];
+    // The invariant: `plans[j].seam` is candidate `choice[j]` of seam `j`
+    // for every `j < i`.
+    let mut choice = vec![0u8; len];
     let mut budget: u64 = 1_000_000u64.max(len as u64 * 50);
     let mut i = 0usize;
-    let seams: Vec<u8> = loop {
+    loop {
         if budget == 0 {
             return Err(EmbedError::ExpansionFailed { block: i });
         }
         budget -= 1;
-        if choice[i] >= opt_lists[i].1 {
+        let (opts, m) = options(i);
+        if choice[i] as usize >= m {
             choice[i] = 0;
             if i == 0 {
                 return Err(EmbedError::ExpansionFailed { block: 0 });
@@ -314,65 +421,27 @@ fn plan_blocks(
             choice[i] += 1;
             continue;
         }
-        let w_i = opt_lists[i].0[choice[i]];
-        let ok = if i >= 1 {
-            sv_ok(i, opt_lists[i - 1].0[choice[i - 1]], w_i)
-        } else {
-            true
-        };
-        if !ok {
+        let w_i = opts[choice[i] as usize];
+        plans[i].seam = w_i;
+        if i >= 1 && !sv_ok(&plans, i, plans[i - 1].seam, w_i) {
             choice[i] += 1;
             continue;
         }
         if i + 1 == len {
-            let w_first = opt_lists[0].0[choice[0]];
-            if sv_ok(0, w_i, w_first) {
-                break (0..len).map(|j| opt_lists[j].0[choice[j]]).collect();
+            if sv_ok(&plans, 0, w_i, plans[0].seam) {
+                break;
             }
             choice[i] += 1;
             continue;
         }
         i += 1;
-    };
-
-    // Materialize the plans.
-    let mut plans = Vec::with_capacity(len);
-    for i in 0..len {
-        let cur = r4.get(i);
-        let w_in = seams[(i + len - 1) % len];
-        let w_out = seams[i];
-        plans.push(BlockPlan {
-            block: *cur,
-            entry: cur.sub(spare_pos, w_in).expect("seam symbol free"),
-            exit: cur.sub(spare_pos, w_out).expect("seam symbol free"),
-            cross_symbol: cross_symbol[i],
-            cross_dif: cross_dif[i],
-            census: census[i],
-        });
     }
-    Ok(plans)
-}
-
-/// Returns a copy of the ring rotated so that indices 0 and `len-1` are
-/// fault-free (such a pair exists whenever faulty blocks are non-adjacent
-/// and fewer than half the ring — guaranteed under (P3) with the paper's
-/// budget). Falls back to a single healthy block 0, then to no rotation.
-fn rotate_to_healthy_start(r4: &SuperRing, faults: &FaultSet) -> SuperRing {
-    let len = r4.len();
-    let faulty: Vec<bool> = r4
-        .iter()
-        .map(|p| faults.count_vertex_faults_in(p) > 0)
-        .collect();
-    let start = (0..len)
-        .find(|&k| !faulty[k] && !faulty[(k + len - 1) % len])
-        .or_else(|| (0..len).find(|&k| !faulty[k]))
-        .unwrap_or(0);
-    if start == 0 {
-        return r4.clone();
-    }
-    let mut patterns: Vec<Pattern> = r4.iter().copied().collect();
-    patterns.rotate_left(start);
-    SuperRing::new(patterns).expect("rotation preserves ring validity")
+    Ok(Seams {
+        r4,
+        start,
+        spare: spare_pos,
+        plans,
+    })
 }
 
 /// The unique cross vertex of an exit 3-vertex with the demanded parity:
@@ -434,7 +503,7 @@ fn cross_exit(exit: &Pattern, cross_symbol: u8, want: Parity) -> Option<Perm> {
 /// parity-correct cross vertex of its exit 3-vertex — each endpoint is
 /// determined by `x0` alone. O(1) per block, no allocation.
 fn endpoints<'a>(
-    plans: &'a [BlockPlan],
+    seams: &'a Seams,
     faults: &'a FaultSet,
     x0: Perm,
 ) -> impl Iterator<Item = Option<(Perm, Perm)>> + 'a {
@@ -445,22 +514,27 @@ fn endpoints<'a>(
     let fault_list = faults.vertices();
     let is_faulty = move |v: &Perm| fault_list.iter().any(|f| f == v);
     let check_edges = faults.edge_fault_count() > 0;
-    let last = plans.len() - 1;
+    let last = seams.len() - 1;
     let mut x = x0;
-    plans.iter().enumerate().map(move |(i, plan)| {
-        debug_assert!(plan.entry.contains(&x), "entry vertex in entry 3-vertex");
+    seams.plans.iter().enumerate().map(move |(i, plan)| {
+        debug_assert!(
+            seams.entry(i).contains(&x),
+            "entry vertex in entry 3-vertex"
+        );
+        let exit = seams.exit(i);
+        let cross_dif = plan.cross_dif as usize;
         let (y, next) = if i == last {
             // Close the cycle: the exit must be the unique neighbor of x0
             // across the wrap-around super-edge (same vertex the parity
             // rule picks; this form also validates membership).
-            let y = x0.swapped(0, plan.cross_dif);
-            if !plan.exit.contains(&y) || is_faulty(&y) {
+            let y = x0.swapped(0, cross_dif);
+            if !exit.contains(&y) || is_faulty(&y) {
                 return None;
             }
             (y, x0)
         } else {
-            let y = cross_exit(&plan.exit, plan.cross_symbol, want_parity)?;
-            (y, y.swapped(0, plan.cross_dif))
+            let y = cross_exit(&exit, plan.cross_symbol, want_parity)?;
+            (y, y.swapped(0, cross_dif))
         };
         // Seam health: the entry vertex and, when present, the edge out.
         if is_faulty(&x) || (check_edges && faults.is_edge_faulty(&y, &next)) {
@@ -472,44 +546,64 @@ fn endpoints<'a>(
     })
 }
 
+/// Why a fill stopped.
+enum Stop {
+    /// A seam or a block path failed at this ring position: the other
+    /// start vertex may still succeed.
+    Seam(usize),
+    /// The check rejected a window.
+    Check(EmbedError),
+}
+
 /// Phase 2, in the same pass as phase 1: writes the ring from `x0` as one
-/// nibble arena of step dimensions, or `None` when a seam or a block
-/// path fails. Block `i` starts at an even ring offset `off_i` and has
-/// an even path length, so it owns the bytes `off_i/2 .. off_{i+1}/2`:
+/// nibble arena of step dimensions and hands `windows` every window the
+/// fill has passed. Block `i` starts at an even ring offset `off_i` and
+/// has an even path length, so it owns the bytes `off_i/2 .. off_{i+1}/2`:
 /// its `len - 1` in-block steps, then its seam step along `cross_dif`.
 /// The last block's seam nibble is the padding, because the closing edge
 /// is not stored; the start vertex is `x0`.
 fn fill_ring(
-    plans: &[BlockPlan],
+    seams: &Seams,
     faults: &FaultSet,
     x0: Perm,
     faulty_block_loss: usize,
-) -> Option<RingDelta> {
-    let total: usize = plans.iter().map(|p| p.path_len(faulty_block_loss)).sum();
+    windows: &mut Windows,
+) -> Result<RingDelta, Stop> {
+    let n = x0.n();
+    let total: usize = (0..seams.len())
+        .map(|i| seams.path_len(i, faulty_block_loss))
+        .sum();
     let mut dims = vec![0u8; total / 2];
     let mut at = 0usize;
-    for (i, (plan, ends)) in plans.iter().zip(endpoints(plans, faults, x0)).enumerate() {
-        let (x, y) = ends?;
-        let len = plan.path_len(faulty_block_loss);
-        let ctx = BlockCtx::new(&plan.block);
-        let ranks = oracle::path_ranks(&ctx, &plan.census, faults, &x, &y, len)?;
-        let seam = if i + 1 == plans.len() {
+    for (i, ends) in endpoints(seams, faults, x0).enumerate() {
+        let (x, y) = ends.ok_or(Stop::Seam(at))?;
+        let len = seams.path_len(i, faulty_block_loss);
+        let ctx = BlockCtx::new(seams.block(i));
+        let census = seams.census(i, faults);
+        let ranks = oracle::path_ranks(&ctx, &census, faults, &x, &y, len).ok_or(Stop::Seam(at))?;
+        let seam = if i + 1 == seams.len() {
             0
         } else {
-            plan.cross_dif as u8
+            seams.plans[i].cross_dif
         };
-        for (j, byte) in dims[at..at + len / 2].iter_mut().enumerate() {
+        for (j, byte) in dims[at / 2..(at + len) / 2].iter_mut().enumerate() {
             let high = match ranks.get(2 * j + 2) {
                 Some(&next) => ctx.step_dim(ranks[2 * j + 1], next),
                 None => seam,
             };
             *byte = ctx.step_dim(ranks[2 * j], ranks[2 * j + 1]) | high << 4;
         }
-        at += len / 2;
+        #[cfg(test)]
+        windows.tamper(&mut dims, at, at + len);
+        let vertex_at = |p: u32| PackedPerm::from_perm(&ctx.lift_rank(ranks[p as usize - at]));
+        windows
+            .reach(n, &dims, (at + len) as u32, total as u32, vertex_at)
+            .map_err(Stop::Check)?;
+        at += len;
     }
     let start = PackedPerm::from_perm(&x0);
-    let ring = RingDelta::from_parts(start.n(), total as u32, start.bits(), dims);
-    Some(ring.expect("the fill writes dimensions in 1..n and a zero padding nibble"))
+    let ring = RingDelta::from_parts(n, total as u32, start.bits(), dims);
+    Ok(ring.expect("the fill writes dimensions in 1..n and a zero padding nibble"))
 }
 
 #[cfg(test)]
@@ -526,14 +620,19 @@ mod tests {
     }
 
     #[test]
+    fn the_seam_plan_keeps_at_most_16_bytes_per_block() {
+        assert!(std::mem::size_of::<BlockPlan>() <= 16);
+    }
+
+    #[test]
     fn entry_candidates_are_two_opposite_parity_cross_vertices() {
         let r4 = k5_r4(&[1, 2, 3, 4, 5]);
-        let plans = plan_blocks(&r4, &FaultSet::empty(5), 1, 0).unwrap();
-        let cands: Vec<Perm> = entry_candidates(&plans).collect();
+        let seams = plan_blocks(&r4, &FaultSet::empty(5), 1, 0).unwrap();
+        let cands: Vec<Perm> = entry_candidates(&seams).collect();
         assert_eq!(cands.len(), 2, "Lemma 5: exactly two cross vertices");
         assert_ne!(cands[0].parity(), cands[1].parity());
         for c in &cands {
-            assert!(plans[0].entry.contains(c));
+            assert!(seams.entry(0).contains(c));
         }
     }
 
@@ -542,25 +641,24 @@ mod tests {
         // The direct construction must return exactly the vertex the
         // enumerate-and-find scan used to pick, for both parities.
         let r4 = k5_r4(&[1, 2, 3, 4, 5]);
-        let plans = plan_blocks(&r4, &FaultSet::empty(5), 1, 0).unwrap();
-        for plan in &plans {
+        let seams = plan_blocks(&r4, &FaultSet::empty(5), 1, 0).unwrap();
+        for (i, plan) in seams.plans.iter().enumerate() {
+            let exit = seams.exit(i);
             for want in [Parity::Even, Parity::Odd] {
-                let scanned = plan
-                    .exit
+                let scanned = exit
                     .vertices()
                     .find(|v| v.first() == plan.cross_symbol && v.parity() == want);
                 assert_eq!(
-                    cross_exit(&plan.exit, plan.cross_symbol, want),
+                    cross_exit(&exit, plan.cross_symbol, want),
                     scanned,
-                    "{} cross={} want={want:?}",
-                    plan.exit,
+                    "{exit} cross={} want={want:?}",
                     plan.cross_symbol
                 );
             }
         }
         // A symbol that is pinned (not free) in the 3-vertex has no cross
         // vertex: both paths agree on None.
-        let exit = &plans[0].exit;
+        let exit = &seams.exit(0);
         let pinned = exit
             .fixed_positions()
             .next()
@@ -582,23 +680,26 @@ mod tests {
             (&[5, 1, 2, 3, 4], FaultSet::from_vertices(5, [f]).unwrap()),
         ] {
             let r4 = k5_r4(order);
-            let plans = plan_blocks(&r4, &faults, 1, 0).unwrap();
+            let seams = plan_blocks(&r4, &faults, 1, 0).unwrap();
             for loss in [2, 4] {
-                for x0 in entry_candidates(&plans) {
+                for x0 in entry_candidates(&seams) {
                     let Some(endpoints) =
-                        endpoints(&plans, &faults, x0).collect::<Option<Vec<_>>>()
+                        endpoints(&seams, &faults, x0).collect::<Option<Vec<_>>>()
                     else {
                         continue;
                     };
-                    let lifted: Vec<Perm> = plans
+                    let lifted: Vec<Perm> = endpoints
                         .iter()
-                        .zip(&endpoints)
-                        .flat_map(|(plan, (x, y))| {
-                            let len = plan.path_len(loss);
-                            oracle::block_path(&plan.block, x, y, &faults, len).unwrap()
+                        .enumerate()
+                        .flat_map(|(i, (x, y))| {
+                            let len = seams.path_len(i, loss);
+                            oracle::block_path(seams.block(i), x, y, &faults, len).unwrap()
                         })
                         .collect();
-                    let filled = fill_ring(&plans, &faults, x0, loss).unwrap();
+                    let mut windows = Windows::whole();
+                    let Ok(filled) = fill_ring(&seams, &faults, x0, loss, &mut windows) else {
+                        panic!("fill from {x0}");
+                    };
                     assert_eq!(filled, RingDelta::encode(&lifted).unwrap(), "loss {loss}");
                     checked += 1;
                 }

@@ -52,10 +52,11 @@ pub mod report;
 pub mod small_n;
 
 mod embed_impl;
+mod window;
 
 pub use batch::{embed_many, embed_many_with_options};
 pub use embed_impl::{
-    embed_hamiltonian_cycle, embed_longest_ring, embed_with_options, EmbedOptions,
+    embed_hamiltonian_cycle, embed_longest_ring, embed_windowed, embed_with_options, EmbedOptions,
 };
 pub use embedding::EmbeddedRing;
 pub use error::EmbedError;

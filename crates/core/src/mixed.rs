@@ -22,9 +22,9 @@
 //! and recursing; each promotion costs exactly 2 ring vertices and the
 //! achieved length is reported honestly in the returned ring.
 
-use star_fault::FaultSet;
-use star_perm::factorial;
+use star_fault::{FaultSet, RingCheck};
 
+use crate::window::Windows;
 use crate::{EmbedError, EmbeddedRing};
 
 /// Embeds a healthy ring into `S_n` under mixed faults
@@ -87,13 +87,14 @@ pub fn embed_with_mixed_faults(n: usize, faults: &FaultSet) -> Result<EmbeddedRi
 /// One full attempt sweep over (spare position, salt) configurations of
 /// the shared construction, at the target length `n! - 2|F_v|`.
 fn try_embed_mixed(n: usize, faults: &FaultSet) -> Option<EmbeddedRing> {
-    let expected = factorial(n) - 2 * faults.vertex_fault_count() as u64;
     for spare_index in 0..3 {
         for salt in 0..16 {
-            if let Ok(ring) = crate::embed_impl::construct(n, faults, spare_index, salt) {
-                if ring.len() as u64 == expected
-                    && crate::embed_impl::verify_ring(&ring, faults).is_ok()
-                {
+            // One window, checked against the edge faults too and closed
+            // only at `n! - 2|F_v|`.
+            let mut windows = Windows::whole().checked(RingCheck::new(n, faults).ok()?);
+            let built = crate::embed_impl::construct(n, faults, spare_index, salt, &mut windows);
+            if let Ok(ring) = built {
+                if windows.close(&ring).is_ok() {
                     return Some(EmbeddedRing::from_delta(ring));
                 }
             }
@@ -112,6 +113,7 @@ fn try_embed_mixed(n: usize, faults: &FaultSet) -> Option<EmbeddedRing> {
 mod tests {
     use super::*;
     use star_fault::gen;
+    use star_perm::factorial;
 
     #[test]
     fn pure_edge_faults_keep_full_length() {

@@ -19,6 +19,7 @@ use star_perm::Perm;
 
 use crate::blockctx::BlockCtx;
 use crate::positions::select_positions;
+use crate::window::Windows;
 use crate::{expand, oracle, EmbedError};
 
 /// `n = 3`: the 6-cycle (no fault budget).
@@ -57,11 +58,13 @@ pub(crate) fn embed_n4(faults: &FaultSet) -> Result<RingDelta, EmbedError> {
 
 /// `n = 5`: the `K_5` construction with faulty 4-vertices kept apart,
 /// with explicit spare-position index and seam salt (retry knobs for the
-/// mixed vertex+edge embedder).
+/// mixed vertex+edge embedder), handing the ring to `windows` as Lemma 7
+/// fills it.
 pub(crate) fn embed_n5_with(
     faults: &FaultSet,
     spare_index: usize,
     salt: usize,
+    windows: &mut Windows,
 ) -> Result<RingDelta, EmbedError> {
     debug_assert!(faults.vertex_fault_count() <= 2);
     let mut sp = star_obs::span("embed.positions");
@@ -121,7 +124,7 @@ pub(crate) fn embed_n5_with(
     // (recomputed here because the salt may have overridden a1).
     let spares: Vec<usize> = (1..5).filter(|&p| p != a1).collect();
     let spare = spares[spare_index % spares.len()];
-    expand::expand(&r4, faults, spare, salt, 2)
+    expand::expand_into(&r4, faults, spare, salt, 2, windows)
 }
 
 #[cfg(test)]
@@ -129,6 +132,11 @@ mod tests {
     use super::*;
     use crate::embed_impl::verify_ring;
     use star_fault::gen;
+
+    /// The n = 5 construction at its default knobs, as one window.
+    fn n5(faults: &FaultSet) -> RingDelta {
+        embed_n5_with(faults, 0, 0, &mut Windows::whole()).unwrap()
+    }
 
     #[test]
     fn n3_six_ring() {
@@ -158,7 +166,7 @@ mod tests {
     fn n5_random_fault_pairs() {
         for seed in 0..20 {
             let faults = gen::random_vertex_faults(5, 2, seed).unwrap();
-            let ring = embed_n5_with(&faults, 0, 0).unwrap();
+            let ring = n5(&faults);
             assert_eq!(ring.len(), 116, "seed {seed}");
             verify_ring(&ring, &faults).unwrap();
         }
@@ -166,10 +174,10 @@ mod tests {
 
     #[test]
     fn n5_single_and_zero_faults() {
-        let ring = embed_n5_with(&FaultSet::empty(5), 0, 0).unwrap();
+        let ring = n5(&FaultSet::empty(5));
         assert_eq!(ring.len(), 120);
         let faults = FaultSet::from_vertices(5, [Perm::from_digits(5, 53412)]).unwrap();
-        let ring = embed_n5_with(&faults, 0, 0).unwrap();
+        let ring = n5(&faults);
         assert_eq!(ring.len(), 118);
     }
 }

@@ -26,6 +26,23 @@ fn unpack_dim(dims: &[u8], i: usize) -> u8 {
     (dims[i / 2] >> (4 * (i % 2))) & 0xF
 }
 
+/// Steps `from..from + steps` of a nibble-packed stream, packed from a
+/// byte boundary with a zero padding nibble: the dims of a segment that
+/// starts at ring position `from`. From an even `from` the steps are
+/// whole bytes of `dims`.
+pub fn dims_window(dims: &[u8], from: usize, steps: usize) -> Vec<u8> {
+    if from % 2 == 1 {
+        return pack_dims((0..steps).map(|i| unpack_dim(dims, from + i)), steps);
+    }
+    let mut out = dims[from / 2..(from + steps).div_ceil(2)].to_vec();
+    if steps % 2 == 1 {
+        // The last step's high nibble is the next step in `dims` but
+        // padding here.
+        out[steps / 2] &= 0xF;
+    }
+    out
+}
+
 /// A ring (or ring segment) as one start permutation plus a
 /// generator-delta step stream: step `i` moves along star dimension
 /// `dims[i]`. ~4.5 bits/vertex instead of the ~13 bytes of a JSON
@@ -203,24 +220,11 @@ impl RingDelta {
     pub fn segment(&self, from: u32, count: u32, start_at: PackedPerm) -> RingDelta {
         debug_assert!(count >= 1 && from + count <= self.len);
         debug_assert_eq!(start_at.n(), self.n());
-        let steps = count as usize - 1;
-        let base = from as usize;
-        let dims = if base % 2 == 1 {
-            pack_dims((0..steps).map(|i| unpack_dim(&self.dims, base + i)), steps)
-        } else {
-            let mut dims = self.dims[base / 2..(base + steps).div_ceil(2)].to_vec();
-            if steps % 2 == 1 {
-                // The last step's high nibble is the next step here but
-                // padding in the segment.
-                dims[steps / 2] &= 0xF;
-            }
-            dims
-        };
         RingDelta {
             n: self.n,
             len: count,
             start_bits: start_at.bits(),
-            dims,
+            dims: dims_window(&self.dims, from as usize, count as usize - 1),
         }
     }
 

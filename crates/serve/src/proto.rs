@@ -679,21 +679,7 @@ const CHUNK_TRAILER: usize = 8;
 impl ChunkFrame {
     /// Serializes to a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let dims = self.segment.dims();
-        let mut out = Vec::with_capacity(CHUNK_HEADER + dims.len() + CHUNK_TRAILER);
-        out.extend_from_slice(&CHUNK_MAGIC);
-        out.push(PROTO_V2);
-        out.push(self.n);
-        out.push(u8::from(self.last));
-        out.push(0);
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.cursor.to_be_bytes());
-        out.extend_from_slice(&self.segment.start().bits().to_be_bytes());
-        out.extend_from_slice(&self.segment.len().to_be_bytes());
-        out.extend_from_slice(dims);
-        let checksum = fnv64(&out);
-        out.extend_from_slice(&checksum.to_be_bytes());
-        out
+        encode_chunk(self.seq, self.cursor, self.last, &self.segment)
     }
 
     /// Parses and fully validates a frame body: magic, version,
@@ -740,15 +726,36 @@ impl ChunkFrame {
     }
 }
 
-/// Splits a ring delta into [`ChunkFrame`]s covering positions
-/// `cursor..len`, `chunk_vertices` per chunk, walking the delta once
-/// (O(1) extra state per chunk). Returns an empty stream error if the
-/// cursor is at or past the end.
-pub fn chunk_stream(
+/// The frame body of chunk `seq` of a stream: `segment`, which starts at
+/// ring position `cursor` (the wire layout of [`ChunkFrame`]).
+pub(crate) fn encode_chunk(seq: u32, cursor: u64, last: bool, segment: &RingDelta) -> Vec<u8> {
+    let dims = segment.dims();
+    let mut out = Vec::with_capacity(CHUNK_HEADER + dims.len() + CHUNK_TRAILER);
+    out.extend_from_slice(&CHUNK_MAGIC);
+    out.push(PROTO_V2);
+    out.push(segment.n() as u8);
+    out.push(u8::from(last));
+    out.push(0);
+    out.extend_from_slice(&seq.to_be_bytes());
+    out.extend_from_slice(&cursor.to_be_bytes());
+    out.extend_from_slice(&segment.start().bits().to_be_bytes());
+    out.extend_from_slice(&segment.len().to_be_bytes());
+    out.extend_from_slice(dims);
+    let checksum = fnv64(&out);
+    out.extend_from_slice(&checksum.to_be_bytes());
+    out
+}
+
+/// Cuts positions `cursor..len` of a ring delta into windows of
+/// `chunk_vertices` vertices (clamped to the protocol's range), lazily
+/// and in one walk of the delta: each window is its ring position and
+/// its self-contained segment. Fails if the cursor is at or past the
+/// end.
+pub fn ring_windows(
     delta: &RingDelta,
     cursor: u64,
     chunk_vertices: u32,
-) -> Result<Vec<ChunkFrame>, String> {
+) -> Result<impl Iterator<Item = (u64, RingDelta)> + '_, String> {
     if cursor >= delta.len() as u64 {
         return Err(format!(
             "cursor {cursor} is past the ring length {}",
@@ -757,31 +764,43 @@ pub fn chunk_stream(
     }
     let chunk_vertices = chunk_vertices.clamp(MIN_CHUNK_VERTICES, MAX_CHUNK_VERTICES);
     let mut walker = delta.walk();
-    let mut at = walker.next().expect("delta holds >= 1 vertex");
-    for _ in 0..cursor {
-        at = walker.next().expect("cursor checked against len");
-    }
-    let mut chunks = Vec::new();
+    let mut at = walker
+        .nth(cursor as usize)
+        .expect("cursor checked against len");
     let mut pos = cursor as u32;
-    loop {
-        let left = delta.len() - pos;
+    Ok(std::iter::from_fn(move || {
+        let left = delta.len().checked_sub(pos).filter(|&left| left > 0)?;
         let count = left.min(chunk_vertices);
-        chunks.push(ChunkFrame {
-            n: delta.n() as u8,
-            last: count == left,
-            seq: chunks.len() as u32,
-            cursor: pos as u64,
-            segment: delta.segment(pos, count, at),
-        });
-        if count == left {
-            return Ok(chunks);
-        }
-        // Advance the walker to the next chunk's first vertex.
-        for _ in 0..count {
-            at = walker.next().expect("segment bounds checked");
-        }
+        let window = (pos as u64, delta.segment(pos, count, at));
         pos += count;
-    }
+        if count < left {
+            // The walker stands one past the window's first vertex.
+            at = walker
+                .nth(count as usize - 1)
+                .expect("segment bounds checked");
+        }
+        Some(window)
+    }))
+}
+
+/// [`ring_windows`] as the [`ChunkFrame`]s of one stream, collected.
+pub fn chunk_stream(
+    delta: &RingDelta,
+    cursor: u64,
+    chunk_vertices: u32,
+) -> Result<Vec<ChunkFrame>, String> {
+    let end = delta.len() as u64;
+    let windows = ring_windows(delta, cursor, chunk_vertices)?;
+    Ok(windows
+        .enumerate()
+        .map(|(seq, (cursor, segment))| ChunkFrame {
+            n: delta.n() as u8,
+            last: cursor + segment.len() as u64 == end,
+            seq: seq as u32,
+            cursor,
+            segment,
+        })
+        .collect())
 }
 
 #[cfg(test)]

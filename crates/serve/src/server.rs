@@ -47,12 +47,12 @@ use star_fault::RingCheck;
 use star_obs::json::Json;
 use star_oracle::{Canon, Canonicalizer, Store, WriteBehind};
 use star_perm::Perm;
-use star_ring::{embed_many_with_options, embed_with_options, EmbedOptions};
+use star_ring::{embed_many_with_options, embed_windowed, embed_with_options, EmbedOptions};
 
 use crate::cache::{key_for, CacheKey, ResultCache};
 use crate::proto::{
-    attach_trace, chunk_stream, encode_response_body, error_response, error_response_traced,
-    ok_response, oversize_error_response, read_frame, ring_to_json, write_frame, ChunkFrame,
+    attach_trace, encode_chunk, encode_response_body, error_response, error_response_traced,
+    ok_response, oversize_error_response, read_frame, ring_to_json, ring_windows, write_frame,
     ErrorCode, FrameRead, Request, RequestBody, RingDelta, ServerTiming, DEFAULT_CHUNK_VERTICES,
     PROTO_V2,
 };
@@ -241,8 +241,12 @@ impl Conn {
                 fallback.to_string().into_bytes()
             }
         };
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        self.write(ctx, &mut stream, &body);
+        self.write(ctx, &mut self.lock(), &body);
+    }
+
+    /// The connection's write half, locked.
+    fn lock(&self) -> std::sync::MutexGuard<'_, TcpStream> {
+        self.stream.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Writes one already-encoded frame body (JSON or a binary v2 chunk)
@@ -323,6 +327,8 @@ struct ServeObs {
     lat_embed: star_obs::Hist,
     lat_batch: star_obs::Hist,
     lat_verify: star_obs::Hist,
+    // Receipt to the first chunk write of every v2 ring stream.
+    lat_ttfc: star_obs::Hist,
     // Inline control-plane responses get their own histogram so embed
     // latency percentiles are never diluted by microsecond health pings.
     lat_inline: star_obs::Hist,
@@ -357,6 +363,7 @@ fn obs() -> &'static ServeObs {
         lat_embed: star_obs::histogram("serve.latency.embed"),
         lat_batch: star_obs::histogram("serve.latency.embed_batch"),
         lat_verify: star_obs::histogram("serve.latency.verify"),
+        lat_ttfc: star_obs::histogram("serve.latency.ttfc"),
         lat_inline: star_obs::histogram("serve.latency.inline"),
     })
 }
@@ -827,11 +834,130 @@ fn worker_loop(ctx: &Ctx) {
 }
 
 /// What a worker produced for one queued request: a single JSON
-/// document, or a negotiated-v2 stream — a JSON header frame followed by
-/// already-encoded binary chunk frames.
+/// document still to be written, or a v2 ring stream the worker already
+/// wrote through a [`ChunkWriter`].
 enum Reply {
     Json(Json),
-    Stream { header: Json, chunks: Vec<Vec<u8>> },
+    Streamed,
+}
+
+/// Writes one v2 ring stream to its connection: the header together
+/// with chunk 0, then each later chunk as it arrives — from a fill that
+/// is still running, or from a finished ring. It takes the connection
+/// lock at the header and holds it until it is dropped, so no other
+/// frame lands inside the stream (chunks carry no id); an error
+/// document that ends the stream early is written under the same lock.
+/// Once a write fails, later chunks are dropped: the connection is gone
+/// or cut, and the ring is still finished and cached.
+struct ChunkWriter<'a> {
+    ctx: &'a Ctx,
+    job: &'a Job,
+    /// The header, until it is written.
+    header: Option<Json>,
+    ring_len: u64,
+    stream: Option<std::sync::MutexGuard<'a, TcpStream>>,
+    seq: u32,
+    /// `false` once a write failed.
+    live: bool,
+    /// Receipt to the first chunk write.
+    ttfc: Option<Duration>,
+}
+
+impl<'a> ChunkWriter<'a> {
+    fn new(ctx: &'a Ctx, job: &'a Job, header: Json, ring_len: u64) -> ChunkWriter<'a> {
+        ChunkWriter {
+            ctx,
+            job,
+            header: Some(header),
+            ring_len,
+            stream: None,
+            seq: 0,
+            live: true,
+            ttfc: None,
+        }
+    }
+
+    /// `true` once the header is on the wire.
+    fn started(&self) -> bool {
+        self.header.is_none()
+    }
+
+    /// Encodes the window at `cursor` as the stream's next chunk and
+    /// writes it; the first one goes out after the header, which carries
+    /// `timing` (the work done up to here) when the request is traced.
+    fn write(&mut self, cursor: u64, window: &RingDelta, timing: &mut ServerTiming) {
+        let encode_start = Instant::now();
+        let last = cursor + window.len() as u64 == self.ring_len;
+        let body = encode_chunk(self.seq, cursor, last, window);
+        if let Some(mut header) = self.header.take() {
+            timing.encode_us += micros(encode_start.elapsed());
+            if let (Some(trace), Json::Obj(members)) = (self.job.request.trace_id, &mut header) {
+                attach_trace(members, trace, timing);
+            }
+            self.ctx.obs.v2_streams.incr(1);
+            let stream = self.stream.insert(self.job.conn.lock());
+            // The header never carries the ring, only counts and a
+            // checksum, so it cannot outgrow the frame cap.
+            self.live = self
+                .job
+                .conn
+                .write(self.ctx, stream, header.to_string().as_bytes());
+        }
+        if !self.live {
+            return;
+        }
+        let stream = self.stream.as_mut().expect("locked at the header");
+        self.live = self.job.conn.write(self.ctx, stream, &body);
+        if !self.live {
+            return;
+        }
+        if self.seq == 0 {
+            let ttfc = self.job.received.elapsed();
+            self.ctx.obs.lat_ttfc.observe_ns(ttfc.as_nanos() as u64);
+            self.ttfc = Some(ttfc);
+        }
+        self.ctx.obs.v2_chunks.incr(1);
+        if star_obs::flightrec::enabled() {
+            star_obs::flightrec::record(
+                "serve.v2.chunk",
+                self.job.conn.peer.clone(),
+                &[
+                    ("seq", star_obs::FieldValue::U64(self.seq as u64)),
+                    ("bytes", star_obs::FieldValue::U64(body.len() as u64)),
+                ],
+            );
+        }
+        self.seq += 1;
+    }
+
+    /// Ends a stream the fill could not finish with the error document
+    /// `response`, on the wire the header already took.
+    fn fail(&mut self, response: &Json) {
+        if let (true, Some(stream)) = (self.live, self.stream.as_mut()) {
+            let body = response.to_string();
+            self.live = self.job.conn.write(self.ctx, stream, body.as_bytes());
+        }
+    }
+}
+
+impl Drop for ChunkWriter<'_> {
+    /// A traced stream leaves its time to first chunk and its total in
+    /// the flight recorder.
+    fn drop(&mut self) {
+        if let (Some(_), Some(ttfc)) = (self.job.request.trace_id, self.ttfc) {
+            star_obs::flightrec::record(
+                "serve.v2.stream",
+                self.job.conn.peer.clone(),
+                &[
+                    ("ttfc_us", star_obs::FieldValue::U64(micros(ttfc))),
+                    (
+                        "total_us",
+                        star_obs::FieldValue::U64(micros(self.job.received.elapsed())),
+                    ),
+                ],
+            );
+        }
+    }
 }
 
 fn handle_job(ctx: &Ctx, job: Job) {
@@ -883,29 +1009,19 @@ fn handle_job(ctx: &Ctx, job: Job) {
             faults,
             return_ring,
             return_certificate,
-        } => {
-            // A request that asks for v2 gets its ring streamed.
-            let stream = (job.request.proto >= PROTO_V2).then(|| {
-                (
-                    job.request.cursor,
-                    job.request.chunk_vertices.unwrap_or(DEFAULT_CHUNK_VERTICES),
-                )
-            });
-            (
-                serve_embed(
-                    ctx,
-                    id.as_deref(),
-                    *n,
-                    faults,
-                    &options,
-                    *return_ring,
-                    *return_certificate,
-                    stream,
-                    &mut timing,
-                ),
-                &ctx.obs.lat_embed,
-            )
-        }
+        } => (
+            serve_embed(
+                ctx,
+                &job,
+                *n,
+                faults,
+                &options,
+                *return_ring,
+                *return_certificate,
+                &mut timing,
+            ),
+            &ctx.obs.lat_embed,
+        ),
         RequestBody::EmbedBatch {
             n,
             scenarios,
@@ -929,51 +1045,14 @@ fn handle_job(ctx: &Ctx, job: Job) {
         // Health/stats never reach the queue.
         RequestBody::Health | RequestBody::Stats => unreachable!("inline request queued"),
     };
-    if let Some(trace) = job.request.trace_id {
-        let doc = match &mut reply {
-            Reply::Json(doc) => doc,
-            Reply::Stream { header, .. } => header,
-        };
-        if let Json::Obj(members) = doc {
-            attach_trace(members, trace, &timing);
-        }
+    if let (Some(trace), Reply::Json(Json::Obj(members))) = (job.request.trace_id, &mut reply) {
+        attach_trace(members, trace, &timing);
     }
     hist.observe_ns(job.received.elapsed().as_nanos() as u64);
     ctx.served.fetch_add(1, Ordering::Relaxed);
     ctx.obs.served.incr(1);
-    match &reply {
-        Reply::Json(response) => job.conn.respond(ctx, response),
-        Reply::Stream { header, chunks } => {
-            ctx.obs.v2_streams.incr(1);
-            // One lock for the whole stream: a concurrently finishing
-            // job on this connection must not interleave its frames
-            // between the header and its chunks (chunks carry no id).
-            // The header cannot outgrow the frame cap — it never
-            // carries the ring, only counts and a checksum.
-            let mut stream = job.conn.stream.lock().unwrap_or_else(|e| e.into_inner());
-            let header_body = header.to_string();
-            if job.conn.write(ctx, &mut stream, header_body.as_bytes()) {
-                for (seq, body) in chunks.iter().enumerate() {
-                    if !job.conn.write(ctx, &mut stream, body) {
-                        // The client went away or stopped reading
-                        // mid-stream; it can resume from its cursor on a
-                        // new connection.
-                        break;
-                    }
-                    ctx.obs.v2_chunks.incr(1);
-                    if star_obs::flightrec::enabled() {
-                        star_obs::flightrec::record(
-                            "serve.v2.chunk",
-                            job.conn.peer.clone(),
-                            &[
-                                ("seq", star_obs::FieldValue::U64(seq as u64)),
-                                ("bytes", star_obs::FieldValue::U64(body.len() as u64)),
-                            ],
-                        );
-                    }
-                }
-            }
-        }
+    if let Reply::Json(response) = &reply {
+        job.conn.respond(ctx, response);
     }
     observe_slo(ctx, &job, false, &timing);
 }
@@ -1143,27 +1222,118 @@ fn audit_ring(n: usize, delta: &RingDelta, faults: &star_fault::FaultSet) -> Res
         .map_err(|e| e.to_string())
 }
 
+/// A v2 header's members: the embed members, the protocol and, when
+/// the ring follows as chunks from `cursor` on, how it is cut.
+fn v2_members(
+    n: usize,
+    ring_len: u64,
+    cached: bool,
+    ring: Option<(u64, u32)>,
+) -> Vec<(String, Json)> {
+    let mut members = embed_members(n, ring_len, cached);
+    members.push(("proto".to_string(), Json::from(PROTO_V2 as u64)));
+    if let Some((cursor, chunk_vertices)) = ring {
+        let chunks = (ring_len - cursor).div_ceil(chunk_vertices as u64);
+        members.push(("encoding".to_string(), Json::from("delta-v2")));
+        members.push(("cursor".to_string(), Json::from(cursor)));
+        members.push((
+            "chunk_vertices".to_string(),
+            Json::from(chunk_vertices as u64),
+        ));
+        members.push(("chunks".to_string(), Json::from(chunks)));
+    }
+    members
+}
+
+/// Streams a cold miss while Lemma 7 builds it: the header leaves with
+/// the first window the embedder's check has passed, each later window
+/// as the fill passes it, and the last after the check has closed the
+/// ring. The header's `server_timing` covers the work before it: the
+/// fill's share joins the lookup's in `embed_us`. Returns
+/// the ring for the oracle to admit; `Err(Some(reason))` when the embed
+/// failed before anything left, to be answered as usual; `Err(None)`
+/// when it failed after, and the stream already ended with the error
+/// document.
+fn stream_miss(
+    ctx: &Ctx,
+    job: &Job,
+    n: usize,
+    faults: &star_fault::FaultSet,
+    options: &EmbedOptions,
+    chunk_vertices: u32,
+    timing: &mut ServerTiming,
+) -> Result<RingDelta, Option<String>> {
+    let embed_start = Instant::now();
+    let ring_len = star_perm::factorial(n) - 2 * faults.vertex_fault_count() as u64;
+    let members = v2_members(n, ring_len, false, Some((0, chunk_vertices)));
+    let id = job.request.id.as_deref();
+    let mut writer = ChunkWriter::new(ctx, job, ok_response(id, "embed", members), ring_len);
+    let on_window = |cursor: u64, window: &RingDelta| {
+        if !writer.started() {
+            timing.embed_us += micros(embed_start.elapsed());
+        }
+        writer.write(cursor, window, timing);
+    };
+    match embed_windowed(n, faults, options, chunk_vertices, on_window) {
+        Ok(ring) => Ok(ring.into_delta()),
+        Err(e) if !writer.started() => Err(Some(e.to_string())),
+        Err(e) => {
+            ctx.obs.embed_failed.incr(1);
+            let (code, message) = (ErrorCode::EmbedFailed, e.to_string());
+            let response = match job.request.trace_id {
+                Some(trace) => error_response_traced(id, code, &message, trace, timing),
+                None => error_response(id, code, &message),
+            };
+            writer.fail(&response);
+            Err(None)
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn serve_embed(
     ctx: &Ctx,
-    id: Option<&str>,
+    job: &Job,
     n: usize,
     faults: &star_fault::FaultSet,
     options: &EmbedOptions,
     return_ring: bool,
     return_certificate: bool,
-    stream: Option<(u64, u32)>,
     timing: &mut ServerTiming,
 ) -> Reply {
+    let id = job.request.id.as_deref();
+    let certified = return_certificate || ctx.verify_responses;
+    // A request that asks for v2 gets its ring streamed.
+    let v2 = (job.request.proto >= PROTO_V2).then(|| {
+        let chunk_vertices = job.request.chunk_vertices.unwrap_or(DEFAULT_CHUNK_VERTICES);
+        (job.request.cursor, chunk_vertices)
+    });
     // Through the canonical oracle: a hit, else a fresh embed admitted
     // to it. Everything past the embedder works on the generator-delta
     // encoding; vertices are only expanded where a response carries them.
     let embed_start = Instant::now();
     let embedded = match oracle_lookup(ctx, n, faults, options) {
         Ok(delta) => Ok((delta, true)),
-        Err((canon, key)) => embed_with_options(n, faults, options)
-            .map_err(|e| e.to_string())
-            .map(|ring| (oracle_admit(ctx, &canon, key, ring.into_delta()), false)),
+        // A miss whose header needs nothing the whole ring decides (no
+        // certificate checksum, no resume offset) streams each window as
+        // soon as the fill has checked it.
+        Err((canon, key)) => match v2 {
+            Some((0, chunk_vertices)) if return_ring && !certified => {
+                timing.embed_us = micros(embed_start.elapsed());
+                let streamed = stream_miss(ctx, job, n, faults, options, chunk_vertices, timing);
+                match streamed {
+                    Ok(ring) => {
+                        oracle_admit(ctx, &canon, key, ring);
+                        return Reply::Streamed;
+                    }
+                    Err(None) => return Reply::Streamed,
+                    Err(Some(msg)) => Err(msg),
+                }
+            }
+            _ => embed_with_options(n, faults, options)
+                .map_err(|e| e.to_string())
+                .map(|ring| (oracle_admit(ctx, &canon, key, ring.into_delta()), false)),
+        },
     };
     timing.embed_us = micros(embed_start.elapsed());
     let (delta, cached) = match embedded {
@@ -1190,32 +1360,18 @@ fn serve_embed(
             }
         }
     }
-    if let Some((cursor, chunk_vertices)) = stream {
+    if let Some((cursor, chunk_vertices)) = v2 {
         // Negotiated v2: the ring (when requested) rides in binary chunk
         // frames after the JSON header, and the certificate collapses to
         // its checksum — the client recomputes it incrementally from the
         // chunks it consumes, so no response member grows with the ring.
-        let encode_start = Instant::now();
-        let mut members = embed_members(n, delta.len() as u64, cached);
-        members.push(("proto".to_string(), Json::from(PROTO_V2 as u64)));
-        let chunks = if return_ring {
-            let chunks = match chunk_stream(&delta, cursor, chunk_vertices) {
-                Ok(chunks) => chunks,
-                Err(msg) => return Reply::Json(error_response(id, ErrorCode::BadRequest, &msg)),
-            };
-            members.push(("encoding".to_string(), Json::from("delta-v2")));
-            members.push(("cursor".to_string(), Json::from(cursor)));
-            members.push((
-                "chunk_vertices".to_string(),
-                Json::from(chunk_vertices as u64),
-            ));
-            members.push(("chunks".to_string(), Json::from(chunks.len())));
-            chunks.iter().map(ChunkFrame::encode).collect()
-        } else {
-            Vec::new()
-        };
-        timing.encode_us = micros(encode_start.elapsed());
-        if return_certificate || ctx.verify_responses {
+        if return_ring && cursor >= delta.len() as u64 {
+            let msg = format!("cursor {cursor} is past the ring length {}", delta.len());
+            return Reply::Json(error_response(id, ErrorCode::BadRequest, &msg));
+        }
+        let ring = return_ring.then_some((cursor, chunk_vertices));
+        let mut members = v2_members(n, delta.len() as u64, cached, ring);
+        if certified {
             // Checksum construction re-walks the ring unless the audit
             // already did: verification work, not encoding.
             let cert_start = Instant::now();
@@ -1230,11 +1386,15 @@ fn serve_embed(
             ));
         }
         let header = ok_response(id, "embed", members);
-        if chunks.is_empty() {
-            Reply::Json(header)
-        } else {
-            Reply::Stream { header, chunks }
+        if !return_ring {
+            return Reply::Json(header);
         }
+        let mut writer = ChunkWriter::new(ctx, job, header, delta.len() as u64);
+        let windows = ring_windows(&delta, cursor, chunk_vertices).expect("cursor checked");
+        for (cursor, window) in windows {
+            writer.write(cursor, &window, timing);
+        }
+        Reply::Streamed
     } else {
         let encode_start = Instant::now();
         let mut members = embed_members(n, delta.len() as u64, cached);
@@ -1242,7 +1402,7 @@ fn serve_embed(
             members.push(("ring".to_string(), ring_to_json(&delta)));
         }
         timing.encode_us = micros(encode_start.elapsed());
-        if return_certificate || ctx.verify_responses {
+        if certified {
             // Certificate construction is verification work (it
             // re-walks the ring), not response encoding.
             let cert_start = Instant::now();

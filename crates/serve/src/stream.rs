@@ -160,9 +160,12 @@ enum Stream<T> {
 /// starts a [`StreamVerifier`], which the following chunk frames feed up
 /// to the chunk flagged `last`. Chunks carry no `id`; they belong to the
 /// last header because the server writes a stream's header and all of
-/// its chunks under one connection lock. A stream that fails
-/// verification, or that a JSON frame cuts short, settles its request as
-/// failed, and its leftover chunks are skipped.
+/// its chunks under one connection lock. A JSON frame inside a stream
+/// that carries the stream's own `id` is the server's error document for
+/// a ring it could not finish, and settles the request once, with that
+/// document. A stream that fails verification, or that another JSON
+/// frame cuts short, settles its request as failed, and its leftover
+/// chunks are skipped.
 pub struct ResponseReader<T> {
     expected: HashMap<Option<String>, (Option<FaultSet>, T)>,
     stream: Stream<T>,
@@ -205,11 +208,19 @@ impl<T> ResponseReader<T> {
         let chunk = match frame {
             Received::Chunk(chunk) => chunk,
             Received::Doc(doc) => {
-                if let Stream::Open(request, ..) = mem::replace(&mut self.stream, Stream::Idle) {
+                let id = doc.get("id").and_then(Json::as_str).map(str::to_string);
+                if let Stream::Open(request, header, _) =
+                    mem::replace(&mut self.stream, Stream::Idle)
+                {
+                    // The server ends a stream it cannot finish with an
+                    // error document for the same request.
+                    if header.get("id").and_then(Json::as_str) == id.as_deref() {
+                        settled.push((Some(request), Ok((doc, None))));
+                        return settled;
+                    }
                     let cut = "JSON frame inside a v2 chunk stream".to_string();
                     settled.push((Some(request), Err(cut)));
                 }
-                let id = doc.get("id").and_then(Json::as_str).map(str::to_string);
                 let Some((faults, request)) = self.expected.remove(&id) else {
                     settled.push((None, Err(format!("response with unknown id: {doc}"))));
                     return settled;
@@ -512,6 +523,33 @@ mod tests {
             panic!("an unknown id is an error");
         };
         assert!(unknown.contains("unknown id"), "{unknown}");
+    }
+
+    #[test]
+    fn a_mid_stream_error_document_settles_its_own_stream_once() {
+        let ring = ring4();
+        let checksum = star_verify::certificate::ring_checksum(ring.iter().map(Perm::rank));
+        let chunks = chunk_stream(&RingDelta::encode(&ring).unwrap(), 0, 6).unwrap();
+        let mut reader: ResponseReader<&str> = ResponseReader::default();
+        reader.expect(Some("s".to_string()), Some(FaultSet::empty(4)), "s");
+        reader.expect(Some("t".to_string()), None, "t");
+        assert!(reader.push(ring_header("s", checksum)).is_empty());
+        assert!(reader.push(Received::Chunk(chunks[0].clone())).is_empty());
+        let failed = doc(
+            "s",
+            &[("ok", Json::Bool(false)), ("error", "embed_failed".into())],
+        );
+        let [(Some("s"), Ok((error, None)))] = &reader.push(failed)[..] else {
+            panic!("s must settle once, with its error document");
+        };
+        assert_eq!(
+            error.get("error").and_then(Json::as_str),
+            Some("embed_failed")
+        );
+        assert_eq!(reader.unsettled(), 1);
+        let settled = reader.push(doc("t", &[("ok", Json::Bool(true))]));
+        assert!(matches!(&settled[..], [(Some("t"), Ok((_, None)))]));
+        assert_eq!(reader.unsettled(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use star_rings::fault::FaultSet;
 use star_rings::obs::json::Json;
 use star_rings::serve::client::{
     certified_embed_request, embed_request, plain_request, with_proto_v2, with_return_ring,
-    Received,
+    with_trace_id, Received,
 };
 use star_rings::serve::proto::write_frame;
 use star_rings::serve::{fetch_verified, Client, StreamVerifier};
@@ -499,6 +499,123 @@ fn v2_stream_resumes_from_a_cursor_on_a_new_connection() {
     let summary = verifier.finish().unwrap();
     assert_eq!(summary.ring_len, ring_len);
     assert!(summary.at_guarantee);
+}
+
+/// A cold miss streams as it is built: a client that reads the header
+/// and the first chunk and then hangs up leaves the ring to be finished
+/// and cached all the same. Re-requesting it on a new connection is a
+/// literal hit with the same ring; resuming the cut stream from the
+/// verifier's position verifies to the same checksum.
+#[test]
+fn a_cold_stream_cut_after_its_first_chunk_is_finished_into_the_cache() {
+    // One worker: the cut stream's fill and admit finish before the next
+    // request is taken.
+    let server = Server::start(&["--threads", "1"]);
+    let (faults, fault_set) = seeded_faults(8, 5, 23);
+    let request = |id: &str, cursor: u64| {
+        let base = embed_request(id, 8, &faults, None);
+        with_proto_v2(with_return_ring(base), cursor, Some(4096))
+    };
+
+    let mut first = server.connect();
+    first.send(&request("cold", 0)).unwrap();
+    let header = match first.recv_any(Duration::from_secs(60)).unwrap() {
+        Received::Doc(doc) => doc,
+        Received::Chunk(_) => panic!("chunk before header"),
+    };
+    assert!(is_ok(&header), "{header}");
+    assert_eq!(header.get("cached"), Some(&Json::Bool(false)));
+    assert!(header.get("cert_checksum").is_none(), "{header}");
+    let ring_len = get_u64(&header, "ring_len");
+    assert_eq!(ring_len, 40_320 - 10);
+    assert_eq!(get_u64(&header, "chunks"), ring_len.div_ceil(4096));
+    let mut cut = StreamVerifier::new(8, ring_len, &fault_set).unwrap();
+    match first.recv_any(Duration::from_secs(60)).unwrap() {
+        Received::Chunk(chunk) => cut.feed(&chunk).unwrap(),
+        Received::Doc(doc) => panic!("JSON inside the stream: {doc}"),
+    }
+    assert_eq!(cut.position(), 4096);
+    drop(first);
+
+    let mut again = server.connect();
+    let (hit, whole) = fetch_verified(
+        &mut again,
+        &request("again", 0),
+        Duration::from_secs(60),
+        &fault_set,
+    )
+    .unwrap();
+    assert_eq!(hit.get("cached"), Some(&Json::Bool(true)), "{hit}");
+    let whole = whole.expect("the hit streams");
+    let stats = again.call(&plain_request("s", "stats")).unwrap();
+    let oracle = stats.get("oracle").expect("stats carries the oracle block");
+    assert_eq!(get_u64(oracle, "literal_hits"), 1, "{stats}");
+    assert_eq!(get_u64(oracle, "misses"), 1, "{stats}");
+
+    let mut resume = server.connect();
+    resume.send(&request("resume", cut.position())).unwrap();
+    let resumed = match resume.recv_any(Duration::from_secs(60)).unwrap() {
+        Received::Doc(doc) => doc,
+        Received::Chunk(_) => panic!("chunk before header"),
+    };
+    assert_eq!(get_u64(&resumed, "cursor"), 4096, "{resumed}");
+    loop {
+        match resume.recv_any(Duration::from_secs(60)).unwrap() {
+            Received::Chunk(chunk) => {
+                cut.feed(&chunk).unwrap();
+                if chunk.last {
+                    break;
+                }
+            }
+            Received::Doc(doc) => panic!("JSON inside the stream: {doc}"),
+        }
+    }
+    let spliced = cut.finish().unwrap();
+    assert_eq!(spliced, whole);
+    assert!(spliced.at_guarantee);
+}
+
+/// Every v2 stream records its time to first chunk; a traced one leaves
+/// it in the flight recorder next to its total, and a cold miss's first
+/// chunk leaves before its last.
+#[cfg(unix)]
+#[test]
+fn a_traced_cold_stream_records_its_time_to_first_chunk() {
+    let dir = std::env::temp_dir().join(format!("star-serve-ttfc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dump = dir.join("ttfc.jsonl");
+    let server = Server::start(&["--threads", "1", "--flightrec-out", dump.to_str().unwrap()]);
+    let mut client = server.connect();
+    let (faults, fault_set) = seeded_faults(8, 5, 29);
+    let trace = 0xC01D_5EED_u128;
+    let request = with_trace_id(
+        with_proto_v2(
+            with_return_ring(embed_request("t", 8, &faults, None)),
+            0,
+            Some(4096),
+        ),
+        trace,
+    );
+    let (header, summary) =
+        fetch_verified(&mut client, &request, Duration::from_secs(60), &fault_set).unwrap();
+    assert!(summary.expect("streamed").at_guarantee, "{header}");
+    assert!(server.interrupt_and_wait().success());
+
+    let text = std::fs::read_to_string(&dump).expect("flight recorder flushed");
+    let event = text
+        .lines()
+        .filter_map(|line| Json::parse(line).ok())
+        .find(|e| e.get("kind").and_then(Json::as_str) == Some("serve.v2.stream"))
+        .expect("the stream's flight-recorder event");
+    assert_eq!(
+        get_str(&event, "trace"),
+        star_rings::obs::format_trace(trace),
+        "{event}"
+    );
+    let fields = event.get("fields").expect("event fields");
+    let (ttfc, total) = (get_u64(fields, "ttfc_us"), get_u64(fields, "total_us"));
+    assert!(ttfc < total, "{event}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// One server, both protocols interleaved: a v1 client's responses are
