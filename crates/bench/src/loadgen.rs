@@ -337,6 +337,9 @@ pub struct LoadgenReport {
     pub v2_streams: u64,
     /// Total binary chunks consumed across those streams.
     pub v2_chunks: u64,
+    /// Misses the server streamed while it built them, at the end of
+    /// the run (from the `stats` response's `v2` block).
+    pub streamed_misses: u64,
 }
 
 impl LoadgenReport {
@@ -463,6 +466,13 @@ impl LoadgenReport {
                 out,
                 "loadgen:   v2 ring streams verified {} ({} chunks)",
                 self.v2_streams, self.v2_chunks
+            );
+        }
+        if self.streamed_misses > 0 {
+            let _ = writeln!(
+                out,
+                "loadgen:   server streamed {} misses as it built them",
+                self.streamed_misses
             );
         }
         if self.certs_checked > 0 || self.cert_failures > 0 {
@@ -1110,6 +1120,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         cert_failures: 0,
         v2_streams: 0,
         v2_chunks: 0,
+        streamed_misses: 0,
     };
     let mut connect_failures = 0u64;
     let mut trace_lines: Vec<String> = Vec::new();
@@ -1170,6 +1181,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
             report.oracle_literal_hits = field("oracle", "literal_hits");
             report.oracle_canonical_hits = field("oracle", "canonical_hits");
             report.oracle_misses = field("oracle", "misses");
+            report.streamed_misses = field("v2", "streamed_misses");
         }
     }
     Ok(report)
@@ -1459,14 +1471,20 @@ mod tests {
     fn summary_reports_v2_streams_only_when_present() {
         let silent = sample_report().render_summary();
         assert!(!silent.contains("v2 ring streams"), "{silent}");
+        assert!(!silent.contains("streamed"), "{silent}");
         let report = LoadgenReport {
             v2_streams: 8,
             v2_chunks: 40,
+            streamed_misses: 3,
             ..sample_report()
         };
         let text = report.render_summary();
         assert!(
             text.contains("v2 ring streams verified 8 (40 chunks)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("server streamed 3 misses as it built them"),
             "{text}"
         );
     }
@@ -1492,6 +1510,7 @@ mod tests {
             cert_failures: 0,
             v2_streams: 0,
             v2_chunks: 0,
+            streamed_misses: 0,
         }
     }
 

@@ -176,16 +176,8 @@ pub fn expand(
     salt: usize,
     faulty_block_loss: usize,
 ) -> Result<RingDelta, EmbedError> {
-    let ring = expand_into(
-        r4,
-        faults,
-        spare_pos,
-        salt,
-        faulty_block_loss,
-        &mut Windows::whole(),
-    )?;
-    crate::invariants::debug_assert_ring(faults, &ring, "expand");
-    Ok(ring)
+    let mut windows = Windows::whole();
+    expand_into(r4, faults, spare_pos, salt, faulty_block_loss, &mut windows)
 }
 
 /// [`expand`], handing the ring to `windows` as the fill passes each
@@ -200,7 +192,9 @@ pub(crate) fn expand_into(
     faulty_block_loss: usize,
     windows: &mut Windows,
 ) -> Result<RingDelta, EmbedError> {
-    fill(r4, faults, spare_pos, salt, faulty_block_loss, windows).map(|(_, ring)| ring)
+    let (_, ring) = fill(r4, faults, spare_pos, salt, faulty_block_loss, windows)?;
+    crate::invariants::debug_assert_ring(faults, &ring, "expand");
+    Ok(ring)
 }
 
 /// The seam plan and the filled ring, trying both starting vertices.
@@ -223,7 +217,8 @@ fn fill<'a>(
                 record_block_counters(healthy as u64, (seams.len() - healthy) as u64, attempt);
                 return Ok((seams, ring));
             }
-            Err(Stop::Seam(_)) if !windows.handed_out() => windows.restart(),
+            // Nothing has left yet: the other start vertex may succeed.
+            Err(Stop::Seam(_)) if !windows.handed_out() => {}
             Err(Stop::Seam(at)) => return Err(EmbedError::ExpansionFailed { block: at }),
             Err(Stop::Check(e)) => return Err(e),
         }
@@ -574,6 +569,7 @@ fn fill_ring(
         .map(|i| seams.path_len(i, faulty_block_loss))
         .sum();
     let mut dims = vec![0u8; total / 2];
+    let start = PackedPerm::from_perm(&x0);
     let mut at = 0usize;
     for (i, ends) in endpoints(seams, faults, x0).enumerate() {
         let (x, y) = ends.ok_or(Stop::Seam(at))?;
@@ -595,13 +591,11 @@ fn fill_ring(
         }
         #[cfg(test)]
         windows.tamper(&mut dims, at, at + len);
-        let vertex_at = |p: u32| PackedPerm::from_perm(&ctx.lift_rank(ranks[p as usize - at]));
         windows
-            .reach(n, &dims, (at + len) as u32, total as u32, vertex_at)
+            .reach(&dims, (at + len) as u32, total as u32, start)
             .map_err(Stop::Check)?;
         at += len;
     }
-    let start = PackedPerm::from_perm(&x0);
     let ring = RingDelta::from_parts(n, total as u32, start.bits(), dims);
     Ok(ring.expect("the fill writes dimensions in 1..n and a zero padding nibble"))
 }

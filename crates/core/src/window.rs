@@ -6,15 +6,15 @@
 //! blocks are written. [`Windows`] takes it from there: once the fill
 //! has passed a window's end, the window is cut from the fill's nibble
 //! arena, pushed through the embedder's one [`RingCheck`], and handed to
-//! the caller's sink. The last window waits for [`Windows::close`],
+//! the caller's sink. Every window is cut by [`DeltaWindows`], so it
+//! starts where the arena's steps lead and the check walks exactly the
+//! ring the fill returns. The last window waits for [`Windows::close`],
 //! which hands it out only after the check has closed the ring and
 //! matched its length. A buffered embed is the same fill with one
 //! window as long as the ring.
 
-use std::borrow::Cow;
-
 use star_fault::{RingCheck, RingError};
-use star_perm::delta::{dims_window, RingDelta};
+use star_perm::delta::{DeltaWindows, RingDelta};
 use star_perm::packed::PackedPerm;
 
 use crate::EmbedError;
@@ -37,8 +37,10 @@ pub(crate) struct Windows<'a> {
     /// Ring position of the first vertex not handed out yet: where the
     /// pending window starts.
     sent: u32,
-    /// The vertex at `sent`, once the fill has written it.
-    start: Option<PackedPerm>,
+    /// The vertex at `sent` once a window has left (before that, the
+    /// ring's start): where the stored steps lead from the last vertex
+    /// handed out.
+    next: Option<PackedPerm>,
     /// A step whose dimension the fill overwrites with its
     /// predecessor's, so the check finds a repeat two vertices on.
     #[cfg(test)]
@@ -53,7 +55,7 @@ impl<'a> Windows<'a> {
             check: None,
             emit: Box::new(emit),
             sent: 0,
-            start: None,
+            next: None,
             #[cfg(test)]
             tamper: None,
         }
@@ -76,36 +78,22 @@ impl<'a> Windows<'a> {
         self.sent > 0
     }
 
-    /// Forgets a failed fill's start vertex before the next attempt.
-    pub(crate) fn restart(&mut self) {
-        debug_assert!(!self.handed_out());
-        self.start = None;
-    }
-
     /// Hands out every complete window but the last, now that the fill
-    /// has written the ring's first `filled` of `total` vertices into
-    /// `dims`. `vertex_at(p)` is the vertex at position `p` of the block
-    /// just written (`p < filled`).
+    /// has written the steps out of the ring's first `filled` of `total`
+    /// vertices into `dims`, starting from `start`.
     pub(crate) fn reach(
         &mut self,
-        n: usize,
         dims: &[u8],
         filled: u32,
         total: u32,
-        vertex_at: impl Fn(u32) -> PackedPerm,
+        start: PackedPerm,
     ) -> Result<(), EmbedError> {
-        while self.sent < filled {
-            let from = self.sent;
-            let start = *self.start.get_or_insert_with(|| vertex_at(from));
-            let to = from.saturating_add(self.len).min(total);
-            if to > filled || to == total {
-                return Ok(());
-            }
-            let steps = (to - from - 1) as usize;
-            let dims = dims_window(dims, from as usize, steps);
-            let window = RingDelta::from_parts(n, to - from, start.bits(), dims)
-                .expect("the fill writes dimensions in 1..n");
+        let at = self.next.unwrap_or(start);
+        let mut cut = DeltaWindows::new(dims, total, self.sent, at, self.len);
+        while matches!(self.sent.checked_add(self.len), Some(to) if to <= filled && to < total) {
+            let (_, window) = cut.next().expect("the window ends before the ring");
             self.pass(&window, false)?;
+            self.next = Some(cut.vertex());
         }
         Ok(())
     }
@@ -116,20 +104,13 @@ impl<'a> Windows<'a> {
     /// `n! - 2|F_v|`.
     pub(crate) fn close(&mut self, ring: &RingDelta) -> Result<(), EmbedError> {
         let total = ring.len();
-        while self.sent < total {
-            let from = self.sent;
-            let count = self.len.min(total - from);
-            let start = self.start.take().unwrap_or_else(|| {
-                // Only without a fill: the `n <= 4` rings, at most 24
-                // vertices.
-                ring.walk().nth(from as usize).expect("from < len")
-            });
-            let window = if count == total {
-                Cow::Borrowed(ring)
-            } else {
-                Cow::Owned(ring.segment(from, count, start))
-            };
-            self.pass(&window, from + count == total)?;
+        if self.sent == 0 && self.len >= total {
+            // One window: the ring itself.
+            return self.pass(ring, true);
+        }
+        let at = self.next.unwrap_or_else(|| ring.start());
+        for (from, window) in ring.windows(self.sent, at, self.len) {
+            self.pass(&window, from + window.len() == total)?;
         }
         Ok(())
     }
@@ -145,7 +126,6 @@ impl<'a> Windows<'a> {
         }
         (self.emit)(self.sent as u64, window);
         self.sent += window.len();
-        self.start = None;
         Ok(())
     }
 
@@ -223,21 +203,18 @@ mod tests {
 
     #[test]
     fn a_bad_step_stops_the_windows_before_its_own() {
-        let (n, len, k) = (7, 1000u32, 3);
+        let (n, len) = (7, 1000u32);
         let faults = gen::random_vertex_faults(n, 4, 5).unwrap();
-        let step = (k * len + len / 2) as usize;
-        let mut cursors = Vec::new();
-        let mut keep = |cursor: u64, _: &RingDelta| cursors.push(cursor);
-        let windows = tampered(Windows::new(len, &mut keep), step);
-        let result = embed_into(n, &faults, &EmbedOptions::default(), windows);
-        assert_eq!(result, Err(EmbedError::ExpansionFailed { block: step + 1 }));
-        assert_eq!(cursors, [0, 1000, 2000]);
-        // As one window, nothing leaves and the error is the same.
-        let mut left = 0;
-        let mut count = |_: u64, _: &RingDelta| left += 1;
-        let windows = tampered(Windows::new(u32::MAX, &mut count), step);
-        let result = embed_into(n, &faults, &EmbedOptions::default(), windows);
-        assert_eq!(result, Err(EmbedError::ExpansionFailed { block: step + 1 }));
-        assert_eq!(left, 0);
+        // A step inside window 3, and the step from window 2 into it,
+        // which belongs to neither window's own steps.
+        for step in [3 * len + len / 2, 3 * len - 1] {
+            let mut cursors = Vec::new();
+            let mut keep = |cursor: u64, _: &RingDelta| cursors.push(cursor);
+            let windows = tampered(Windows::new(len, &mut keep), step as usize);
+            let result = embed_into(n, &faults, &EmbedOptions::default(), windows);
+            let at = step as usize + 1;
+            assert_eq!(result, Err(EmbedError::ExpansionFailed { block: at }));
+            assert_eq!(cursors, [0, 1000, 2000], "step {step}");
+        }
     }
 }

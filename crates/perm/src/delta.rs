@@ -27,10 +27,10 @@ fn unpack_dim(dims: &[u8], i: usize) -> u8 {
 }
 
 /// Steps `from..from + steps` of a nibble-packed stream, packed from a
-/// byte boundary with a zero padding nibble: the dims of a segment that
+/// byte boundary with a zero padding nibble: the dims of a window that
 /// starts at ring position `from`. From an even `from` the steps are
 /// whole bytes of `dims`.
-pub fn dims_window(dims: &[u8], from: usize, steps: usize) -> Vec<u8> {
+fn dims_window(dims: &[u8], from: usize, steps: usize) -> Vec<u8> {
     if from % 2 == 1 {
         return pack_dims((0..steps).map(|i| unpack_dim(dims, from + i)), steps);
     }
@@ -212,19 +212,14 @@ impl RingDelta {
         }
     }
 
-    /// A sub-segment of `count` vertices starting at ring position
-    /// `from`, as its own self-contained delta. `start_at` must be the
-    /// walker-computed vertex at `from` (the caller is walking anyway);
-    /// this is how a stream slices chunks off a cached ring. From an
-    /// even `from` the steps are whole bytes of this delta's stream.
-    pub fn segment(&self, from: u32, count: u32, start_at: PackedPerm) -> RingDelta {
-        debug_assert!(count >= 1 && from + count <= self.len);
-        debug_assert_eq!(start_at.n(), self.n());
-        RingDelta {
-            n: self.n,
-            len: count,
-            start_bits: start_at.bits(),
-            dims: dims_window(&self.dims, from as usize, count as usize - 1),
+    /// Consecutive windows of `count` vertices from ring position
+    /// `from`, where the vertex is `at` (see [`DeltaWindows`]): how a
+    /// stream cuts chunks off a ring.
+    pub fn windows(&self, from: u32, at: PackedPerm, count: u32) -> DeltaWindows<'_> {
+        assert_eq!(at.n(), self.n(), "a window starts at a vertex of S_n");
+        DeltaWindows {
+            validated: true,
+            ..DeltaWindows::new(&self.dims, self.len, from, at, count)
         }
     }
 
@@ -238,6 +233,91 @@ impl RingDelta {
     /// this ring, excluding per-chunk framing).
     pub fn encoded_bytes(&self) -> usize {
         std::mem::size_of::<u64>() + self.dims.len()
+    }
+}
+
+/// Consecutive windows of a ring's step stream from a known ring
+/// position and the vertex there: each the next `count` vertices (the
+/// last window may hold fewer) as its ring position and its own
+/// self-contained [`RingDelta`]. Each window after the first starts
+/// where the stored steps lead, its predecessor's last vertex stepped
+/// along the dimension between them, so the windows concatenate to
+/// exactly the steps they were cut from.
+///
+/// A window reads only its own steps and the step out of it, so a step
+/// stream that is still being written can be cut as far as it goes.
+///
+/// # Panics
+///
+/// When a step it reads is not a star dimension of `n`, which no step
+/// of a [`RingDelta`] is.
+pub struct DeltaWindows<'a> {
+    dims: &'a [u8],
+    len: u32,
+    count: u32,
+    pos: u32,
+    at: PackedPerm,
+    /// `dims` are a [`RingDelta`]'s, checked when it was built, so a
+    /// window need not scan its steps again.
+    validated: bool,
+}
+
+impl<'a> DeltaWindows<'a> {
+    /// Windows of `count` vertices (at least 1) over `dims`, the
+    /// nibble-packed steps of a ring of `len` vertices, from ring
+    /// position `from`, whose vertex is `at`.
+    pub fn new(dims: &'a [u8], len: u32, from: u32, at: PackedPerm, count: u32) -> Self {
+        DeltaWindows {
+            dims,
+            len,
+            count: count.max(1),
+            pos: from,
+            at,
+            validated: false,
+        }
+    }
+
+    /// The vertex where the next window starts.
+    #[inline]
+    pub fn vertex(&self) -> PackedPerm {
+        self.at
+    }
+}
+
+impl Iterator for DeltaWindows<'_> {
+    type Item = (u32, RingDelta);
+
+    fn next(&mut self) -> Option<(u32, RingDelta)> {
+        let left = self.len.checked_sub(self.pos).filter(|&left| left > 0)?;
+        let count = left.min(self.count);
+        let (from, n) = (self.pos, self.at.n());
+        let dims = dims_window(self.dims, from as usize, count as usize - 1);
+        let window = match self.validated {
+            true => RingDelta {
+                n: n as u8,
+                len: count,
+                start_bits: self.at.bits(),
+                dims,
+            },
+            false => RingDelta::from_parts(n, count, self.at.bits(), dims)
+                .unwrap_or_else(|e| panic!("window at {from}: {e}")),
+        };
+        self.pos += count;
+        if count < left {
+            // The step out of this window leads to the next one's start.
+            let out = unpack_dim(self.dims, self.pos as usize - 1) as usize;
+            let step = self.pos - 1;
+            assert!(
+                (1..n).contains(&out),
+                "step {step} has invalid dimension {out} for n={n}"
+            );
+            self.at = window
+                .walk()
+                .last()
+                .expect("a window holds a vertex")
+                .star_move(out);
+        }
+        Some((from, window))
     }
 }
 
@@ -348,6 +428,29 @@ mod tests {
         assert!(RingDelta::from_parts(4, 6, good.start().bits(), vec![0x21, 0x21, 0x32]).is_err());
         // Garbage start bits.
         assert!(RingDelta::from_parts(4, 6, 0x1111, good.dims().to_vec()).is_err());
+    }
+
+    #[test]
+    fn windows_start_where_the_stored_steps_lead() {
+        let ring = small_ring(7);
+        let delta = RingDelta::encode(&ring).unwrap();
+        let at = PackedPerm::from_perm(&ring[1]);
+        let windows: Vec<(u32, Vec<Perm>)> = delta
+            .windows(1, at, 4)
+            .map(|(from, window)| (from, window.decode()))
+            .collect();
+        assert_eq!(windows, [(1, ring[1..5].to_vec()), (5, ring[5..].to_vec())]);
+        // A window's successor follows its step out, not a vertex
+        // supplied from elsewhere: change that one step and the next
+        // window starts elsewhere.
+        let mut dims = delta.dims().to_vec();
+        dims[2] ^= 0x3; // step 4: dimension 1 becomes 2
+        let mut cut = DeltaWindows::new(&dims, 7, 1, at, 4);
+        assert_eq!(
+            cut.next().map(|(_, w)| w.decode()),
+            Some(ring[1..5].to_vec())
+        );
+        assert_eq!(cut.vertex(), PackedPerm::from_perm(&ring[4].star_move(2)));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests: the byte-wide [`RingDelta::map_through`] and
-//! [`RingDelta::segment`] produce exactly the step streams of a
+//! [`RingDelta::windows`] produce exactly the step streams of a
 //! nibble-by-nibble relabel and slice, and every output reassembles
 //! through [`RingDelta::from_parts`].
 
@@ -66,19 +66,25 @@ proptest! {
         let from = from % len;
         let count = 1 + count % (len - from);
         let start_at = delta.walk().nth(from as usize).expect("from < len");
-        let segment = delta.segment(from, count, start_at);
-        let want = nibble_pack((0..count as usize - 1).map(|i| delta.dim_at(from as usize + i)));
-        prop_assert_eq!(segment.dims(), &want[..]);
-        prop_assert_eq!(segment.start(), start_at);
-        let parts = RingDelta::from_parts(delta.n(), count, start_at.bits(), want);
-        prop_assert_eq!(parts, Ok(segment));
+        let mut at = from;
+        for (pos, segment) in delta.windows(from, start_at, count) {
+            prop_assert_eq!(pos, at);
+            let steps = segment.len() as usize - 1;
+            let want = nibble_pack((0..steps).map(|i| delta.dim_at(pos as usize + i)));
+            prop_assert_eq!(segment.dims(), &want[..]);
+            prop_assert_eq!(Some(segment.start()), delta.walk().nth(pos as usize));
+            at += segment.len();
+            let parts = RingDelta::from_parts(delta.n(), segment.len(), segment.start().bits(), want);
+            prop_assert_eq!(parts, Ok(segment));
+        }
+        prop_assert_eq!(at, len);
     }
 }
 
 #[test]
 fn segments_cover_odd_and_even_offsets_and_counts() {
     // One delta, every (from, count) parity pair, against the decoded
-    // vertex list.
+    // vertex list: the windows from `from` tile the rest of it.
     let mut v = PackedPerm::from_perm(&Perm::identity(6));
     let mut ring = vec![v];
     for i in 0..40 {
@@ -89,10 +95,17 @@ fn segments_cover_odd_and_even_offsets_and_counts() {
     let delta = RingDelta::encode(&perms).unwrap();
     for from in [0u32, 1, 2, 7, 10, 36, 37] {
         for count in [1u32, 2, 3, 4] {
-            let segment = delta.segment(from, count, ring[from as usize]);
+            let mut windows = delta.windows(from, ring[from as usize], count);
+            let (_, first) = windows.next().expect("from < len");
             assert_eq!(
-                segment.decode(),
+                first.decode(),
                 &perms[from as usize..(from + count) as usize],
+                "from {from} count {count}"
+            );
+            let rest: Vec<Perm> = windows.flat_map(|(_, w)| w.decode()).collect();
+            assert_eq!(
+                rest,
+                &perms[(from + count) as usize..],
                 "from {from} count {count}"
             );
         }

@@ -763,24 +763,12 @@ pub fn ring_windows(
         ));
     }
     let chunk_vertices = chunk_vertices.clamp(MIN_CHUNK_VERTICES, MAX_CHUNK_VERTICES);
-    let mut walker = delta.walk();
-    let mut at = walker
+    let at = delta
+        .walk()
         .nth(cursor as usize)
         .expect("cursor checked against len");
-    let mut pos = cursor as u32;
-    Ok(std::iter::from_fn(move || {
-        let left = delta.len().checked_sub(pos).filter(|&left| left > 0)?;
-        let count = left.min(chunk_vertices);
-        let window = (pos as u64, delta.segment(pos, count, at));
-        pos += count;
-        if count < left {
-            // The walker stands one past the window's first vertex.
-            at = walker
-                .nth(count as usize - 1)
-                .expect("segment bounds checked");
-        }
-        Some(window)
-    }))
+    let windows = delta.windows(cursor as u32, at, chunk_vertices);
+    Ok(windows.map(|(cursor, window)| (cursor as u64, window)))
 }
 
 /// [`ring_windows`] as the [`ChunkFrame`]s of one stream, collected.

@@ -309,6 +309,8 @@ struct ServeObs {
     // Binary v2 chunk frames written (one stream fans out into many).
     v2_chunks: star_obs::Counter,
     v2_streams: star_obs::Counter,
+    // Misses whose ring was streamed while the fill built it.
+    v2_streamed_misses: star_obs::Counter,
     inline_health: star_obs::Counter,
     inline_stats: star_obs::Counter,
     // Oracle hit taxonomy: a "literal" hit would also have been served by
@@ -352,6 +354,7 @@ fn obs() -> &'static ServeObs {
         reject_oversize: star_obs::counter("serve.reject.oversize_response"),
         v2_chunks: star_obs::counter("serve.v2.chunks"),
         v2_streams: star_obs::counter("serve.v2.streams"),
+        v2_streamed_misses: star_obs::counter("serve.v2.streamed_misses"),
         inline_health: star_obs::counter("serve.inline.health"),
         inline_stats: star_obs::counter("serve.inline.stats"),
         oracle_literal_hit: star_obs::counter("serve.oracle.literal_hit"),
@@ -788,6 +791,10 @@ fn stats_response(ctx: &Ctx, id: Option<&str>) -> Json {
                 Json::Obj(vec![
                     ("streams".to_string(), Json::from(ctx.obs.v2_streams.get())),
                     ("chunks".to_string(), Json::from(ctx.obs.v2_chunks.get())),
+                    (
+                        "streamed_misses".to_string(),
+                        Json::from(ctx.obs.v2_streamed_misses.get()),
+                    ),
                 ]),
             ),
             (
@@ -1275,7 +1282,10 @@ fn stream_miss(
         writer.write(cursor, window, timing);
     };
     match embed_windowed(n, faults, options, chunk_vertices, on_window) {
-        Ok(ring) => Ok(ring.into_delta()),
+        Ok(ring) => {
+            ctx.obs.v2_streamed_misses.incr(1);
+            Ok(ring.into_delta())
+        }
         Err(e) if !writer.started() => Err(Some(e.to_string())),
         Err(e) => {
             ctx.obs.embed_failed.incr(1);

@@ -551,6 +551,9 @@ fn a_cold_stream_cut_after_its_first_chunk_is_finished_into_the_cache() {
     let oracle = stats.get("oracle").expect("stats carries the oracle block");
     assert_eq!(get_u64(oracle, "literal_hits"), 1, "{stats}");
     assert_eq!(get_u64(oracle, "misses"), 1, "{stats}");
+    // The miss streamed while it was built; the hit did not.
+    let v2 = stats.get("v2").expect("stats carries the v2 block");
+    assert_eq!(get_u64(v2, "streamed_misses"), 1, "{stats}");
 
     let mut resume = server.connect();
     resume.send(&request("resume", cut.position())).unwrap();
