@@ -14,6 +14,14 @@
 //! * `embed_with_mixed_faults` at n = 4..8 over every |F_v| + |F_e| = n-3
 //!   split;
 //! * the Tseng loss-4 baseline at n = 6..8;
+//! * the Latifi baseline at n = 6..8 on clustered faults, through both of
+//!   its branches: a cluster of order m <= 3 is a hole in one block of a
+//!   plain `refine` chain, and one of order 4 <= m <= n - 2 is kept
+//!   interior by `refine_opts`;
+//! * the `R^4` that `hierarchy::build_r4` returns for every fault set of
+//!   the embed matrix at n = 6..8, fingerprinted by its length and the
+//!   FNV-1a hash of its patterns' text, so that a change in Lemma 3 shows
+//!   in its own row and not only as a changed ring;
 //! * a seeded `MaintainedRing::fail` sequence at n = 6..8, whose labels pin
 //!   each step's outcome as well as the ring after it, plus a short
 //!   sequence into a block that holds a faulty edge.
@@ -22,13 +30,14 @@
 //! or the construction dispatch must leave every row as it is. A mismatch
 //! prints the differing rows.
 
+use star_rings::baselines::latifi::latifi_ring;
 use star_rings::baselines::tseng_vertex::tseng_vertex_ring;
-use star_rings::fault::{gen, FaultSet};
+use star_rings::fault::{fnv64, gen, FaultSet};
 use star_rings::graph::Edge;
 use star_rings::perm::{Parity, Perm};
 use star_rings::ring::mixed::embed_with_mixed_faults;
 use star_rings::ring::repair::{MaintainedRing, RepairOutcome};
-use star_rings::ring::{embed_with_options, EmbedOptions};
+use star_rings::ring::{embed_with_options, hierarchy, positions, EmbedOptions};
 use star_rings::verify::certificate::ring_checksum;
 use star_rings::verify::check_ring;
 
@@ -165,6 +174,53 @@ fn tseng_rings_match_the_pinned_fingerprints() {
         }
     }
     assert_rows(&actual, TSENG);
+}
+
+#[test]
+fn latifi_rings_match_the_pinned_fingerprints() {
+    let mut actual = Vec::new();
+    let (mut hole, mut interior) = (false, false);
+    for n in 6..=8usize {
+        for m in 2..n {
+            for (count, seed) in [(2usize, 0u64), (3, 1)] {
+                let Ok(faults) = gen::clustered_in_substar(n, count, m, seed) else {
+                    continue; // more faults than the sub-star has vertices
+                };
+                let res = latifi_ring(n, &faults).unwrap();
+                hole |= res.m <= 3;
+                interior |= (4..=n - 2).contains(&res.m);
+                let label = format!("latifi/n{n}/m{}/in{m}/fv{count}/seed{seed}", res.m);
+                actual.push(fingerprint(label, res.ring.vertices(), &faults));
+            }
+        }
+    }
+    assert!(
+        hole,
+        "no cluster of order <= 3: the hole branch did not run"
+    );
+    assert!(
+        interior,
+        "no cluster of order 4..=n-2: refine_opts(keep_interior) did not run"
+    );
+    assert_rows(&actual, LATIFI);
+}
+
+#[test]
+fn hierarchy_r4s_match_the_pinned_fingerprints() {
+    use std::fmt::Write as _;
+    let mut actual = Vec::new();
+    for n in 6..=8usize {
+        for (name, faults) in embed_fault_sets(n) {
+            let plan = positions::select_positions(n, &faults).unwrap();
+            let r4 = hierarchy::build_r4(n, &faults, &plan).unwrap();
+            let mut text = String::new();
+            for pattern in r4.iter() {
+                writeln!(text, "{pattern}").unwrap();
+            }
+            actual.push((format!("r4/n{n}/{name}"), r4.len(), fnv64(text.as_bytes())));
+        }
+    }
+    assert_rows(&actual, R4);
 }
 
 /// SplitMix64: a fixed, dependency-free victim sequence.
@@ -468,4 +524,60 @@ const REPAIR: &[Row] = &[
     ("repair/n8/edge/step0/Ok(Local { block: 0 })", 40318, 0x488e17d41aebfe56),
     ("repair/n8/edge/step1/Ok(Local { block: 0 })", 40316, 0xf504bfecf64d63c0),
     ("repair/n8/edge/step2/Ok(Global)", 40314, 0x6d40f3e6d0e45f26),
+];
+
+#[rustfmt::skip]
+const LATIFI: &[Row] = &[
+    ("latifi/n6/m2/in2/fv2/seed0", 718, 0xf71b8a966ebeb87c),
+    ("latifi/n6/m2/in3/fv2/seed0", 718, 0xf71b8a966ebeb87c),
+    ("latifi/n6/m3/in3/fv3/seed1", 714, 0x658d1add4cfc3581),
+    ("latifi/n6/m3/in4/fv2/seed0", 714, 0xd90feb7fff8219d5),
+    ("latifi/n6/m4/in4/fv3/seed1", 696, 0xb139d3ff5e19cccd),
+    ("latifi/n6/m4/in5/fv2/seed0", 696, 0xffd8790223b432b9),
+    ("latifi/n6/m5/in5/fv3/seed1", 600, 0xfbbeeeffb08b4378),
+    ("latifi/n7/m2/in2/fv2/seed0", 5038, 0xb124b52a03f10d0e),
+    ("latifi/n7/m3/in3/fv2/seed0", 5034, 0x346b82bce5d664b3),
+    ("latifi/n7/m3/in3/fv3/seed1", 5034, 0x197fe702c854399c),
+    ("latifi/n7/m4/in4/fv2/seed0", 5016, 0xbd8e09eb8fc6a893),
+    ("latifi/n7/m4/in4/fv3/seed1", 5016, 0xf47f8cdf6402e00c),
+    ("latifi/n7/m4/in5/fv2/seed0", 5016, 0x620e1ce2c77d7ef2),
+    ("latifi/n7/m5/in5/fv3/seed1", 4920, 0x35b9279328c4ff3f),
+    ("latifi/n7/m4/in6/fv2/seed0", 5016, 0xe3a759146a3cb90d),
+    ("latifi/n7/m6/in6/fv3/seed1", 4320, 0x22123d6203ab31f6),
+    ("latifi/n8/m2/in2/fv2/seed0", 40318, 0x59816154c1aa5cf1),
+    ("latifi/n8/m2/in3/fv2/seed0", 40318, 0xdf342c5c8333583a),
+    ("latifi/n8/m3/in3/fv3/seed1", 40314, 0x93ba64141c6c8d83),
+    ("latifi/n8/m3/in4/fv2/seed0", 40314, 0xd519d1b0ee8ea421),
+    ("latifi/n8/m4/in4/fv3/seed1", 40296, 0x3d82a1266313ffc3),
+    ("latifi/n8/m5/in5/fv2/seed0", 40200, 0xdb229229e2ced3ff),
+    ("latifi/n8/m5/in5/fv3/seed1", 40200, 0xa93eab60fc298186),
+    ("latifi/n8/m6/in6/fv2/seed0", 39600, 0x1c7900968d3c081a),
+    ("latifi/n8/m6/in6/fv3/seed1", 39600, 0x02da92270c045539),
+    ("latifi/n8/m5/in7/fv2/seed0", 40200, 0x02433534c9b983f5),
+    ("latifi/n8/m7/in7/fv3/seed1", 35280, 0x58688467d80904d7),
+];
+
+#[rustfmt::skip]
+const R4: &[Row] = &[
+    ("r4/n6/fv0/none", 30, 0x5fb3acb36326b477),
+    ("r4/n6/fv1/random", 30, 0x5fb3acb36326b477),
+    ("r4/n6/fv1/worst", 30, 0x5fb3acb36326b477),
+    ("r4/n6/fv1/clustered", 30, 0x5fb3acb36326b477),
+    ("r4/n6/fv3/random", 30, 0xf7b3aefef7461a09),
+    ("r4/n6/fv3/worst", 30, 0xd1b8aad05d0f39d5),
+    ("r4/n6/fv3/clustered", 30, 0x69ff689f048c5c57),
+    ("r4/n7/fv0/none", 210, 0x8c749d44962acac1),
+    ("r4/n7/fv1/random", 210, 0x8c749d44962acac1),
+    ("r4/n7/fv1/worst", 210, 0x8c749d44962acac1),
+    ("r4/n7/fv1/clustered", 210, 0x8c749d44962acac1),
+    ("r4/n7/fv4/random", 210, 0x8c749d44962acac1),
+    ("r4/n7/fv4/worst", 210, 0x8c749d44962acac1),
+    ("r4/n7/fv4/clustered", 210, 0xfad151ca9e246395),
+    ("r4/n8/fv0/none", 1680, 0xfce0361b6ab72e75),
+    ("r4/n8/fv1/random", 1680, 0xfce0361b6ab72e75),
+    ("r4/n8/fv1/worst", 1680, 0xfce0361b6ab72e75),
+    ("r4/n8/fv1/clustered", 1680, 0xfce0361b6ab72e75),
+    ("r4/n8/fv5/random", 1680, 0xfce0361b6ab72e75),
+    ("r4/n8/fv5/worst", 1680, 0xfce0361b6ab72e75),
+    ("r4/n8/fv5/clustered", 1680, 0xf28df8dce72aa27d),
 ];
