@@ -49,6 +49,7 @@ use star_perm::{Parity, Perm, MAX_N};
 
 use crate::blockctx::BlockCtx;
 use crate::oracle::{self, BlockCensus};
+use crate::seam::{self, Seat, Symbols};
 use crate::window::Windows;
 use crate::EmbedError;
 
@@ -73,31 +74,26 @@ pub struct BlockSegment {
 /// `BlockPlan::fault` of a block that holds no vertex fault.
 const NO_FAULT: u32 = u32::MAX;
 
-/// One block's share of the seam plan, 12 bytes. The block itself is
-/// read from the `R^4` by index, and its entry and exit 3-vertices are
-/// `sub(spare, seam)` of the previous block's seam and its own.
+/// One block's share of the seam plan, 12 bytes next to its seam byte in
+/// [`Seams::seams`]. The block itself is read from the `R^4` by index,
+/// and its entry and exit 3-vertices are `sub(spare, seam)` of the
+/// previous block's seam and its own.
 #[derive(Debug, Clone, Copy)]
 struct BlockPlan {
     /// Index into `faults.vertices()` of the block's first vertex fault,
     /// or [`NO_FAULT`] (a fault list is shorter than `12!`).
     fault: u32,
-    /// The seam symbol `w_i` toward the next block: the spare-position
-    /// symbol of this block's exit 3-vertex and of the next block's
-    /// entry 3-vertex.
-    seam: u8,
-    /// Position where `A_i` and `A_{i+1}` differ.
-    cross_dif: u8,
-    /// `A_{i+1}`'s symbol at `dif(A_i, A_{i+1})` — the first symbol a
-    /// member of `A_i` must hold to cross forward.
-    cross_symbol: u8,
+    /// Where the block meets its neighbours: `dif` toward the next block
+    /// and Lemma 1's blocked symbol toward each side.
+    seat: Seat,
     /// Vertex faults inside the block (0 or 1 under (P1)).
     faults: u8,
     /// Whether a faulty edge lies inside the block (mixed faults).
     edge_faulty: bool,
 }
 
-/// The seam pass's result: one [`BlockPlan`] per block of the `R^4`,
-/// in ring order from the block at `start`.
+/// The seam pass's result: one [`BlockPlan`] and one seam per block of
+/// the `R^4`, in ring order from the block at `start`.
 struct Seams<'a> {
     r4: &'a SuperRing,
     /// Index in `r4` of plan block 0: a healthy block after a healthy
@@ -105,6 +101,9 @@ struct Seams<'a> {
     start: usize,
     spare: usize,
     plans: Vec<BlockPlan>,
+    /// The seam symbol `w_i` toward the next block: the spare-position
+    /// symbol of block `i`'s exit 3-vertex and of block `i+1`'s entry.
+    seams: Vec<u8>,
 }
 
 impl Seams<'_> {
@@ -128,12 +127,12 @@ impl Seams<'_> {
 
     /// Block `i`'s entry 3-vertex.
     fn entry(&self, i: usize) -> Pattern {
-        self.sub(i, self.plans[(i + self.len() - 1) % self.len()].seam)
+        self.sub(i, self.seams[(i + self.len() - 1) % self.len()])
     }
 
     /// Block `i`'s exit 3-vertex.
     fn exit(&self, i: usize) -> Pattern {
-        self.sub(i, self.plans[i].seam)
+        self.sub(i, self.seams[i])
     }
 
     /// Block `i`'s fault census, as the table-or-search rule reads it.
@@ -277,16 +276,10 @@ fn record_block_counters(healthy: u64, faulty: u64, attempt: usize) {
 }
 
 /// The two vertices of block 0's entry 3-vertex that are adjacent to the
-/// last block (i.e. whose first symbol is block `L-1`'s dif symbol toward
-/// block 0 — crossing *backward*).
+/// last block: a member of block 0 crosses back iff its first symbol is
+/// the one blocked toward the last block.
 fn entry_candidates(seams: &Seams) -> impl Iterator<Item = Perm> {
-    let last = seams.len() - 1;
-    // Crossing from A_0 back to A_{L-1}: a member of A_0 crosses iff its
-    // first symbol equals A_{L-1}'s symbol at the shared dif.
-    let back_symbol = seams
-        .block(last)
-        .fixed_symbol(seams.plans[last].cross_dif as usize)
-        .expect("dif position pinned");
+    let back_symbol = seams.plans[0].seat.blocked_prev;
     let entry = seams.entry(0);
     let candidates: Vec<Perm> = entry
         .vertices()
@@ -303,26 +296,13 @@ fn plan_blocks<'a>(
     salt: usize,
 ) -> Result<Seams<'a>, EmbedError> {
     let len = r4.len();
-    // Start the seam scan at two consecutive healthy blocks: the cyclic
-    // wrap-around constraint is then slack and the bounded backtracking
-    // never cascades around the whole ring. (A faulty block pins its two
-    // seams to one symbol; discovering that only at the wrap would
-    // otherwise force exponential re-exploration.) Such a pair exists
-    // whenever faulty blocks are non-adjacent and fewer than half the
-    // ring — guaranteed under (P3) with the paper's budget; else a single
-    // healthy block 0, else no rotation.
-    let faulty = |k: usize| faults.count_vertex_faults_in(r4.get(k % len)) > 0;
-    let start = (0..len)
-        .find(|&k| !faulty(k) && !faulty(k + len - 1))
-        .or_else(|| (0..len).find(|&k| !faulty(k)))
-        .unwrap_or(0);
+    let start = seam::healthy_start(len, |k| faults.count_vertex_faults_in(r4.get(k)) > 0);
     let block = |i: usize| r4.get((start + i) % len);
 
     // Geometry and census per block; the seams are chosen below.
     let mut plans = Vec::with_capacity(len);
-    for i in 0..len {
-        let (cur, next) = (block(i), block(i + 1));
-        let d = cur.dif(next).expect("ring adjacency");
+    for (i, seat) in seam::seats(len, block).enumerate() {
+        let cur = block(i);
         let census = BlockCensus::of(cur, faults);
         debug_assert!(census.count <= 1, "(P1)");
         let fault = census.first.map_or(NO_FAULT, |f| {
@@ -334,108 +314,59 @@ fn plan_blocks<'a>(
         });
         plans.push(BlockPlan {
             fault,
-            seam: 0,
-            cross_dif: d as u8,
-            cross_symbol: next.fixed_symbol(d).expect("pinned at dif"),
+            seat,
             faults: census.count.min(u8::MAX as usize) as u8,
             edge_faulty: census.edge_faulty,
         });
     }
-    // The symbol that blocks block `i`'s 3-vertex from the previous
-    // block: A_{i-1}'s symbol at dif(A_{i-1}, A_i). (P2) makes it differ
-    // from the one blocked toward the next block, leaving two
-    // both-connected 3-vertices.
-    let blocked_prev = |plans: &[BlockPlan], i: usize| -> u8 {
-        let p = (i + len - 1) % len;
-        block(p)
-            .fixed_symbol(plans[p].cross_dif as usize)
-            .expect("pinned at dif")
-    };
 
-    // Seam symbols w[i] between block i and i+1, chosen by bounded
-    // backtracking. Faulty blocks force pass-through (w[i-1] == w[i] == Q's
-    // symbol, healthy and both-connected); healthy blocks prefer distinct
-    // in/out but tolerate pass-through (the oracle handles both). A block
-    // has 4 free symbols, so each candidate list fits a fixed array,
-    // recomputed from the two blocks whenever the scan visits a seam.
-    let options = |i: usize| -> ([u8; 4], usize) {
-        let inter = block(i)
-            .free_symbols()
-            .intersection(&block(i + 1).free_symbols());
-        let mut opts = [0u8; 4];
-        let mut m = 0usize;
-        for s in inter.iter() {
-            opts[m] = s;
-            m += 1;
+    // Seam symbols w[i] between block i and i+1. Faulty blocks force
+    // pass-through (w[i-1] == w[i] == Q's symbol, healthy and
+    // both-connected); healthy blocks prefer distinct in/out but tolerate
+    // pass-through (the oracle handles both). The salt rotates each
+    // seam's candidates so retries explore different seam assignments
+    // (used by the mixed vertex+edge embedder).
+    let candidates = |i: usize| {
+        // The symbols free in both blocks: block i's, but the one blocked
+        // toward block i+1.
+        let mut common = block(i).free_symbols();
+        common.remove(plans[i].seat.blocked_next);
+        let mut opts = Symbols::of(common);
+        let opts_mut = opts.as_mut_slice();
+        if salt > 0 && !opts_mut.is_empty() {
+            let k = (salt + i) % opts_mut.len();
+            opts_mut.rotate_left(k);
         }
-        // The salt rotates preference order so retries explore different
-        // seam assignments (used by the mixed vertex+edge embedder).
-        if salt > 0 && m > 0 {
-            let k = (salt + i) % m;
-            opts[..m].rotate_left(k);
-        }
-        (opts, m)
+        opts
     };
-    let sv_ok = |plans: &[BlockPlan], i: usize, w_in: u8, w_out: u8| -> bool {
+    let crosses = |i: usize, w_in: u8, w_out: u8| -> bool {
         let plan = &plans[i];
-        let (prev_blocked, next_blocked) = (blocked_prev(plans, i), plan.cross_symbol);
-        debug_assert_ne!(prev_blocked, next_blocked, "(P2)");
+        let Seat {
+            blocked_prev,
+            blocked_next,
+            ..
+        } = plan.seat;
+        debug_assert_ne!(blocked_prev, blocked_next, "(P2)");
         if plan.fault != NO_FAULT {
             // Pass-through through a healthy, both-connected Q.
             let fsym = faults.vertices()[plan.fault as usize].get(spare_pos);
-            w_in == w_out && w_in != fsym && w_in != prev_blocked && w_in != next_blocked
+            w_in == w_out && w_in != fsym && w_in != blocked_prev && w_in != blocked_next
         } else if w_in == w_out {
             // Healthy pass-through: Q must be both-connected so the
             // Lemma-6 disjointness argument applies.
-            w_in != prev_blocked && w_in != next_blocked
+            w_in != blocked_prev && w_in != blocked_next
         } else {
             true
         }
     };
-
-    if (0..len).any(|i| options(i).1 == 0) {
-        return Err(EmbedError::ExpansionFailed { block: 0 });
-    }
-    // The invariant: `plans[j].seam` is candidate `choice[j]` of seam `j`
-    // for every `j < i`.
-    let mut choice = vec![0u8; len];
-    let mut budget: u64 = 1_000_000u64.max(len as u64 * 50);
-    let mut i = 0usize;
-    loop {
-        if budget == 0 {
-            return Err(EmbedError::ExpansionFailed { block: i });
-        }
-        budget -= 1;
-        let (opts, m) = options(i);
-        if choice[i] as usize >= m {
-            choice[i] = 0;
-            if i == 0 {
-                return Err(EmbedError::ExpansionFailed { block: 0 });
-            }
-            i -= 1;
-            choice[i] += 1;
-            continue;
-        }
-        let w_i = opts[choice[i] as usize];
-        plans[i].seam = w_i;
-        if i >= 1 && !sv_ok(&plans, i, plans[i - 1].seam, w_i) {
-            choice[i] += 1;
-            continue;
-        }
-        if i + 1 == len {
-            if sv_ok(&plans, 0, w_i, plans[0].seam) {
-                break;
-            }
-            choice[i] += 1;
-            continue;
-        }
-        i += 1;
-    }
+    let seams = seam::scan(len, candidates, crosses)
+        .map_err(|block| EmbedError::ExpansionFailed { block })?;
     Ok(Seams {
         r4,
         start,
         spare: spare_pos,
         plans,
+        seams,
     })
 }
 
@@ -517,7 +448,7 @@ fn endpoints<'a>(
             "entry vertex in entry 3-vertex"
         );
         let exit = seams.exit(i);
-        let cross_dif = plan.cross_dif as usize;
+        let cross_dif = plan.seat.dif_next as usize;
         let (y, next) = if i == last {
             // Close the cycle: the exit must be the unique neighbor of x0
             // across the wrap-around super-edge (same vertex the parity
@@ -528,7 +459,7 @@ fn endpoints<'a>(
             }
             (y, x0)
         } else {
-            let y = cross_exit(&exit, plan.cross_symbol, want_parity)?;
+            let y = cross_exit(&exit, plan.seat.blocked_next, want_parity)?;
             (y, y.swapped(0, cross_dif))
         };
         // Seam health: the entry vertex and, when present, the edge out.
@@ -554,7 +485,7 @@ enum Stop {
 /// nibble arena of step dimensions and hands `windows` every window the
 /// fill has passed. Block `i` starts at an even ring offset `off_i` and
 /// has an even path length, so it owns the bytes `off_i/2 .. off_{i+1}/2`:
-/// its `len - 1` in-block steps, then its seam step along `cross_dif`.
+/// its `len - 1` in-block steps, then its seam step along `dif_next`.
 /// The last block's seam nibble is the padding, because the closing edge
 /// is not stored; the start vertex is `x0`.
 fn fill_ring(
@@ -580,7 +511,7 @@ fn fill_ring(
         let seam = if i + 1 == seams.len() {
             0
         } else {
-            seams.plans[i].cross_dif
+            seams.plans[i].seat.dif_next
         };
         for (j, byte) in dims[at / 2..(at + len) / 2].iter_mut().enumerate() {
             let high = match ranks.get(2 * j + 2) {
@@ -615,7 +546,8 @@ mod tests {
 
     #[test]
     fn the_seam_plan_keeps_at_most_16_bytes_per_block() {
-        assert!(std::mem::size_of::<BlockPlan>() <= 16);
+        // A block's record and its seam byte.
+        assert!(std::mem::size_of::<BlockPlan>() + std::mem::size_of::<u8>() <= 16);
     }
 
     #[test]
@@ -641,12 +573,12 @@ mod tests {
             for want in [Parity::Even, Parity::Odd] {
                 let scanned = exit
                     .vertices()
-                    .find(|v| v.first() == plan.cross_symbol && v.parity() == want);
+                    .find(|v| v.first() == plan.seat.blocked_next && v.parity() == want);
                 assert_eq!(
-                    cross_exit(&exit, plan.cross_symbol, want),
+                    cross_exit(&exit, plan.seat.blocked_next, want),
                     scanned,
                     "{exit} cross={} want={want:?}",
-                    plan.cross_symbol
+                    plan.seat.blocked_next
                 );
             }
         }

@@ -14,23 +14,26 @@
 //!   those two are adjacent;
 //! * inside `A_k`, the path's **second** element must be connected to
 //!   `A_{k-1}` and its **second-to-last** to `A_{k+1}` (each super-vertex
-//!   has exactly one sub-vertex *not* connected to a given neighbor —
-//!   [`star_graph::supervertex::blocked_symbol`]); this is precisely what
-//!   makes property **(P2)** hold across every seam triple;
+//!   has exactly one sub-vertex *not* connected to a given neighbor, the
+//!   one pinned to Lemma 1's blocked symbol); this is precisely what makes
+//!   property **(P2)** hold across every seam triple;
 //! * on the final step (producing the `R^4`), choices are additionally
 //!   fault-aware: no two consecutive faulty 4-vertices inside a path or
 //!   across a seam — property **(P3)** — while Lemma 2's position plan
 //!   already guarantees **(P1)**.
 //!
-//! Seam symbols are chosen by a bounded-backtracking scan (each seam has
-//! `r-1` candidate symbols and constraints are local, so backtracking is
-//! rare); a failure is reported as an error, never silently absorbed.
+//! Seam symbols are chosen by the seam scan Lemma 7 also uses
+//! ([`crate::seam`]): each seam has `r-1` candidate symbols and the
+//! constraints are local, so backtracking is rare; a failure is reported
+//! as an error, never silently absorbed.
 
 use star_fault::FaultSet;
 use star_graph::partition::i_partition;
-use star_graph::{Pattern, SuperRing};
+use star_graph::{Pattern, SuperRing, SymbolSet};
+use star_perm::iter::next_permutation;
 
 use crate::positions::PositionPlan;
+use crate::seam::{self, Seat, Symbols};
 use crate::EmbedError;
 
 /// Builds the initial `R^{n-1}`: the `a_1`-partition of `S_n` produces `n`
@@ -43,18 +46,30 @@ pub fn initial_ring(n: usize, a1: usize) -> Result<SuperRing, EmbedError> {
     SuperRing::new(parts).map_err(|_| EmbedError::RefinementFailed { level: n })
 }
 
-/// Per-super-vertex context computed once per refinement step.
-struct SeamCtx {
-    /// Common free symbols with the successor (seam symbol options).
-    common_next: Vec<u8>,
-    /// Symbol whose sub-vertex is not connected to the predecessor
-    /// (`A_{k-1}`'s symbol at the shared dif).
-    blocked_prev: u8,
-    /// Symbol whose sub-vertex is not connected to the successor.
-    blocked_next: u8,
-    /// Free symbols whose sub-vertex contains a fault (fault-aware step
-    /// only).
-    faulty_syms: Vec<u8>,
+/// What the seam scan reads of one super-vertex, computed once per
+/// refinement step: 8 bytes, with no heap of its own.
+#[derive(Debug, Clone, Copy)]
+struct Clique {
+    seat: Seat,
+    /// Free symbols: one sub-vertex each at the partition position.
+    free: SymbolSet,
+    /// Free symbols whose sub-vertex holds a vertex fault (fault-aware
+    /// step only).
+    faulty: SymbolSet,
+}
+
+impl Clique {
+    /// A path through the clique from `w_in` to `w_out`, if one exists.
+    fn path(&self, w_in: u8, w_out: u8) -> Option<Symbols> {
+        arrange_path(
+            self.free,
+            w_in,
+            w_out,
+            self.seat.blocked_prev,
+            self.seat.blocked_next,
+            self.faulty,
+        )
+    }
 }
 
 /// Refines `R^{r+1} -> R^r` by partitioning at `pos`. With `fault_aware`
@@ -84,118 +99,84 @@ pub fn refine_opts(
     fault_aware: bool,
     keep_interior: Option<&Pattern>,
 ) -> Result<SuperRing, EmbedError> {
-    // Fault-aware refinement starts the seam scan at consecutive fault-free
-    // super-vertices so the cyclic wrap constraint stays slack (see the
-    // matching rotation in `expand`).
-    let rotated;
-    let ring = if fault_aware {
-        rotated = rotate_to_fault_free_start(ring, faults);
-        &rotated
-    } else {
-        ring
-    };
     let len = ring.len();
     let order = ring.r();
     debug_assert!(order >= 5, "refinement keeps order >= 4");
+    let failed = || EmbedError::RefinementFailed { level: order };
+    // The fault-aware step starts the chain, and the refined ring, at the
+    // scan's healthy start.
+    let start = if fault_aware {
+        seam::healthy_start(len, |k| faults.count_vertex_faults_in(ring.get(k)) > 0)
+    } else {
+        0
+    };
+    let at = |k: usize| ring.get_wrapped(start + k);
 
-    // Precompute seam geometry.
-    let mut ctx = Vec::with_capacity(len);
-    for k in 0..len {
-        let prev = ring.get_wrapped(k + len - 1);
-        let cur = ring.get(k);
-        let next = ring.get_wrapped(k + 1);
-        let d_prev = prev.dif(cur).expect("ring adjacency");
-        let d_next = cur.dif(next).expect("ring adjacency");
-        let free = cur.free_symbols();
-        let common_next: Vec<u8> = free.intersection(&next.free_symbols()).iter().collect();
-        let faulty_syms = if fault_aware {
-            faults
-                .vertex_faults_in(cur)
-                .iter()
-                .map(|f| f.get(pos))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        ctx.push(SeamCtx {
-            common_next,
-            blocked_prev: prev.fixed_symbol(d_prev).expect("pinned at dif"),
-            blocked_next: next.fixed_symbol(d_next).expect("pinned at dif"),
-            faulty_syms,
-        });
-    }
+    let cliques: Vec<Clique> = seam::seats(len, at)
+        .enumerate()
+        .map(|(k, seat)| {
+            let cur = at(k);
+            let mut faulty = SymbolSet::empty();
+            if fault_aware {
+                for f in faults.vertices().iter().filter(|f| cur.contains(f)) {
+                    faulty.insert(f.get(pos));
+                }
+            }
+            Clique {
+                seat,
+                free: cur.free_symbols(),
+                faulty,
+            }
+        })
+        .collect();
 
     // The interior constraint translates to: the two seams flanking the
     // child's parent must not use the child's symbol at `pos`.
-    if let Some(child) = keep_interior {
+    let interior = keep_interior.and_then(|child| {
         let child_sym = child
             .fixed_symbol(pos)
             .expect("keep_interior child pinned at partition position");
-        let mut parent = *child;
-        parent = {
-            // Un-pin `pos`: rebuild the spec with a don't-care there.
-            let mut spec = [0u8; star_perm::MAX_N];
-            for (i, slot) in spec.iter_mut().enumerate().take(parent.n()) {
-                *slot = parent.fixed_symbol(i).unwrap_or(0);
-            }
-            spec[pos] = 0;
-            Pattern::from_spec(&spec[..child.n()])
-                .expect("parent of a valid child is a valid pattern")
-        };
-        if let Some(k) = (0..len).find(|&k| ring.get(k) == &parent) {
-            ctx[k].common_next.retain(|&w| w != child_sym);
-            let prev = (k + len - 1) % len;
-            ctx[prev].common_next.retain(|&w| w != child_sym);
-        }
-    }
+        let parent = (0..len).find(|&k| at(k).sub(pos, child_sym).ok() == Some(*child))?;
+        Some((parent, child_sym))
+    });
 
-    let seams = choose_seam_symbols(&ctx, fault_aware)
-        .ok_or(EmbedError::RefinementFailed { level: order })?;
+    // Seam k's candidates: the symbols free in both A_k and A_{k+1}, that
+    // is A_k's free symbols but the one blocked toward A_{k+1}.
+    let candidates = |k: usize| {
+        let (cur, next) = (&cliques[k], &cliques[(k + 1) % len]);
+        let mut common = cur.free;
+        common.remove(cur.seat.blocked_next);
+        // (P3) across the seam: the exit of k and the entry of k+1 must
+        // not both be faulty.
+        for w in cur.faulty.intersection(&next.faulty).iter() {
+            common.remove(w);
+        }
+        if let Some((parent, child_sym)) = interior {
+            if k == parent || (k + 1) % len == parent {
+                common.remove(child_sym);
+            }
+        }
+        Symbols::of(common)
+    };
+    let crosses =
+        |k: usize, w_in: u8, w_out: u8| w_in != w_out && cliques[k].path(w_in, w_out).is_some();
+    let seams = seam::scan(len, candidates, crosses).map_err(|_| failed())?;
 
     // Materialize: for each super-vertex, arrange its sub-vertices along
     // the chosen Hamiltonian path of the clique.
     let mut out: Vec<Pattern> = Vec::with_capacity(len * order);
-    for k in 0..len {
-        let cur = ring.get(k);
-        let w_in = seams[(k + len - 1) % len];
-        let w_out = seams[k];
-        let free: Vec<u8> = cur.free_symbols().iter().collect();
-        let arranged = arrange_path(
-            &free,
-            w_in,
-            w_out,
-            ctx[k].blocked_prev,
-            ctx[k].blocked_next,
-            &ctx[k].faulty_syms,
-        )
-        .ok_or(EmbedError::RefinementFailed { level: order })?;
-        for z in arranged {
+    for (k, clique) in cliques.iter().enumerate() {
+        let path = clique
+            .path(seams[(k + len - 1) % len], seams[k])
+            .ok_or_else(failed)?;
+        let cur = at(k);
+        for &z in path.as_slice() {
             out.push(cur.sub(pos, z).expect("free symbol at free position"));
         }
     }
-    let refined = SuperRing::new(out).map_err(|_| EmbedError::RefinementFailed { level: order })?;
+    let refined = SuperRing::new(out).map_err(|_| failed())?;
     debug_assert!(refined.satisfies_p2(), "seam discipline implies (P2)");
     Ok(refined)
-}
-
-/// Rotates the ring so indices 0 and `len-1` hold no faults (falling back
-/// gracefully when impossible).
-fn rotate_to_fault_free_start(ring: &SuperRing, faults: &FaultSet) -> SuperRing {
-    let len = ring.len();
-    let faulty: Vec<bool> = ring
-        .iter()
-        .map(|p| faults.count_vertex_faults_in(p) > 0)
-        .collect();
-    let start = (0..len)
-        .find(|&k| !faulty[k] && !faulty[(k + len - 1) % len])
-        .or_else(|| (0..len).find(|&k| !faulty[k]))
-        .unwrap_or(0);
-    if start == 0 {
-        return ring.clone();
-    }
-    let mut patterns: Vec<Pattern> = ring.iter().copied().collect();
-    patterns.rotate_left(start);
-    SuperRing::new(patterns).expect("rotation preserves ring validity")
 }
 
 /// Runs the whole Lemma-3 pipeline for `n >= 6`: initial `a_1`-partition,
@@ -222,140 +203,25 @@ pub fn build_r4(n: usize, faults: &FaultSet, plan: &PositionPlan) -> Result<Supe
     Ok(ring)
 }
 
-/// Chooses one shared symbol per seam such that every super-vertex can
-/// arrange its internal path. Bounded-backtracking scan over the cyclic
-/// chain; `None` on exhaustion.
-fn choose_seam_symbols(ctx: &[SeamCtx], fault_aware: bool) -> Option<Vec<u8>> {
-    let len = ctx.len();
-    // seam k sits between super-vertex k and k+1.
-    let seam_options = |k: usize| -> Vec<u8> {
-        let mut opts = ctx[k].common_next.clone();
-        if fault_aware {
-            // (P3) across the seam: exit of k and entry of k+1 must not
-            // both be faulty.
-            opts.retain(|w| {
-                !(ctx[k].faulty_syms.contains(w) && ctx[(k + 1) % len].faulty_syms.contains(w))
-            });
-        }
-        opts
-    };
-    // Is super-vertex k internally arrangeable given its in/out symbols?
-    let sv_ok = |k: usize, w_in: u8, w_out: u8| -> bool {
-        if w_in == w_out {
-            return false;
-        }
-        // Cheap feasibility probe; the real arrangement is recomputed later.
-        arrange_feasible(
-            ctx[k].common_next.len() + 1, // order r+1 = |free|; common = r
-            w_in,
-            w_out,
-            ctx[k].blocked_prev,
-            ctx[k].blocked_next,
-            &ctx[k].faulty_syms,
-            &full_free(ctx, k),
-        )
-    };
-
-    let mut choice: Vec<usize> = vec![0; len]; // index into options per seam
-    let options: Vec<Vec<u8>> = (0..len).map(seam_options).collect();
-    if options.iter().any(|o| o.is_empty()) {
-        return None;
-    }
-    // Iterative DFS with a global budget scaled to the ring length
-    // (backtracking is rare; the budget guards pathological inputs).
-    let mut budget: u64 = 1_000_000u64.max(len as u64 * 50);
-    let mut k = 0usize;
-    loop {
-        if budget == 0 {
-            return None;
-        }
-        budget -= 1;
-        if choice[k] >= options[k].len() {
-            // Exhausted: backtrack.
-            choice[k] = 0;
-            if k == 0 {
-                return None;
-            }
-            k -= 1;
-            choice[k] += 1;
-            continue;
-        }
-        let w_k = options[k][choice[k]];
-        // Constraint on super-vertex k: needs seam k-1 (already chosen when
-        // k >= 1).
-        let ok = if k >= 1 {
-            sv_ok(k, options[k - 1][choice[k - 1]], w_k)
-        } else {
-            true
-        };
-        if !ok {
-            choice[k] += 1;
-            continue;
-        }
-        if k + 1 == len {
-            // Close the cycle: check super-vertex 0 (in = seam len-1,
-            // out = seam 0) and super-vertex len-1 was just checked.
-            let w_last = w_k;
-            let w_first = options[0][choice[0]];
-            if sv_ok(0, w_last, w_first) {
-                return Some((0..len).map(|i| options[i][choice[i]]).collect());
-            }
-            choice[k] += 1;
-            continue;
-        }
-        k += 1;
-    }
-}
-
-/// All free symbols of super-vertex `k` (reconstructed from its seam
-/// context: common-with-next plus the blocked-next symbol is *not* free, so
-/// instead we carry it through the context's option list plus blocked_prev
-/// if missing). Kept tiny and allocation-free by returning a fixed array.
-fn full_free(ctx: &[SeamCtx], k: usize) -> Vec<u8> {
-    // free(A_k) = common_next ∪ {blocked_next}: the successor's dif symbol
-    // is the unique free symbol of A_k not shared with the successor.
-    let mut v = ctx[k].common_next.clone();
-    if !v.contains(&ctx[k].blocked_next) {
-        v.push(ctx[k].blocked_next);
-    }
-    v
-}
-
-/// Quick feasibility probe for [`arrange_path`].
-#[allow(clippy::too_many_arguments)]
-fn arrange_feasible(
-    _order: usize,
-    w_in: u8,
-    w_out: u8,
-    blocked_prev: u8,
-    blocked_next: u8,
-    faulty: &[u8],
-    free: &[u8],
-) -> bool {
-    arrange_path(free, w_in, w_out, blocked_prev, blocked_next, faulty).is_some()
-}
-
 /// Arranges the free symbols of a super-vertex into a path order:
 /// `[w_in, ..., w_out]` such that the second element is not `blocked_prev`,
 /// the second-to-last is not `blocked_next`, and no two consecutive symbols
 /// are both faulty. Returns `None` iff no order exists.
 pub(crate) fn arrange_path(
-    free: &[u8],
+    free: SymbolSet,
     w_in: u8,
     w_out: u8,
     blocked_prev: u8,
     blocked_next: u8,
-    faulty: &[u8],
-) -> Option<Vec<u8>> {
-    let r = free.len();
-    debug_assert!(free.contains(&w_in) && free.contains(&w_out) && w_in != w_out);
-    let mut middle: Vec<u8> = free
-        .iter()
-        .copied()
-        .filter(|&s| s != w_in && s != w_out)
-        .collect();
-    let m = middle.len();
-    debug_assert_eq!(m, r - 2);
+    faulty: SymbolSet,
+) -> Option<Symbols> {
+    debug_assert!(free.contains(w_in) && free.contains(w_out) && w_in != w_out);
+    let mut inner = free;
+    inner.remove(w_in);
+    inner.remove(w_out);
+    let mut middle = Symbols::of(inner);
+    let m = middle.as_slice().len();
+    debug_assert_eq!(m, free.len() - 2);
 
     let check = |mid: &[u8]| -> bool {
         // Slot constraints.
@@ -375,10 +241,9 @@ pub(crate) fn arrange_path(
         }
         // Fault adjacency along the whole sequence.
         if !faulty.is_empty() {
-            let is_f = |s: u8| faulty.contains(&s);
             let mut prev = w_in;
             for &s in mid.iter().chain(std::iter::once(&w_out)) {
-                if is_f(prev) && is_f(s) {
+                if faulty.contains(prev) && faulty.contains(s) {
                     return false;
                 }
                 prev = s;
@@ -386,84 +251,59 @@ pub(crate) fn arrange_path(
         }
         true
     };
+    let path = |mid: &[u8]| {
+        let mut out = Symbols::EMPTY;
+        out.push(w_in);
+        for &s in mid {
+            out.push(s);
+        }
+        out.push(w_out);
+        out
+    };
 
     if m <= 6 || !faulty.is_empty() {
-        // Exhaustive over middle orders (m! <= 720 in the exhaustive regime;
-        // the fault-aware step always has m = 3).
-        middle.sort_unstable();
+        // Exhaustive over middle orders, from the increasing one (m! <= 720
+        // in the exhaustive regime; the fault-aware step always has m = 3).
         loop {
-            if check(&middle) {
-                let mut out = Vec::with_capacity(r);
-                out.push(w_in);
-                out.extend_from_slice(&middle);
-                out.push(w_out);
-                return Some(out);
+            if check(middle.as_slice()) {
+                return Some(path(middle.as_slice()));
             }
-            if !next_permutation(&mut middle) {
+            if !next_permutation(middle.as_mut_slice()) {
                 return None;
             }
         }
     }
 
-    // Constructive placement for large fault-free cliques: keep
-    // blocked_prev away from the first middle slot and blocked_next away
-    // from the last.
-    let bp = middle.iter().position(|&s| s == blocked_prev);
-    let bn = middle.iter().position(|&s| s == blocked_next);
-    match (bp, bn) {
-        (Some(i), Some(j)) if i != j => {
-            // blocked_next first, blocked_prev last.
-            let (a, b) = (middle[j], middle[i]);
-            middle.retain(|&s| s != a && s != b);
-            middle.insert(0, a);
-            middle.push(b);
+    // Constructive placement for large fault-free cliques: blocked_next
+    // first and blocked_prev last, or one symbol blocked both ways strictly
+    // inside; the rest keep their increasing order.
+    let mut rest = inner;
+    rest.remove(blocked_prev);
+    rest.remove(blocked_next);
+    let rest = Symbols::of(rest);
+    let rest = rest.as_slice();
+    let mut placed = Symbols::EMPTY;
+    let (bp, bn) = (inner.contains(blocked_prev), inner.contains(blocked_next));
+    if bp && bn && blocked_prev == blocked_next {
+        // Strictly interior since m >= 7 here.
+        for (i, &s) in rest.iter().enumerate() {
+            if i == m / 2 {
+                placed.push(blocked_prev);
+            }
+            placed.push(s);
         }
-        (Some(i), Some(j)) => {
-            debug_assert_eq!(i, j); // blocked_prev == blocked_next
-            let s = middle.remove(i);
-            middle.insert(m / 2, s); // strictly interior since m >= 7 here
+    } else {
+        if bn {
+            placed.push(blocked_next);
         }
-        (Some(i), None) => {
-            let s = middle.remove(i);
-            middle.push(s);
+        for &s in rest {
+            placed.push(s);
         }
-        (None, Some(j)) => {
-            let s = middle.remove(j);
-            middle.insert(0, s);
+        if bp {
+            placed.push(blocked_prev);
         }
-        (None, None) => {}
     }
-    if !check(&middle) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(r);
-    out.push(w_in);
-    out.extend_from_slice(&middle);
-    out.push(w_out);
-    Some(out)
-}
-
-/// Lexicographic next permutation (shared with `star-perm`'s iterator but
-/// local to avoid exposing it publicly there).
-fn next_permutation(data: &mut [u8]) -> bool {
-    let n = data.len();
-    if n < 2 {
-        return false;
-    }
-    let mut i = n - 1;
-    while i > 0 && data[i - 1] >= data[i] {
-        i -= 1;
-    }
-    if i == 0 {
-        return false;
-    }
-    let mut j = n - 1;
-    while data[j] <= data[i - 1] {
-        j -= 1;
-    }
-    data.swap(i - 1, j);
-    data[i..].reverse();
-    true
+    check(placed.as_slice()).then(|| path(placed.as_slice()))
 }
 
 #[cfg(test)]
@@ -553,18 +393,23 @@ mod tests {
         );
     }
 
+    fn set(symbols: impl IntoIterator<Item = u8>) -> SymbolSet {
+        symbols.into_iter().collect()
+    }
+
     #[test]
     fn arrange_path_respects_all_constraints() {
         // 5 symbols, faulty {2, 4}, blocked ends.
-        let free = [1u8, 2, 3, 4, 5];
-        let p = arrange_path(&free, 1, 5, 3, 2, &[2, 4]).unwrap();
+        let faulty = set([2, 4]);
+        let p = arrange_path(set(1..=5), 1, 5, 3, 2, faulty).unwrap();
+        let p = p.as_slice();
         assert_eq!(p.len(), 5);
         assert_eq!(p[0], 1);
         assert_eq!(p[4], 5);
         assert_ne!(p[1], 3);
         assert_ne!(p[3], 2);
         for w in p.windows(2) {
-            assert!(!([2u8, 4].contains(&w[0]) && [2u8, 4].contains(&w[1])));
+            assert!(!(faulty.contains(w[0]) && faulty.contains(w[1])));
         }
     }
 
@@ -572,16 +417,18 @@ mod tests {
     fn arrange_path_reports_infeasible() {
         // Three symbols, middle slot is both blocked_prev and blocked_next:
         // [w_in, b, w_out] violates the second-slot rule no matter what.
-        assert!(arrange_path(&[1, 2, 3], 1, 3, 2, 2, &[]).is_none());
+        assert!(arrange_path(set(1..=3), 1, 3, 2, 2, SymbolSet::empty()).is_none());
     }
 
     #[test]
     fn arrange_path_constructive_branch() {
-        // Large clique, no faults: exercises the constructive placement.
-        let free: Vec<u8> = (1..=11).collect();
-        let p = arrange_path(&free, 1, 11, 5, 7, &[]).unwrap();
-        assert_eq!(p.len(), 11);
-        assert_ne!(p[1], 5);
-        assert_ne!(p[9], 7);
+        // Large clique, no faults: blocked_next first, blocked_prev last,
+        // the rest in increasing order.
+        let p = arrange_path(set(1..=11), 1, 11, 5, 7, SymbolSet::empty()).unwrap();
+        assert_eq!(p.as_slice(), &[1, 7, 2, 3, 4, 6, 8, 9, 10, 5, 11]);
+        // A symbol blocked both ways goes strictly inside, after m/2 of
+        // the rest.
+        let p = arrange_path(set(1..=11), 1, 11, 3, 3, SymbolSet::empty()).unwrap();
+        assert_eq!(p.as_slice(), &[1, 2, 4, 5, 6, 3, 7, 8, 9, 10, 11]);
     }
 }

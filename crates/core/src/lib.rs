@@ -52,6 +52,7 @@ pub mod report;
 pub mod small_n;
 
 mod embed_impl;
+mod seam;
 mod window;
 
 pub use batch::{embed_many, embed_many_with_options};

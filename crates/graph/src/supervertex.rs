@@ -14,8 +14,7 @@
 //!   `d` swapped;
 //! * if both sides are partitioned at a free position `j`, the sub-vertex
 //!   of `A` pinned to `z` at `j` has an adjacent counterpart in `B`'s
-//!   subdivision iff `z != y` (Lemma 1's mechanism) — [`blocked_symbol`]
-//!   returns that excluded `y`.
+//!   subdivision iff `z != y` (Lemma 1's mechanism).
 
 use star_perm::Perm;
 
@@ -53,12 +52,6 @@ impl SuperEdge {
         self.dif
     }
 
-    /// `b`'s pinned symbol at the dif position.
-    #[inline]
-    pub(crate) fn symbol_b(&self) -> u8 {
-        self.y
-    }
-
     /// `true` iff `u` (a member of `a`) has a neighbor in `b` — i.e. its
     /// position-0 symbol is `b`'s dif symbol.
     #[inline]
@@ -83,20 +76,6 @@ impl SuperEdge {
     }
 }
 
-/// For patterns `a` adjacent to `b`, both about to be partitioned at free
-/// position `j`: the unique free symbol `z` of `a` whose sub-vertex
-/// `a.sub(j, z)` has **no** adjacent counterpart `b.sub(j, z)` — namely
-/// `b`'s symbol at the dif position (it is not free in `b`).
-///
-/// This is the mechanism behind Lemma 1: a sub-vertex of the middle
-/// super-vertex `V` fails to connect to neighbor `U` only for one symbol,
-/// so if the two neighbors' excluded symbols differ, every sub-vertex of
-/// `V` connects to `U` or `W`.
-pub fn blocked_symbol(a: &Pattern, b: &Pattern) -> Result<u8, GraphError> {
-    let edge = SuperEdge::between(*a, *b)?;
-    Ok(edge.symbol_b())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,7 +91,7 @@ mod tests {
         let b = pat(&[0, 0, 1, 3]);
         let e = SuperEdge::between(a, b).unwrap();
         assert_eq!(e.dif(), 2);
-        assert_eq!(e.symbol_b(), 1);
+        assert_eq!(e.y, 1);
         let cross: Vec<Perm> = a.vertices().filter(|u| e.is_cross_vertex(u)).collect();
         assert_eq!(cross.len(), 1);
         let (u, v) = (cross[0], e.partner(&cross[0]));
@@ -143,33 +122,6 @@ mod tests {
         }
         assert_eq!(from_struct, brute);
         assert_eq!(brute.len(), 2);
-    }
-
-    #[test]
-    fn blocked_symbol_matches_lemma_1_mechanism() {
-        // a = <***45>_3, b = <***35>_3 (dif = 3, x = 4, y = 3): partitioning
-        // both at position 1, a.sub(1, z) pairs with b.sub(1, z) iff z != 3.
-        let a = pat(&[0, 0, 0, 4, 5]);
-        let b = pat(&[0, 0, 0, 3, 5]);
-        assert_eq!(blocked_symbol(&a, &b).unwrap(), 3);
-        for z in a.free_symbols().iter() {
-            let sub_a = a.sub(1, z).unwrap();
-            let counterpart_exists = b.free_symbols().contains(z);
-            if counterpart_exists {
-                let sub_b = b.sub(1, z).unwrap();
-                assert!(sub_a.is_adjacent(&sub_b), "z = {z}");
-            } else {
-                assert_eq!(z, 3, "only the blocked symbol lacks a counterpart");
-            }
-            // Whatever the counterpart, sub_a must not be adjacent to any
-            // *other* sub of b.
-            for z2 in b.free_symbols().iter() {
-                if z2 != z {
-                    let sub_b2 = b.sub(1, z2).unwrap();
-                    assert!(!sub_a.is_adjacent(&sub_b2), "z = {z}, z2 = {z2}");
-                }
-            }
-        }
     }
 
     #[test]

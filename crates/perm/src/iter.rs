@@ -27,9 +27,9 @@ impl PermIter {
     }
 }
 
-/// Advances `data[..n]` to its lexicographic successor; returns `false` if
-/// it was the last permutation.
-fn next_permutation(data: &mut [u8]) -> bool {
+/// Advances `data` to its lexicographic successor; returns `false` if it
+/// was the last permutation (the symbols need not be `1..=n`).
+pub fn next_permutation(data: &mut [u8]) -> bool {
     let n = data.len();
     if n < 2 {
         return false;
