@@ -94,11 +94,12 @@ pub struct LoadgenConfig {
     /// connections).
     pub proto: WireProto,
     /// Audit mode (`--verify`): request a STARRING-CERT certificate on
-    /// every embed and re-verify it client-side (full re-derivation via
-    /// `star_verify::certificate::verify_certificate`, plus a cross-check
-    /// of the summary against what was requested). Under proto v2 the
-    /// response carries only the certificate checksum; verification is
-    /// the incremental stream check against it.
+    /// every v1 embed and re-verify it client-side (full re-derivation
+    /// via `star_verify::certificate::verify_certificate`, plus a
+    /// cross-check of the summary against what was requested). A v2
+    /// embed asks for no certificate, so a miss still streams: its
+    /// stream is checked as it arrives, and `--verify` also requires its
+    /// length to meet the `n! - 2|F_v|` guarantee.
     pub verify: bool,
     /// Per-request JSONL output (`--trace-out`): one line per request
     /// with its trace id, scheduled send offset, latency, outcome, and
@@ -175,8 +176,9 @@ pub enum WireProto {
     V1,
     /// Negotiate v2 on every embed: ask for the ring back as a
     /// generator-delta chunk stream and verify it incrementally
-    /// (adjacency, fault avoidance, uniqueness, and — with `--verify` —
-    /// the STARRING-CERT checksum) without ever materializing it.
+    /// (adjacency, fault avoidance, uniqueness, the announced length, and
+    /// the STARRING-CERT checksum when the header carries one) without
+    /// ever materializing it.
     V2,
     /// Per-request coin flip between v1 and v2 on each connection's RNG
     /// stream — exercises a server answering both protocols on
@@ -326,8 +328,9 @@ pub struct LoadgenReport {
     pub mix: Mix,
     /// Arrival process that was offered.
     pub arrivals: Arrivals,
-    /// Certificates fetched and fully re-verified client-side
-    /// (`--verify` mode only; 0 otherwise).
+    /// Certificates fetched and fully re-verified client-side, and v2
+    /// streams found at the guarantee (`--verify` mode only; 0
+    /// otherwise).
     pub certs_checked: u64,
     /// Certificates that were missing, malformed, or disagreed with the
     /// request (a correct server keeps this at 0).
@@ -717,13 +720,7 @@ fn next_request(
             ("embed", Some((*n, orbit_sample(rng, *n, base))))
         }
     };
-    let body = match &embed {
-        Some((n, faults)) if config.verify => certified_embed_request(&id, *n, faults, None),
-        Some((n, faults)) => embed_request(&id, *n, faults, None),
-        None => plain_request(&id, kind),
-    };
     let trace = gen_trace_id(rng);
-    let mut body = with_trace_id(body, trace);
     // Only embeds negotiate v2 (health/stats responses never stream);
     // `mixed` draws from the connection's deterministic RNG stream.
     let use_v2 = embed.is_some()
@@ -732,6 +729,18 @@ fn next_request(
             WireProto::V2 => true,
             WireProto::Mixed => rng.next_u64() & 1 == 1,
         };
+    // `--verify` asks a v1 embed for its certificate. A v2 stream is
+    // checked as it arrives (`record` then counts its length against
+    // the guarantee), and asking it for a certificate would keep a miss
+    // off the streamed path.
+    let body = match &embed {
+        Some((n, faults)) if config.verify && !use_v2 => {
+            certified_embed_request(&id, *n, faults, None)
+        }
+        Some((n, faults)) => embed_request(&id, *n, faults, None),
+        None => plain_request(&id, kind),
+    };
+    let mut body = with_trace_id(body, trace);
     let mut faults = None;
     if let (true, Some((n, list))) = (use_v2, &embed) {
         body = with_proto_v2(with_return_ring(body), 0, None);
@@ -1458,6 +1467,40 @@ mod tests {
                 None => {
                     v1_embeds += usize::from(is_embed);
                     assert!(body.get("proto").is_none(), "{body}");
+                }
+            }
+        }
+        assert!(
+            v1_embeds > 0 && v2_embeds > 0,
+            "{v1_embeds} v1, {v2_embeds} v2"
+        );
+    }
+
+    #[test]
+    fn verify_asks_only_v1_embeds_for_a_certificate() {
+        // A v2 embed under --verify is checked on its stream; asking it
+        // for a certificate would buffer a cold miss.
+        let config = LoadgenConfig {
+            mix: Mix::Cached,
+            proto: WireProto::Mixed,
+            verify: true,
+            ..LoadgenConfig::default()
+        };
+        let pool = pool_for(config.mix, config.seed);
+        let mut rng = StdRng::seed_from_u64(5);
+        let (mut v1_embeds, mut v2_embeds) = (0, 0);
+        for i in 0..100 {
+            let id = format!("c0-{i}");
+            let (body, faults, _) = next_request(&config, &mut rng, &pool, id, Instant::now());
+            let certified = body.get("return_certificate") == Some(&Json::Bool(true));
+            match faults {
+                Some(_) => {
+                    v2_embeds += 1;
+                    assert!(!certified, "{body}");
+                }
+                None => {
+                    v1_embeds += 1;
+                    assert!(certified, "{body}");
                 }
             }
         }

@@ -312,3 +312,57 @@ fn theorem1_holds_on_every_fault_orbit_at_n7() {
     assert_eq!(counts, [1, 1, 29, 6_453]);
     assert_theorem_on_every_orbit(7, &orbits);
 }
+
+#[test]
+#[ignore = "64,981 n = 5 mixed fault sets; seconds in release, run by the audit CI job"]
+fn theorem1_holds_for_every_mixed_fault_set_at_n5() {
+    // The concluding remark at n = 5: every set of |F_v| + |F_e| <= 2
+    // vertex and edge faults, embedded directly (no symmetry reduction),
+    // keeps a healthy ring of 5! - 2|F_v|. This drives the Lemma-7 seam
+    // scan through every (spare, salt) retry the mixed embedder makes.
+    use star_rings::graph::Edge;
+    use star_rings::ring::mixed::embed_with_mixed_faults;
+    let n = 5;
+    let vertices: Vec<Perm> = (0..factorial(n) as u32)
+        .map(|r| Perm::unrank(n, r).unwrap())
+        .collect();
+    let edges: Vec<Edge> = vertices
+        .iter()
+        .flat_map(|u| (1..n).map(move |d| (*u, u.swapped(0, d))))
+        .filter(|(u, v)| u.rank() < v.rank())
+        .map(|(u, v)| Edge::new(u, v).unwrap())
+        .collect();
+    assert_eq!(edges.len(), 240);
+    let mut sets = 0u32;
+    let mut check = |faults: FaultSet| {
+        let ring = embed_with_mixed_faults(n, &faults)
+            .unwrap_or_else(|e| panic!("mixed embed failed for {faults:?}: {e}"));
+        assert_eq!(
+            ring.len() as u64,
+            factorial(n) - 2 * faults.vertex_fault_count() as u64,
+            "short ring for {faults:?}"
+        );
+        check_ring(n, ring.vertices(), &faults)
+            .unwrap_or_else(|e| panic!("invalid ring for {faults:?}: {e}"));
+        sets += 1;
+    };
+    check(FaultSet::empty(n));
+    for (i, v) in vertices.iter().enumerate() {
+        check(FaultSet::from_vertices(n, [*v]).unwrap());
+        for w in &vertices[i + 1..] {
+            check(FaultSet::from_vertices(n, [*v, *w]).unwrap());
+        }
+        for e in &edges {
+            let mut faults = FaultSet::from_vertices(n, [*v]).unwrap();
+            faults.add_edge(*e).unwrap();
+            check(faults);
+        }
+    }
+    for (i, e) in edges.iter().enumerate() {
+        check(FaultSet::from_edges(n, [*e]).unwrap());
+        for f in &edges[i + 1..] {
+            check(FaultSet::from_edges(n, [*e, *f]).unwrap());
+        }
+    }
+    assert_eq!(sets, 64_981);
+}
