@@ -19,9 +19,10 @@
 //! it on every span and flight-recorder event the request produces, and
 //! tags SLO-breach dumps with it), `"deadline_ms"` (enforced at dequeue
 //! — an expired request is answered `deadline_exceeded` before any
-//! embed work runs) and `"options"`
-//! (`{"verify":bool,"salt":int,"spare_index":int}`, the
-//! [`EmbedOptions`] knobs). Embed requests additionally accept
+//! embed work runs) and `"options"` (`{"salt":int,"spare_index":int}`,
+//! the [`EmbedOptions`] knobs a client may set; every ring the server
+//! embeds is checked, so any other member, `verify` included, is
+//! ignored). Embed requests additionally accept
 //! `"return_certificate":true` to get a STARRING-CERT v1 proof attached
 //! to the response (always attached when the server runs with
 //! `--verify`). Responses always carry `"ok"`; failures are
@@ -445,12 +446,6 @@ fn parse_options(v: Option<&Json>) -> Result<EmbedOptions, String> {
     };
     if !matches!(doc, Json::Obj(_)) {
         return Err("`options` must be an object".to_string());
-    }
-    if let Some(b) = doc.get("verify") {
-        match b {
-            Json::Bool(b) => opts.verify = *b,
-            _ => return Err("options.verify must be a boolean".to_string()),
-        }
     }
     if let Some(s) = doc.get("salt") {
         opts.salt = s.as_u64().ok_or("options.salt must be an integer")? as usize;
@@ -877,7 +872,6 @@ mod tests {
         .unwrap();
         assert_eq!(req.id.as_deref(), Some("r1"));
         assert_eq!(req.deadline_ms, Some(250));
-        assert!(!req.options.verify);
         assert_eq!(req.options.salt, 2);
         match req.body {
             RequestBody::Embed {
@@ -892,6 +886,17 @@ mod tests {
                 assert!(!return_certificate);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_request_cannot_switch_off_the_ring_check() {
+        // The server caches and stores what it embeds for every later
+        // request in the orbit, so no request may turn the check off.
+        for options in [r#"{"verify":false}"#, r#"{"verify":"no"}"#] {
+            let text = format!(r#"{{"kind":"embed","n":5,"options":{options}}}"#);
+            let req = Request::parse(text.as_bytes()).unwrap();
+            assert!(req.options.verify, "{options}");
         }
     }
 
