@@ -23,7 +23,7 @@
 //!   already guarantees **(P1)**.
 //!
 //! Seam symbols are chosen by the seam scan Lemma 7 also uses
-//! ([`crate::seam`]): each seam has `r-1` candidate symbols and the
+//! (`seam::scan`): each seam has `r-1` candidate symbols and the
 //! constraints are local, so backtracking is rare; a failure is reported
 //! as an error, never silently absorbed.
 
